@@ -6,6 +6,8 @@ import argparse
 import json
 import math
 import sys
+from itertools import islice
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -15,10 +17,15 @@ from .calibrator import aggregate_wasserstein, calibrate, wasserstein_error
 from .core import InvalidInputError, RoutingConfig, UnsupportedDiagnosticError, UnsupportedLossError
 from .diagnostics import check_entropy_lipschitz, check_loss_lipschitz, run_lemma_checks
 from .losses import CROSS_ENTROPY, KINDS, LossSpec
-from .partition import fit, partition_quality
+from .partition import assign_rows, fit, partition_quality
 from .router import OracleSpec, Router
 from .synthetic import KINDS as SYNTH_KINDS
 from .synthetic import generate
+
+# Query lines that ``route`` reads, validates, assigns and writes together.
+# Input from a terminal goes one line at a time, so each query is answered
+# as it is typed.
+ROUTE_CHUNK_LINES = 2048
 
 
 def parse_loss(text: str) -> LossSpec:
@@ -155,6 +162,13 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _decision_suffix(bin_id: str, decision) -> str:
+    """A decision line after its id: ``json.dumps`` of the whole record,
+    whose key order puts ``id`` first, ends with exactly this text."""
+    fields = json.dumps({"bin": bin_id, "action": decision.action, "est_costs": decision.est_costs})
+    return ", " + fields[1:] + "\n"
+
+
 def cmd_route(args: argparse.Namespace) -> int:
     _require_files(args.model, args.input or "")
     model = storage.load_model(args.model)
@@ -167,20 +181,39 @@ def cmd_route(args: argparse.Namespace) -> int:
     router = Router(model, config, oracles)
     in_stream = open(args.input) if args.input else sys.stdin
     out_stream = open(args.out, "w") if args.out else sys.stdout
-    lines = 0
-    try:
-        for lineno, line in enumerate(in_stream, start=1):
-            if not line.strip():
-                continue
-            query = storage.parse_query(line, model.num_classes, lineno)
-            bin_id, decision = router.decide(query)
-            out_stream.write(
-                json.dumps(
-                    {"id": query.id, "bin": bin_id, "action": decision.action, "est_costs": decision.est_costs}
-                )
-                + "\n"
+    suffixes: dict[str, str] = {}  # bin id -> serialized decision, made at the bin's first query
+
+    def route_lines(lines: list[str], first_lineno: int) -> None:
+        batch = storage.parse_queries(lines, model.num_classes, first_lineno, model.partition.features_needed)
+        if not batch.ids:
+            return
+        bins, index = assign_rows(model.partition, batch.probs, batch.features)
+        for b in bins:
+            if b not in suffixes:
+                suffixes[b] = _decision_suffix(b, router.decide_bin(b))
+        row_suffixes = [suffixes[b] for b in bins]
+        # encode_basestring_ascii is what json.dumps does with a str
+        out_stream.write(
+            "".join(
+                [
+                    '{"id": ' + encode_basestring_ascii(qid) + row_suffixes[i]
+                    for qid, i in zip(batch.ids, index.tolist())
+                ]
             )
-            lines += 1
+        )
+
+    chunk_lines = 1 if in_stream.isatty() else ROUTE_CHUNK_LINES
+    try:
+        lineno = 1
+        while lines := list(islice(in_stream, chunk_lines)):
+            try:
+                route_lines(lines, lineno)
+            except InvalidInputError:
+                # Write the decisions of the lines before the bad one, then fail on it.
+                for offset, line in enumerate(lines):
+                    route_lines([line], lineno + offset)
+                raise
+            lineno += len(lines)
     finally:
         if args.input:
             in_stream.close()

@@ -64,6 +64,38 @@ def action_priority(action: str) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 
 
+def simplex_ok(p: np.ndarray) -> np.bool_ | np.ndarray:
+    """The simplex rule over the last axis: every entry within
+    ``[-SIMPLEX_ATOL, 1 + MASS_GUARD]`` (so finite) and the mass within
+    ``MASS_GUARD`` of one. A bool for one vector, a bool per row for a matrix."""
+    return (
+        (p.min(axis=-1) >= -SIMPLEX_ATOL)
+        & (p.max(axis=-1) <= 1.0 + MASS_GUARD)
+        & (abs(p.sum(axis=-1) - 1.0) <= MASS_GUARD)
+    )
+
+
+def simplex_error(p: np.ndarray) -> InvalidInputError:
+    """Why the vector ``p`` fails ``simplex_ok``."""
+    if not np.isfinite(p).all():
+        return InvalidInputError("probabilities must be finite")
+    if p.min() < -SIMPLEX_ATOL or p.max() > 1.0 + MASS_GUARD:
+        return InvalidInputError(f"entries outside [0, 1]: {p.tolist()}")
+    return InvalidInputError(f"probabilities sum to {float(p.sum())!r}, beyond tolerance")
+
+
+def normalize_simplex(p: np.ndarray) -> np.ndarray:
+    """Clip vectors that pass ``simplex_ok`` to ``>= 0`` and rescale them to
+    mass one, in place, over the last axis. Ulp-level drift is left alone so
+    normalization is idempotent."""
+    p.clip(0.0, None, out=p)
+    total = p.sum(axis=-1)
+    drift = abs(total - 1.0) > 1e-12
+    if drift.any():
+        np.divide(p, total[..., None], out=p, where=drift[..., None])
+    return p
+
+
 @dataclass(frozen=True, eq=False)
 class LabelDistribution:
     """A point of the probability simplex over class labels.
@@ -80,17 +112,9 @@ class LabelDistribution:
         p = np.asarray(self.probs, dtype=float).copy()
         if p.ndim != 1 or p.shape[0] < 2:
             raise InvalidInputError("need a 1-D probability vector over >= 2 classes")
-        if not np.all(np.isfinite(p)):
-            raise InvalidInputError("probabilities must be finite")
-        if p.min() < -SIMPLEX_ATOL or p.max() > 1.0 + MASS_GUARD:
-            raise InvalidInputError(f"entries outside [0, 1]: {p.tolist()}")
-        total = p.sum()
-        if abs(total - 1.0) > MASS_GUARD:
-            raise InvalidInputError(f"probabilities sum to {total!r}, beyond tolerance")
-        np.clip(p, 0.0, None, out=p)
-        total = p.sum()
-        if abs(total - 1.0) > 1e-12:  # skip ulp-level drift so renormalization is idempotent
-            p /= total
+        if not simplex_ok(p):
+            raise simplex_error(p)
+        normalize_simplex(p)
         p.flags.writeable = False
         object.__setattr__(self, "probs", p)
 
@@ -227,6 +251,19 @@ class RoutingDecision:
 
 def stack_probs(dists: Iterable[LabelDistribution]) -> np.ndarray:
     return np.stack([d.probs for d in dists])
+
+
+def feature_matrix(rows: Sequence[np.ndarray | None]) -> np.ndarray | None:
+    """Per-row feature vectors as one ``(n, F)`` matrix, ``F`` the longest
+    vector; NaN fills the entries a row lacks. None when no row has features."""
+    present = [f for f in rows if f is not None]
+    if not present:
+        return None
+    out = np.full((len(rows), max(f.size for f in present)), np.nan)
+    for i, f in enumerate(rows):
+        if f is not None:
+            out[i, : f.size] = f
+    return out
 
 
 def weak_pred_matrix(examples: Sequence[SnapshotExample]) -> np.ndarray:

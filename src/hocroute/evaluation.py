@@ -29,6 +29,7 @@ from .core import (
     PREDICT,
     InvalidInputError,
     RoutingConfig,
+    RoutingDecision,
     SnapshotExample,
     UnsupportedLossError,
     ground_truth_matrix,
@@ -250,7 +251,7 @@ def bucket_optimal_point_costs(
         costs = {PREDICT: float(arrays.predict_cost[idxs].mean()), ABSTAIN: config.abstain_penalty}
         for i, alpha in enumerate(config.route_penalties):
             costs[f"route:{i}"] = float(arrays.oracle_cost[i][idxs].mean()) + alpha
-        actions[b] = min(costs, key=costs.get)
+        actions[b] = RoutingDecision.from_costs(costs).action
     return _realized(arrays, actions, config)
 
 

@@ -8,12 +8,13 @@ receive equal calibration mass up to one example.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from .core import InvalidInputError, SnapshotExample
+from .core import InvalidInputError, SnapshotExample, feature_matrix, stack_probs
 from .losses import LossSpec, entropy_batch, expected_loss_batch
 
 TOP_CLASS = "topclass"
@@ -66,6 +67,11 @@ class PartitionSpec:
             "edges": None if self.edges is None else self.edges.tolist(),
             "level_keys": sorted(self.level_keys),
         }
+
+    @property
+    def features_needed(self) -> int:
+        """How many features a query must carry to be assigned a bin."""
+        return self.feature_index + 1 if self.kind == FEATURE else 0
 
     @classmethod
     def from_record(cls, record: dict) -> "PartitionSpec":
@@ -127,33 +133,56 @@ def assign(spec: PartitionSpec, example) -> str:
         return f"c{c}:b{idx}"
     if spec.kind == FEATURE:
         feats = example.features
-        if feats is None or np.asarray(feats).size <= spec.feature_index:
-            raise InvalidInputError(f"example lacks feature {spec.feature_index}")
-        value = float(np.asarray(feats, dtype=float)[spec.feature_index])
+        j = spec.feature_index
+        value = math.nan if feats is None or np.asarray(feats).size <= j else float(np.asarray(feats, dtype=float)[j])
+        if math.isnan(value):
+            raise InvalidInputError(f"example lacks feature {j}")
         idx = 0 if spec.edges is None or spec.edges.size == 0 else int(np.searchsorted(spec.edges, value, side="right"))
         return f"f:b{idx}"
     key = _level_key(example.weak_pred.probs)
     return f"ls:{key}" if key in spec.level_keys else OVERFLOW_BIN
 
 
-def assign_many(spec: PartitionSpec, examples: Sequence) -> list[str]:
-    """Vectorized ``assign`` over a sequence of examples."""
+def _bucket_index(edges: np.ndarray | None, values: np.ndarray) -> np.ndarray:
+    if edges is None or edges.size == 0:
+        return np.zeros(values.shape[0], dtype=np.intp)
+    return np.searchsorted(edges, values, side="right")
+
+
+def assign_rows(
+    spec: PartitionSpec, probs: np.ndarray, features: np.ndarray | None = None
+) -> tuple[list[str], np.ndarray]:
+    """``assign`` for every row of an ``(n, K)`` prediction matrix (and an
+    ``(n, F)`` feature matrix, NaN where a row lacks a feature), as the
+    distinct bin ids and each row's index into them."""
     if spec.kind == TOP_CLASS:
-        preds = np.stack([e.weak_pred.probs for e in examples])
-        classes = np.argmax(preds, axis=1)
-        conf = preds[np.arange(preds.shape[0]), classes]
-        out = [""] * len(examples)
-        for c in np.unique(classes):
-            mask = classes == c
-            edges = spec.class_edges.get(int(c))
-            if edges is None or edges.size == 0:
-                idxs = np.zeros(int(mask.sum()), dtype=int)
-            else:
-                idxs = np.searchsorted(edges, conf[mask], side="right")
-            for where, idx in zip(np.flatnonzero(mask), idxs):
-                out[where] = f"c{int(c)}:b{int(idx)}"
-        return out
-    return [assign(spec, e) for e in examples]
+        classes = probs.argmax(axis=1)
+        confidence = probs[np.arange(probs.shape[0]), classes]
+        buckets = np.zeros(probs.shape[0], dtype=np.intp)
+        for c in np.unique(classes).tolist():
+            rows = classes == c
+            buckets[rows] = _bucket_index(spec.class_edges.get(c), confidence[rows])
+        width = int(buckets.max(initial=0)) + 1
+        codes, index = np.unique(classes * width + buckets, return_inverse=True)
+        return [f"c{code // width}:b{code % width}" for code in codes.tolist()], index
+    if spec.kind == FEATURE:
+        j = spec.feature_index
+        if features is None or features.shape[1] <= j or np.isnan(features[:, j]).any():
+            raise InvalidInputError(f"example lacks feature {j}")
+        codes, index = np.unique(_bucket_index(spec.edges, features[:, j]), return_inverse=True)
+        return [f"f:b{b}" for b in codes.tolist()], index
+    bins = [f"ls:{key}" if key in spec.level_keys else OVERFLOW_BIN for key in map(_level_key, probs)]
+    first_seen: dict[str, int] = {}
+    index = np.array([first_seen.setdefault(b, len(first_seen)) for b in bins], dtype=np.intp)
+    return list(first_seen), index
+
+
+def assign_many(spec: PartitionSpec, examples: Sequence) -> list[str]:
+    """``assign`` over a sequence of examples, through ``assign_rows``."""
+    probs = stack_probs(e.weak_pred for e in examples)
+    features = feature_matrix([e.features for e in examples]) if spec.kind == FEATURE else None
+    bins, index = assign_rows(spec, probs, features)
+    return [bins[i] for i in index.tolist()]
 
 
 def fitted_bins(spec: PartitionSpec) -> list[str]:

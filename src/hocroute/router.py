@@ -36,8 +36,16 @@ MEAN = "mean"
 
 
 @lru_cache(maxsize=None)
-def _binomial_coefficients(k: int) -> np.ndarray:
-    return np.array([math.comb(k, c) for c in range(k + 1)], dtype=float)
+def _log_binomial_coefficients(k: int) -> np.ndarray:
+    return np.array([math.lgamma(k + 1) - math.lgamma(c + 1) - math.lgamma(k - c + 1) for c in range(k + 1)])
+
+
+@lru_cache(maxsize=8)
+def _annotator_uniforms(seed: int, draws: int, annotators: int) -> np.ndarray:
+    """The one uniform draw every row's Monte Carlo estimate reuses."""
+    u = np.random.default_rng(seed).random((draws, annotators))
+    u.flags.writeable = False
+    return u
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,10 +99,11 @@ class OracleSpec:
 
     def _binary_aggregated_costs(self, loss: LossSpec, truths: np.ndarray) -> np.ndarray:
         k = self.num_annotators
-        coefs = _binomial_coefficients(k)
-        p1 = truths[:, 1]
         counts = np.arange(k + 1)
-        pmf = coefs * np.power.outer(p1, counts) * np.power.outer(1.0 - p1, k - counts)
+        with np.errstate(divide="ignore", invalid="ignore"):  # log(0) = -inf; 0 * -inf is taken as 0
+            log_p = np.where(counts == 0, 0.0, np.multiply.outer(np.log(truths[:, 1]), counts))
+            log_q = np.where(counts == k, 0.0, np.multiply.outer(np.log1p(-truths[:, 1]), k - counts))
+        pmf = np.exp(_log_binomial_coefficients(k) + log_p + log_q)
         out = np.zeros(truths.shape[0])
         for c in range(k + 1):
             pred = np.tile(self._aggregated_prediction(c), (truths.shape[0], 1))
@@ -102,15 +111,22 @@ class OracleSpec:
         return out
 
     def _mc_aggregated_costs(self, loss: LossSpec, truths: np.ndarray) -> np.ndarray:
+        """Common random numbers: every row turns the same uniforms into
+        labels through its own inverse CDF, so a row's estimate does not
+        depend on the other rows or its position among them."""
         k, m = self.num_annotators, self.mc_draws
-        rng = np.random.default_rng(self.mc_seed)
+        uniforms = _annotator_uniforms(self.mc_seed, m, k)
+        classes = truths.shape[1]
+        offsets = classes * np.arange(m)[:, None]
         out = np.zeros(truths.shape[0])
         for i, truth in enumerate(truths):
-            counts = rng.multinomial(k, truth, size=m)
+            cdf = np.cumsum(truth)
+            labels = np.searchsorted(cdf / cdf[-1], uniforms, side="right")
+            counts = np.bincount((labels + offsets).ravel(), minlength=m * classes).reshape(m, classes)
             if self.aggregation == MEAN:
                 preds = counts / k
             else:
-                preds = np.zeros_like(counts, dtype=float)
+                preds = np.zeros((m, classes))
                 preds[np.arange(m), np.argmax(counts, axis=1)] = 1.0
             out[i] = float(np.mean(expected_loss_batch(loss, np.tile(truth, (m, 1)), preds)))
         return out

@@ -18,7 +18,14 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .calibrator import CalibratedRouterModel, TaggedMixture
-from .core import InvalidInputError, LabelDistribution, SnapshotExample
+from .core import (
+    InvalidInputError,
+    LabelDistribution,
+    SnapshotExample,
+    feature_matrix,
+    normalize_simplex,
+    simplex_ok,
+)
 from .evaluation import CostSweep, RoutingCurve
 from .partition import PartitionSpec
 
@@ -76,38 +83,72 @@ def _record_error(lineno: int, field: str, message: str) -> InvalidInputError:
     return InvalidInputError(f"line {lineno}: field {field!r}: {message}")
 
 
-def _parse_record(record: dict, num_classes: int, lineno: int) -> SnapshotExample:
-    if not isinstance(record, dict):
-        raise _record_error(lineno, "-", "record is not a JSON object")
-    for required in ("id", "weak_probs", "labels"):
-        if required not in record:
-            raise _record_error(lineno, required, "missing")
-    probs = np.asarray(record["weak_probs"], dtype=float)
-    if probs.ndim != 1 or probs.size != num_classes:
-        raise _record_error(lineno, "weak_probs", f"expected {num_classes} entries")
+def _decode(line: str, lineno: int):
+    try:
+        return json.loads(line)
+    except (json.JSONDecodeError, RecursionError) as err:  # RecursionError: nested too deeply
+        raise _record_error(lineno, "-", f"invalid JSON ({err})") from None
+
+
+def _vector(record: dict, field: str, lineno: int) -> np.ndarray:
+    try:
+        values = np.asarray(record[field], dtype=float)
+    except (TypeError, ValueError):
+        values = None
+    if values is None or values.ndim != 1:
+        raise _record_error(lineno, field, "must be a flat list of numbers")
+    return values
+
+
+def _distribution(record: dict, field: str, num_classes: int, lineno: int) -> LabelDistribution:
+    probs = _vector(record, field, lineno)
+    if probs.size != num_classes:
+        raise _record_error(lineno, field, f"expected {num_classes} entries")
     total = probs.sum()
     if abs(total - 1.0) > PROB_SUM_TOL:
-        raise _record_error(lineno, "weak_probs", f"sums to {total!r}, beyond tolerance {PROB_SUM_TOL}")
+        raise _record_error(lineno, field, f"sums to {float(total)!r}, beyond tolerance {PROB_SUM_TOL}")
+    try:
+        return LabelDistribution(probs)
+    except InvalidInputError as err:
+        raise _record_error(lineno, field, str(err)) from None
+
+
+def _check_fields(
+    record, num_classes: int, lineno: int, required: tuple[str, ...]
+) -> tuple[LabelDistribution, np.ndarray | None]:
+    """The field check every reader applies to a decoded record: an object
+    holding ``required``, ``weak_probs`` a valid distribution over
+    ``num_classes``, and ``features``, when present, a list of finite numbers.
+    Returns the prediction and the features."""
+    if not isinstance(record, dict):
+        raise _record_error(lineno, "-", "record is not a JSON object")
+    for field in required:
+        if field not in record:
+            raise _record_error(lineno, field, "missing")
+    weak = _distribution(record, "weak_probs", num_classes, lineno)
+    if record.get("features") is None:
+        return weak, None
+    features = _vector(record, "features", lineno)
+    if not np.isfinite(features).all():
+        raise _record_error(lineno, "features", "must be finite")
+    return weak, features
+
+
+def _parse_record(record: dict, num_classes: int, lineno: int) -> SnapshotExample:
+    weak, features = _check_fields(record, num_classes, lineno, ("id", "weak_probs", "labels"))
     labels = record["labels"]
-    if not labels:
-        raise _record_error(lineno, "labels", "must be nonempty")
-    labels = np.asarray(labels)
-    if not np.issubdtype(labels.dtype, np.integer):
-        raise _record_error(lineno, "labels", "must be integers")
+    if not isinstance(labels, list) or not labels:
+        raise _record_error(lineno, "labels", "must be a nonempty list")
+    try:
+        labels = np.asarray(labels)
+    except ValueError:  # ragged nesting
+        labels = None
+    if labels is None or labels.ndim != 1 or not np.issubdtype(labels.dtype, np.integer):
+        raise _record_error(lineno, "labels", "must be a flat list of integers")
     if labels.min() < 0 or labels.max() >= num_classes:
         raise _record_error(lineno, "labels", f"class index out of range for {num_classes} classes")
-    features = record.get("features")
-    p_star = record.get("p_star")
-    try:
-        return SnapshotExample(
-            id=str(record["id"]),
-            weak_pred=LabelDistribution(probs),
-            labels=labels,
-            features=None if features is None else np.asarray(features, dtype=float),
-            p_star=None if p_star is None else LabelDistribution(np.asarray(p_star, dtype=float)),
-        )
-    except InvalidInputError as err:
-        raise _record_error(lineno, "record", str(err)) from None
+    p_star = None if record.get("p_star") is None else _distribution(record, "p_star", num_classes, lineno)
+    return SnapshotExample(id=str(record["id"]), weak_pred=weak, labels=labels, features=features, p_star=p_star)
 
 
 def read_header(path: str | Path) -> dict:
@@ -132,13 +173,8 @@ def ingest(path: str | Path) -> list[SnapshotExample]:
     examples: list[SnapshotExample] = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as err:
-                raise _record_error(lineno, "-", f"invalid JSON ({err})") from None
-            examples.append(_parse_record(record, num_classes, lineno))
+            if line.strip():
+                examples.append(_parse_record(_decode(line, lineno), num_classes, lineno))
     if not examples:
         raise InvalidInputError(f"dataset file {path} holds no records")
     return examples
@@ -154,23 +190,70 @@ class RouteQuery:
 
 
 def parse_query(line: str, num_classes: int, lineno: int) -> RouteQuery:
+    record = _decode(line, lineno)
+    weak, features = _check_fields(record, num_classes, lineno, ("id", "weak_probs"))
+    return RouteQuery(id=str(record["id"]), weak_pred=weak, features=features)
+
+
+@dataclass(frozen=True, eq=False)
+class QueryBatch:
+    """Routing queries as columns, row for row."""
+
+    ids: list[str]
+    probs: np.ndarray  # (n, K) validated predictions
+    features: np.ndarray | None  # (n, F), NaN past a row's own features; None when no row has any
+    linenos: list[int]
+
+
+def _query_columns(numbered: list[tuple[int, str]], num_classes: int, min_features: int) -> QueryBatch | None:
+    """The columns of well-formed, valid query lines, checked once over the
+    whole batch; None when some line fails (or needs the per-line reader)."""
+    ids, rows, feats = [], [], []
     try:
-        record = json.loads(line)
-    except json.JSONDecodeError as err:
-        raise _record_error(lineno, "-", f"invalid JSON ({err})") from None
-    for required in ("id", "weak_probs"):
-        if required not in record:
-            raise _record_error(lineno, required, "missing")
-    probs = np.asarray(record["weak_probs"], dtype=float)
-    if probs.ndim != 1 or probs.size != num_classes:
-        raise _record_error(lineno, "weak_probs", f"expected {num_classes} entries")
-    if abs(probs.sum() - 1.0) > PROB_SUM_TOL:
-        raise _record_error(lineno, "weak_probs", f"sums to {probs.sum()!r}, beyond tolerance")
-    features = record.get("features")
-    return RouteQuery(
-        id=str(record["id"]),
-        weak_pred=LabelDistribution(probs),
-        features=None if features is None else np.asarray(features, dtype=float),
+        for _, line in numbered:
+            record = json.loads(line)
+            ids.append(str(record["id"]))
+            rows.append(record["weak_probs"])
+            feats.append(record.get("features"))
+        probs = np.array(rows, dtype=float)
+        features = None if min_features == 0 and feats.count(None) == len(feats) else np.array(feats, dtype=float)
+    except (ValueError, RecursionError, TypeError, KeyError):  # bad JSON, not an object, field missing or not numeric
+        return None
+    if probs.shape != (len(numbered), num_classes):
+        return None
+    if not (abs(probs.sum(axis=1) - 1.0) <= PROB_SUM_TOL).all() or not simplex_ok(probs).all():
+        return None
+    if features is not None and (
+        features.ndim != 2 or features.shape[1] < min_features or not np.isfinite(features).all()
+    ):
+        return None
+    return QueryBatch(ids=ids, probs=normalize_simplex(probs), features=features, linenos=[n for n, _ in numbered])
+
+
+def parse_queries(lines: Sequence[str], num_classes: int, first_lineno: int = 1, min_features: int = 0) -> QueryBatch:
+    """Routing queries from consecutive JSONL lines, the first numbered
+    ``first_lineno``; blank lines are skipped. Validation runs once over the
+    batch and applies ``parse_query``'s rules with its arithmetic. When a line
+    breaks them, or carries fewer than ``min_features`` features, the lines are
+    read again one at a time by ``parse_query``, so the error names the first
+    bad line and field exactly as it would."""
+    numbered = [(first_lineno + i, line) for i, line in enumerate(lines) if line.strip()]
+    batch = _query_columns(numbered, num_classes, min_features)
+    if batch is not None:
+        return batch
+    queries = []
+    for lineno, line in numbered:
+        query = parse_query(line, num_classes, lineno)
+        if query.features is None and min_features:
+            raise _record_error(lineno, "features", "missing")
+        if query.features is not None and query.features.size < min_features:
+            raise _record_error(lineno, "features", f"expected at least {min_features} entries")
+        queries.append(query)
+    return QueryBatch(
+        ids=[q.id for q in queries],
+        probs=np.array([q.weak_pred.probs for q in queries]).reshape(len(queries), num_classes),
+        features=feature_matrix([q.features for q in queries]),
+        linenos=[n for n, _ in numbered],
     )
 
 

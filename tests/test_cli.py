@@ -1,12 +1,23 @@
 import io
 import json
 import math
+import re
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hocroute import cli
+from hocroute.calibrator import calibrate
 from hocroute.cli import cli_dispatch, parse_grid, parse_loss, parse_partition
-from hocroute.core import InvalidInputError
-from hocroute.storage import sha256_file
+from hocroute.core import InvalidInputError, RoutingConfig
+from hocroute.partition import fit
+from hocroute.router import Router
+from hocroute.storage import header_path, ingest, load_model, parse_queries, parse_query, save_model, sha256_file
+
+from conftest import simplex_arrays
 
 
 class TestArgumentParsing:
@@ -265,3 +276,156 @@ class TestErrorHandling:
         )
         assert rc == 1
         assert json.loads(capsys.readouterr().err.splitlines()[-1])["error"] == "InvalidInputError"
+
+
+# Malformed query/dataset lines and the field each must be reported under.
+MALFORMED = [
+    ("5", "-"),
+    ("{not json", "-"),
+    ("[" * 100_000, "-"),
+    ({"weak_probs": [0.5, 0.5]}, "id"),
+    ({"id": "x"}, "weak_probs"),
+    ({"id": "x", "weak_probs": "ab"}, "weak_probs"),
+    ({"id": "x", "weak_probs": [0.5, [0.5]]}, "weak_probs"),
+    ({"id": "x", "weak_probs": [0.5, 0.5, 0.0]}, "weak_probs"),
+    ({"id": "x", "weak_probs": [0.7, 0.2]}, "weak_probs"),
+    ({"id": "x", "weak_probs": [math.nan, 0.5]}, "weak_probs"),
+    ({"id": "x", "weak_probs": [1.5, -0.5]}, "weak_probs"),
+    ({"id": "x", "weak_probs": [0.5, 0.5], "features": "x"}, "features"),
+    ({"id": "x", "weak_probs": [0.5, 0.5], "features": [[1.0], [2.0, 3.0]]}, "features"),
+    ({"id": "x", "weak_probs": [0.5, 0.5], "features": [math.inf]}, "features"),
+]
+GOOD = [{"id": f"ok{i}", "weak_probs": [0.3 + 0.1 * i, 0.7 - 0.1 * i]} for i in range(3)]
+
+
+def _line(case, **extra) -> str:
+    return case if isinstance(case, str) else json.dumps({**case, **extra})
+
+
+@pytest.mark.parametrize("case, field", MALFORMED)
+class TestMalformedLines:
+    def test_parse_query(self, case, field):
+        with pytest.raises(InvalidInputError, match=rf"^line 4: field '{re.escape(field)}': "):
+            parse_query(_line(case), 2, 4)
+
+    def test_ingest(self, case, field, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        header_path(path).write_text(json.dumps({"format": "snapshot-dataset", "version": 1, "num_classes": 2}))
+        lines = [_line(g, labels=[0]) for g in GOOD[:2]] + [_line(case, labels=[0])]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(InvalidInputError, match=rf"^line 3: field '{re.escape(field)}': "):
+            ingest(path)
+
+    @pytest.mark.parametrize("chunk", [1, 2, cli.ROUTE_CHUNK_LINES])
+    def test_route_writes_earlier_decisions_then_fails(
+        self, case, field, chunk, workspace, tmp_path, capsys, monkeypatch
+    ):
+        root, data_dir, model_path = workspace
+        monkeypatch.setattr(cli, "ROUTE_CHUNK_LINES", chunk)
+        queries, out = tmp_path / "q.jsonl", tmp_path / "d.jsonl"
+        queries.write_text("\n".join([_line(GOOD[0]), "", _line(GOOD[1]), _line(case), _line(GOOD[2])]) + "\n")
+        rc = cli_dispatch(["route", "--model", str(model_path), "--in", str(queries), "--out", str(out)])
+        assert rc == 1
+        err_lines = capsys.readouterr().err.splitlines()
+        assert len(err_lines) == 1
+        payload = json.loads(err_lines[0])
+        assert payload["error"] == "InvalidInputError"
+        assert payload["message"].startswith(f"line 4: field '{field}': ")
+        assert [json.loads(l)["id"] for l in out.read_text().splitlines()] == ["ok0", "ok1"]
+
+
+def test_route_names_query_lacking_partition_feature(workspace, tmp_path, capsys):
+    root, data_dir, _ = workspace
+    model_path = tmp_path / "feature_model.json"
+    assert cli_dispatch(
+        ["calibrate", "--in", str(data_dir / "calibration.jsonl"), "--partition", "feature:6", "--out", str(model_path)]
+    ) == 0
+    queries, out = tmp_path / "q.jsonl", tmp_path / "d.jsonl"
+    queries.write_text(_line({**GOOD[0], "features": [0.1]}) + "\n" + _line(GOOD[1]) + "\n")
+    assert cli_dispatch(["route", "--model", str(model_path), "--in", str(queries), "--out", str(out)]) == 1
+    message = json.loads(capsys.readouterr().err)["message"]
+    assert message == "line 2: field 'features': missing"
+    assert len(out.read_text().splitlines()) == 1
+
+
+def test_route_answers_a_terminal_line_by_line(workspace, monkeypatch):
+    root, data_dir, model_path = workspace
+    stdout = io.StringIO()
+    answered_before_read: list[int] = []
+
+    class Terminal(io.StringIO):
+        def isatty(self):
+            return True
+
+        def __next__(self):
+            answered_before_read.append(stdout.getvalue().count("\n"))
+            return super().__next__()
+
+    monkeypatch.setattr("sys.stdin", Terminal("".join(_line(g) + "\n" for g in GOOD)))
+    monkeypatch.setattr("sys.stdout", stdout)
+    monkeypatch.chdir(workspace[0])
+    assert cli_dispatch(["route", "--model", str(model_path)]) == 0
+    assert answered_before_read == [0, 1, 2, 3]
+
+
+@pytest.fixture(scope="module")
+def route_models(small_run, tmp_path_factory):
+    """One model per partition kind, and calibration predictions that hit level sets."""
+    root = tmp_path_factory.mktemp("columnar")
+    cal = small_run.calibration[:1000]
+    paths = {}
+    for kind, buckets in (("topclass", 6), ("feature", 5), ("levelset", 1)):
+        paths[kind] = root / f"{kind}.json"
+        save_model(paths[kind], calibrate(fit(kind, cal, buckets=buckets), cal, recalibrate=kind == "topclass"))
+    return root, paths, sorted({tuple(e.weak_pred.probs.tolist()) for e in cal})
+
+
+def _reference_route(model_path, lines) -> str:
+    """The per-line route: parse_query, Router.decide, json.dumps."""
+    router = Router(load_model(model_path), RoutingConfig(parse_loss("brier"), (0.05,), 0.3))
+    out = []
+    for lineno, line in enumerate(lines, start=1):
+        if line.strip():
+            query = parse_query(line, 2, lineno)
+            bin_id, decision = router.decide(query)
+            record = {"id": query.id, "bin": bin_id, "action": decision.action, "est_costs": decision.est_costs}
+            out.append(json.dumps(record) + "\n")
+    return "".join(out)
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), kind=st.sampled_from(["topclass", "feature", "levelset"]))
+def test_columnar_route_equals_per_line_reference(route_models, data, kind):
+    root, paths, known = route_models
+    probs = simplex_arrays(2).map(lambda p: p.tolist())
+    drifted = st.tuples(simplex_arrays(2), st.floats(-5e-7, 5e-7)).map(lambda t: (t[0] * (1.0 + t[1])).tolist())
+    rows = data.draw(
+        st.lists(
+            st.tuples(
+                st.one_of(st.text(max_size=5), st.integers()),
+                st.one_of(probs, drifted, st.sampled_from(known).map(list)),
+                st.floats(-3.0, 3.0),
+                st.booleans(),
+            ),
+            min_size=1,
+            max_size=30,
+        )
+    )
+    lines = []
+    for qid, p, x, blank in rows:
+        lines += ["\n"] if blank else []
+        lines.append(json.dumps({"id": qid, "weak_probs": p, "features": [x]}) + "\n")
+    expected = _reference_route(paths[kind], lines)
+
+    batch = parse_queries(lines, 2)
+    reference = [parse_query(line, 2, n) for n, line in enumerate(lines, start=1) if line.strip()]
+    assert batch.probs.tobytes() == np.stack([q.weak_pred.probs for q in reference]).tobytes()
+    assert batch.linenos == [n for n, line in enumerate(lines, start=1) if line.strip()]
+
+    queries, out = root / "q.jsonl", root / "d.jsonl"
+    queries.write_text("".join(lines))
+    for chunk in (1, 7, cli.ROUTE_CHUNK_LINES):
+        with mock.patch.object(cli, "ROUTE_CHUNK_LINES", chunk):
+            assert cli_dispatch(["route", "--model", str(paths[kind]), "--alpha", "0.05", "--beta", "0.3",
+                                 "--in", str(queries), "--out", str(out)]) == 0
+        assert out.read_text() == expected

@@ -25,6 +25,7 @@ from hocroute.evaluation import (
 )
 from hocroute.losses import LossSpec, entropy, expected_loss
 from hocroute.partition import fit
+from hocroute.router import OracleSpec
 
 from conftest import make_example
 
@@ -160,6 +161,19 @@ class TestPolicyCosts:
         hoc = policy_point_costs(model, test, cfg)
         bucket = bucket_optimal_point_costs(model, test, cfg)
         assert bucket.mean() <= hoc.mean() + 1e-9
+
+    def test_bucket_optimal_breaks_exact_ties_by_action_priority(self):
+        # one bin: routing costs exactly the abstention penalty on average,
+        # but not point by point, so the realized costs show which action won
+        data = [
+            make_example("a", [0.9, 0.1], [1], p_star=[0.0, 1.0]),
+            make_example("b", [0.9, 0.1], [0], p_star=[0.5, 0.5]),
+        ]
+        model = calibrate(fit("topclass", data, buckets=1), data)
+        route_cost = float(OracleSpec().point_costs(brier, np.array([[0.0, 1.0], [0.5, 0.5]])).mean())
+        cfg = RoutingConfig(loss=brier, route_penalties=(0.0,), abstain_penalty=route_cost)
+        costs = bucket_optimal_point_costs(model, data, cfg, use_recalibrated=False)
+        assert costs.tolist() == [0.0, 0.5]
 
 
 class TestMultiLossReport:

@@ -1,19 +1,23 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hocroute.core import InvalidInputError
 from hocroute.losses import LossSpec
 from hocroute.partition import (
+    KINDS,
     OVERFLOW_BIN,
     PartitionSpec,
     assign,
     assign_many,
+    assign_rows,
     fit,
     fitted_bins,
     partition_quality,
 )
 
-from conftest import make_example
+from conftest import make_example, simplex_arrays
 
 
 def binary_examples(confidences, top_class=0, labels=(0,)):
@@ -116,6 +120,32 @@ class TestAssign:
         examples = small_run.calibration[:200]
         spec = fit("feature", examples, buckets=7)
         assert assign_many(spec, examples) == [assign(spec, e) for e in examples]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rows=st.lists(st.tuples(simplex_arrays(3), st.floats(-3.0, 3.0)), min_size=1, max_size=40),
+        kind=st.sampled_from(KINDS),
+        buckets=st.integers(1, 4),
+    )
+    def test_assign_rows_matches_assign_row_by_row(self, rows, kind, buckets):
+        # fitted on a prefix, so level-set queries both hit and overflow
+        examples = [make_example(f"e{i}", p, [0], features=[x]) for i, (p, x) in enumerate(rows)]
+        spec = fit(kind, examples[: len(examples) // 2 + 1], buckets=buckets)
+        probs = np.stack([e.weak_pred.probs for e in examples])
+        bins, index = assign_rows(spec, probs, np.array([[x] for _, x in rows]))
+        assert len(set(bins)) == len(bins)
+        assert [bins[i] for i in index] == [assign(spec, e) for e in examples]
+        assert assign_many(spec, examples) == [assign(spec, e) for e in examples]
+
+    def test_missing_feature_rejected_by_every_path(self):
+        examples = [make_example("a", [0.6, 0.4], [0], features=[0.1]), make_example("b", [0.6, 0.4], [0])]
+        spec = fit("feature", examples[:1], buckets=2)
+        with pytest.raises(InvalidInputError, match="lacks feature 0"):
+            assign(spec, examples[1])
+        with pytest.raises(InvalidInputError, match="lacks feature 0"):
+            assign_many(spec, examples)
+        with pytest.raises(InvalidInputError, match="lacks feature 0"):
+            assign_rows(spec, np.array([[0.6, 0.4]]), np.array([[np.nan]]))
 
 
 class TestRoundTrip:

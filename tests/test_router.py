@@ -28,6 +28,8 @@ from hocroute.router import (
     true_costs,
 )
 
+from conftest import simplexes
+
 d = LabelDistribution
 brier = LossSpec("brier")
 
@@ -194,9 +196,22 @@ class TestAggregatedOracles:
 
     def test_many_annotators_approach_bayes(self):
         bayes = OracleSpec()
-        crowd = OracleSpec(kind="aggregated", num_annotators=400, aggregation="mean")
         truth = d([0.35, 0.65])
-        assert crowd.cost(brier, truth) == pytest.approx(bayes.cost(brier, truth), abs=0.01)
+        for annotators in (400, 2000):  # past ~1030 the pmf's binomial coefficients overflow a float
+            crowd = OracleSpec(kind="aggregated", num_annotators=annotators, aggregation="mean")
+            assert crowd.cost(brier, truth) == pytest.approx(bayes.cost(brier, truth), abs=0.01)
+
+    @pytest.mark.parametrize("aggregation", ["majority", "mean"])
+    @settings(max_examples=15, deadline=None)
+    @given(truths=st.lists(simplexes(3), min_size=2, max_size=6), order=st.randoms())
+    def test_monte_carlo_cost_ignores_batch_position(self, aggregation, truths, order):
+        spec = OracleSpec(kind="aggregated", num_annotators=5, aggregation=aggregation)
+        rows = np.stack([t.probs for t in truths])
+        costs = spec.point_costs(brier, rows)
+        perm = list(range(len(truths)))
+        order.shuffle(perm)
+        assert spec.point_costs(brier, rows[perm]).tolist() == costs[perm].tolist()
+        assert [spec.cost(brier, t) for t in truths] == costs.tolist()
 
     def test_multiclass_monte_carlo_is_seeded(self):
         spec = OracleSpec(kind="aggregated", num_annotators=5, aggregation="majority", mc_seed=9)

@@ -92,6 +92,10 @@ class TestIngestValidation:
         )
         with pytest.raises(InvalidInputError, match="labels"):
             ingest(path)
+        for bad in ([[0], [1, 0]], [0.0], "01"):
+            path = self.write_lines(tmp_path, [json.dumps({"id": "a", "weak_probs": [0.5, 0.5], "labels": bad})])
+            with pytest.raises(InvalidInputError, match="line 1: field 'labels'"):
+                ingest(path)
 
     def test_malformed_json_names_line(self, tmp_path):
         path = self.write_lines(tmp_path, ["{not json"])
