@@ -75,6 +75,16 @@ def simplex_ok(p: np.ndarray) -> np.bool_ | np.ndarray:
     )
 
 
+def all_on_simplex(p: np.ndarray) -> bool:
+    """``simplex_ok(p).all()`` for a nonempty matrix, from whole-matrix
+    extremes and one row sum instead of a minimum and maximum per row."""
+    return bool(
+        p.min() >= -SIMPLEX_ATOL
+        and p.max() <= 1.0 + MASS_GUARD
+        and (abs(p.sum(axis=-1) - 1.0) <= MASS_GUARD).all()
+    )
+
+
 def simplex_error(p: np.ndarray) -> InvalidInputError:
     """Why the vector ``p`` fails ``simplex_ok``."""
     if not np.isfinite(p).all():

@@ -75,7 +75,10 @@ class PartitionSpec:
 
     @classmethod
     def from_record(cls, record: dict) -> "PartitionSpec":
-        return cls(
+        """The inverse of ``to_record``. Edges that ``fit`` could not have
+        produced (not finite, not strictly increasing) and unknown kinds fail
+        with ``InvalidInputError``."""
+        spec = cls(
             kind=record["kind"],
             buckets=int(record["buckets"]),
             feature_index=int(record.get("feature_index", 0)),
@@ -83,6 +86,14 @@ class PartitionSpec:
             edges=None if record.get("edges") is None else np.asarray(record["edges"], dtype=float),
             level_keys=frozenset(record.get("level_keys", [])),
         )
+        if spec.kind not in KINDS:
+            raise InvalidInputError(f"unknown partition kind {spec.kind!r}")
+        if spec.feature_index < 0:
+            raise InvalidInputError("feature_index must be >= 0")
+        for edges in [*spec.class_edges.values(), *([] if spec.edges is None else [spec.edges])]:
+            if edges.ndim != 1 or not np.isfinite(edges).all() or (np.diff(edges) <= 0).any():
+                raise InvalidInputError("bucket edges must be finite and strictly increasing")
+        return spec
 
 
 def fit(

@@ -48,6 +48,18 @@ def _annotator_uniforms(seed: int, draws: int, annotators: int) -> np.ndarray:
     return u
 
 
+@lru_cache(maxsize=8)
+def _sorted_annotator_uniforms(seed: int, draws: int, annotators: int) -> tuple[np.ndarray, np.ndarray]:
+    """``_annotator_uniforms`` flattened and stably sorted, with the draw
+    (row) each sorted uniform came from."""
+    flat = _annotator_uniforms(seed, draws, annotators).ravel()
+    order = np.argsort(flat, kind="stable")
+    values, draw = flat[order], order // annotators
+    values.flags.writeable = False
+    draw.flags.writeable = False
+    return values, draw
+
+
 @dataclass(frozen=True, eq=False)
 class OracleSpec:
     """An oracle whose expected loss at a point is a function of the true
@@ -113,22 +125,40 @@ class OracleSpec:
     def _mc_aggregated_costs(self, loss: LossSpec, truths: np.ndarray) -> np.ndarray:
         """Common random numbers: every row turns the same uniforms into
         labels through its own inverse CDF, so a row's estimate does not
-        depend on the other rows or its position among them."""
+        depend on the other rows or its position among them.
+
+        With the uniforms sorted, the labels come from one ``searchsorted``
+        of the row's K CDF values: class ``c`` takes the sorted uniforms
+        between the counts below consecutive CDF values. A majority vote is
+        one-hot, so its loss is read from a (rows, K) table of the loss of
+        each one-hot prediction, built for ``m // K`` rows at a time so it
+        never outgrows one row's (m, K) predictions."""
         k, m = self.num_annotators, self.mc_draws
-        uniforms = _annotator_uniforms(self.mc_seed, m, k)
+        uniforms, draw = _sorted_annotator_uniforms(self.mc_seed, m, k)
         classes = truths.shape[1]
-        offsets = classes * np.arange(m)[:, None]
+        offsets = classes * draw
+        class_ids = np.arange(classes)
+        one_hots = np.eye(classes)
+        block = max(1, m // classes)
+        # monotone even when an entry sits a rounding error below zero
+        cdfs = np.maximum.accumulate(np.cumsum(truths, axis=1), axis=1)
+        cdfs /= cdfs[:, -1:]
         out = np.zeros(truths.shape[0])
-        for i, truth in enumerate(truths):
-            cdf = np.cumsum(truth)
-            labels = np.searchsorted(cdf / cdf[-1], uniforms, side="right")
-            counts = np.bincount((labels + offsets).ravel(), minlength=m * classes).reshape(m, classes)
-            if self.aggregation == MEAN:
-                preds = counts / k
-            else:
-                preds = np.zeros((m, classes))
-                preds[np.arange(m), np.argmax(counts, axis=1)] = 1.0
-            out[i] = float(np.mean(expected_loss_batch(loss, np.tile(truth, (m, 1)), preds)))
+        for start in range(0, truths.shape[0], block):
+            rows = truths[start : start + block]
+            if self.aggregation == MAJORITY:
+                table = expected_loss_batch(
+                    loss, np.repeat(rows, classes, axis=0), np.tile(one_hots, (rows.shape[0], 1))
+                ).reshape(rows.shape[0], classes)
+            for i, truth in enumerate(rows):
+                bounds = np.searchsorted(uniforms, cdfs[start + i], side="left")
+                labels = np.repeat(class_ids, np.diff(bounds, prepend=0))
+                counts = np.bincount(offsets + labels, minlength=m * classes).reshape(m, classes)
+                if self.aggregation == MEAN:
+                    losses = expected_loss_batch(loss, np.tile(truth, (m, 1)), counts / k)
+                else:
+                    losses = table[i, np.argmax(counts, axis=1)]
+                out[start + i] = float(np.mean(losses))
         return out
 
 

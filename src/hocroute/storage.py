@@ -22,12 +22,13 @@ from .core import (
     InvalidInputError,
     LabelDistribution,
     SnapshotExample,
+    all_on_simplex,
     feature_matrix,
     normalize_simplex,
     simplex_ok,
 )
 from .evaluation import CostSweep, RoutingCurve
-from .partition import PartitionSpec
+from .partition import PartitionSpec, fitted_bins
 
 DATASET_FORMAT = "snapshot-dataset"
 MODEL_FORMAT = "hoc-router-model"
@@ -86,14 +87,14 @@ def _record_error(lineno: int, field: str, message: str) -> InvalidInputError:
 def _decode(line: str, lineno: int):
     try:
         return json.loads(line)
-    except (json.JSONDecodeError, RecursionError) as err:  # RecursionError: nested too deeply
+    except (ValueError, RecursionError) as err:  # bad JSON, an integer too long, or nested too deeply
         raise _record_error(lineno, "-", f"invalid JSON ({err})") from None
 
 
 def _vector(record: dict, field: str, lineno: int) -> np.ndarray:
     try:
         values = np.asarray(record[field], dtype=float)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):  # OverflowError: an integer beyond float range
         values = None
     if values is None or values.ndim != 1:
         raise _record_error(lineno, field, "must be a flat list of numbers")
@@ -151,15 +152,28 @@ def _parse_record(record: dict, num_classes: int, lineno: int) -> SnapshotExampl
     return SnapshotExample(id=str(record["id"]), weak_pred=weak, labels=labels, features=features, p_star=p_star)
 
 
+def _num_classes(value) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or value < 2:
+        raise InvalidInputError("must be an integer >= 2")
+    return value
+
+
 def read_header(path: str | Path) -> dict:
     hp = header_path(path)
     if not hp.exists():
         raise InvalidInputError(f"missing dataset header sidecar {hp}")
-    header = json.loads(hp.read_text())
-    if header.get("format") != DATASET_FORMAT:
+    try:
+        header = json.loads(hp.read_text())
+    except (ValueError, RecursionError) as err:  # ValueError: bad JSON or not UTF-8
+        raise InvalidInputError(f"{hp}: invalid JSON ({err})") from None
+    if not isinstance(header, dict) or header.get("format") != DATASET_FORMAT:
         raise InvalidInputError(f"{hp}: not a {DATASET_FORMAT} header")
     if "num_classes" not in header:
         raise InvalidInputError(f"{hp}: header lacks num_classes")
+    try:
+        _num_classes(header["num_classes"])
+    except InvalidInputError as err:
+        raise InvalidInputError(f"{hp}: field 'num_classes': {err}") from None
     return header
 
 
@@ -171,10 +185,13 @@ def ingest(path: str | Path) -> list[SnapshotExample]:
         raise InvalidInputError(f"dataset file {path} does not exist")
     num_classes = int(read_header(path)["num_classes"])
     examples: list[SnapshotExample] = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if line.strip():
-                examples.append(_parse_record(_decode(line, lineno), num_classes, lineno))
+    try:
+        with open(path) as fh:
+            for lineno, line in enumerate(fh, start=1):
+                if line.strip():
+                    examples.append(_parse_record(_decode(line, lineno), num_classes, lineno))
+    except UnicodeDecodeError as err:
+        raise InvalidInputError(f"{path}: not UTF-8 text ({err})") from None
     if not examples:
         raise InvalidInputError(f"dataset file {path} holds no records")
     return examples
@@ -217,11 +234,11 @@ def _query_columns(numbered: list[tuple[int, str]], num_classes: int, min_featur
             feats.append(record.get("features"))
         probs = np.array(rows, dtype=float)
         features = None if min_features == 0 and feats.count(None) == len(feats) else np.array(feats, dtype=float)
-    except (ValueError, RecursionError, TypeError, KeyError):  # bad JSON, not an object, field missing or not numeric
+    except (ValueError, RecursionError, TypeError, KeyError, OverflowError):  # bad JSON, record or field values
         return None
     if probs.shape != (len(numbered), num_classes):
         return None
-    if not (abs(probs.sum(axis=1) - 1.0) <= PROB_SUM_TOL).all() or not simplex_ok(probs).all():
+    if not (abs(probs.sum(axis=1) - 1.0) <= PROB_SUM_TOL).all() or not all_on_simplex(probs):
         return None
     if features is not None and (
         features.ndim != 2 or features.shape[1] < min_features or not np.isfinite(features).all()
@@ -266,11 +283,41 @@ def _mixture_record(m: TaggedMixture) -> dict:
     return {"preds": m.preds.tolist(), "means": m.means.tolist()}
 
 
-def _mixture_from_record(record: dict) -> TaggedMixture:
-    return TaggedMixture(
-        preds=np.asarray(record["preds"], dtype=float),
-        means=np.asarray(record["means"], dtype=float),
-    )
+def _row_matrix(values, name: str, num_classes: int) -> np.ndarray:
+    """``values`` as a nonempty ``(n, num_classes)`` matrix of numbers."""
+    try:
+        rows = np.asarray(values, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        rows = None
+    if rows is None or rows.ndim != 2 or rows.shape[0] == 0 or rows.shape[1] != num_classes:
+        raise InvalidInputError(f"{name} must be a nonempty list of rows of {num_classes} numbers")
+    return rows
+
+
+def _check_on_simplex(mixtures: dict[str, TaggedMixture]) -> None:
+    """Refuse the first mixture holding a row that fails ``simplex_ok``,
+    naming it by its key; when every row passes, one check over all the
+    rows together shows it."""
+    named = [(f"{name}'preds'", m.preds) for name, m in mixtures.items()]
+    named += [(f"{name}'means'", m.means) for name, m in mixtures.items()]
+    if all_on_simplex(np.concatenate([rows for _, rows in named])):
+        return
+    for name, rows in named:
+        ok = simplex_ok(rows)
+        if not ok.all():
+            raise InvalidInputError(f"{name} row {int(np.argmin(ok))} is not a probability vector")
+
+
+def _mixture_from_record(record, num_classes: int, name: str = "") -> TaggedMixture:
+    """A mixture whose rows have the right shapes; ``_check_on_simplex``
+    checks their values."""
+    if not isinstance(record, dict) or "preds" not in record or "means" not in record:
+        raise InvalidInputError(f"{name}a mixture must be an object with 'preds' and 'means'")
+    preds = _row_matrix(record["preds"], f"{name}'preds'", num_classes)
+    means = _row_matrix(record["means"], f"{name}'means'", num_classes)
+    if preds.shape != means.shape:
+        raise InvalidInputError(f"{name}{preds.shape[0]} 'preds' rows for {means.shape[0]} 'means' rows")
+    return TaggedMixture(preds=preds, means=means)
 
 
 def save_model(path: str | Path, model: CalibratedRouterModel) -> None:
@@ -287,22 +334,83 @@ def save_model(path: str | Path, model: CalibratedRouterModel) -> None:
     Path(path).write_text(json.dumps(payload) + "\n")
 
 
+def _flag(value) -> bool:
+    if not isinstance(value, bool):
+        raise InvalidInputError("must be true or false")
+    return value
+
+
+def _bin_table(table, partition: PartitionSpec, read) -> dict:
+    """``read(value, name)`` of every value of an object keyed by bins of
+    ``partition``, ``name`` being the bin's prefix for error messages."""
+    if not isinstance(table, dict):
+        raise InvalidInputError("must be an object keyed by bin id")
+    unknown = table.keys() - set(fitted_bins(partition))
+    if unknown:
+        raise InvalidInputError(f"bin {min(unknown)!r} is not a bin of the partition")
+    return {bin_id: read(value, f"bin {bin_id!r}: ") for bin_id, value in table.items()}
+
+
+def _mixtures(table, partition: PartitionSpec, num_classes: int) -> dict[str, TaggedMixture]:
+    mixtures = _bin_table(table, partition, lambda r, name: _mixture_from_record(r, num_classes, name))
+    _check_on_simplex({f"bin {b!r}: ": m for b, m in mixtures.items()})
+    return mixtures
+
+
+def _global_mixture(record, num_classes: int) -> TaggedMixture:
+    mixture = _mixture_from_record(record, num_classes)
+    _check_on_simplex({"": mixture})
+    return mixture
+
+
+def _centroid(value, num_classes: int, name: str) -> LabelDistribution:
+    try:
+        centroid = LabelDistribution(np.asarray(value, dtype=float))
+    except InvalidInputError as err:
+        raise InvalidInputError(f"{name}{err}") from None
+    if centroid.num_classes != num_classes:
+        raise InvalidInputError(f"{name}expected {num_classes} entries")
+    return centroid
+
+
 def load_model(path: str | Path) -> CalibratedRouterModel:
+    """A model written by ``save_model``. A file that is not valid JSON, or
+    lacks a field, or whose mixtures are not rows of probability vectors over
+    ``num_classes`` classes, or that names a bin its partition cannot
+    produce, fails with ``InvalidInputError`` naming the file and field."""
     path = Path(path)
     if not path.exists():
         raise InvalidInputError(f"model file {path} does not exist")
-    payload = json.loads(path.read_text())
-    if payload.get("format") != MODEL_FORMAT:
+    try:
+        payload = json.loads(path.read_text())
+    except (ValueError, RecursionError) as err:  # ValueError: bad JSON or not UTF-8
+        raise InvalidInputError(f"{path}: field '-': invalid JSON ({err})") from None
+    if not isinstance(payload, dict) or payload.get("format") != MODEL_FORMAT:
         raise InvalidInputError(f"{path}: not a {MODEL_FORMAT} file")
     if payload.get("version") != FORMAT_VERSION:
         raise InvalidInputError(f"{path}: unsupported version {payload.get('version')}")
+
+    def field(name: str, read):
+        if name not in payload:
+            raise InvalidInputError(f"{path}: field {name!r}: missing")
+        try:
+            return read(payload[name])
+        except InvalidInputError as err:
+            raise InvalidInputError(f"{path}: field {name!r}: {err}") from None
+        except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as err:
+            raise InvalidInputError(f"{path}: field {name!r}: malformed ({type(err).__name__}: {err})") from None
+
+    num_classes = field("num_classes", _num_classes)
+    partition = field("partition", PartitionSpec.from_record)
     return CalibratedRouterModel(
-        partition=PartitionSpec.from_record(payload["partition"]),
-        mixtures={b: _mixture_from_record(r) for b, r in payload["bins"].items()},
-        global_mixture=_mixture_from_record(payload["global"]),
-        recalibrated=bool(payload["recalibrated"]),
-        num_classes=int(payload["num_classes"]),
-        centroids={b: LabelDistribution(np.asarray(v)) for b, v in payload["centroids"].items()},
+        partition=partition,
+        mixtures=field("bins", lambda table: _mixtures(table, partition, num_classes)),
+        global_mixture=field("global", lambda record: _global_mixture(record, num_classes)),
+        recalibrated=field("recalibrated", _flag),
+        num_classes=num_classes,
+        centroids=field(
+            "centroids", lambda table: _bin_table(table, partition, lambda v, name: _centroid(v, num_classes, name))
+        ),
     )
 
 

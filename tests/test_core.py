@@ -13,8 +13,10 @@ from hocroute.core import (
     RoutingConfig,
     RoutingDecision,
     action_priority,
+    all_on_simplex,
     ground_truth,
     route_action,
+    simplex_ok,
     snapshot_mean,
 )
 from hocroute.losses import LossSpec
@@ -47,6 +49,19 @@ class TestLabelDistribution:
         d = LabelDistribution(row)
         assert abs(d.probs.sum() - 1.0) <= 1e-9
         assert d.probs.min() >= 0.0 and d.probs.max() <= 1.0 + 1e-12
+
+    @given(
+        st.lists(
+            st.tuples(simplex_arrays(3), st.integers(0, 2), st.sampled_from([0.0, 2e-6, -2e-9, -2e-6, math.nan, math.inf])),
+            min_size=1,
+            max_size=5,
+        )
+    )
+    def test_matrix_check_equals_row_rule(self, rows):
+        matrix = np.stack([row for row, _, _ in rows])
+        for i, (_, j, shift) in enumerate(rows):
+            matrix[i, j] += shift
+        assert all_on_simplex(matrix) == bool(simplex_ok(matrix).all())
 
 
 class TestSnapshotMean:

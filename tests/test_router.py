@@ -15,12 +15,15 @@ from hocroute.core import (
     RoutingConfig,
     RoutingDecision,
     action_priority,
+    simplex_ok,
 )
-from hocroute.losses import LossSpec, expected_loss
+from hocroute.losses import LossSpec, expected_loss, expected_loss_batch
 from hocroute.partition import PartitionSpec, fit
 from hocroute.router import (
     OracleSpec,
     Router,
+    _annotator_uniforms,
+    _sorted_annotator_uniforms,
     decide,
     pointwise_optimal,
     simulated_costs,
@@ -235,6 +238,75 @@ class TestAggregatedOracles:
             OracleSpec(kind="aggregated", aggregation="mode")
         with pytest.raises(InvalidInputError):
             OracleSpec(kind="aggregated", num_annotators=0)
+
+
+def reference_mc_costs(spec: OracleSpec, loss: LossSpec, truths: np.ndarray) -> np.ndarray:
+    """The Monte Carlo aggregated oracle as first written, kept frozen: one
+    ``searchsorted`` of all uniforms into each row's CDF, ``bincount``, and
+    the loss of the (m, K) aggregated predictions."""
+    k, m = spec.num_annotators, spec.mc_draws
+    uniforms = _annotator_uniforms(spec.mc_seed, m, k)
+    classes = truths.shape[1]
+    offsets = classes * np.arange(m)[:, None]
+    out = np.zeros(truths.shape[0])
+    for i, truth in enumerate(truths):
+        cdf = np.cumsum(truth)
+        labels = np.searchsorted(cdf / cdf[-1], uniforms, side="right")
+        counts = np.bincount((labels + offsets).ravel(), minlength=m * classes).reshape(m, classes)
+        if spec.aggregation == "mean":
+            preds = counts / k
+        else:
+            preds = np.zeros((m, classes))
+            preds[np.arange(m), np.argmax(counts, axis=1)] = 1.0
+        out[i] = float(np.mean(expected_loss_batch(loss, np.tile(truth, (m, 1)), preds)))
+    return out
+
+
+@st.composite
+def multiclass_truths(draw):
+    """Rows over 3 to 12 classes, some with zero-probability classes, some one-hot."""
+    classes = draw(st.integers(3, 12))
+    weights = st.lists(st.just(0.0) | st.floats(1e-6, 1.0), min_size=classes, max_size=classes).filter(any)
+    row = weights.map(lambda w: np.asarray(w) / np.sum(w)) | st.integers(0, classes - 1).map(
+        lambda c: np.eye(classes)[c]
+    )
+    return np.stack(draw(st.lists(row, min_size=1, max_size=8)))
+
+
+class TestMonteCarloKernel:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        truths=multiclass_truths(),
+        annotators=st.sampled_from([1, 2, 3, 4, 5, 6, 7, 50]),
+        aggregation=st.sampled_from(["majority", "mean"]),
+        kind=st.sampled_from(["brier", "crossentropy", "classification", "asymmetric_class"]),
+        draws=st.sampled_from([7, 37, 1000]),  # few draws split the rows into several one-hot loss tables
+        seed=st.integers(0, 3),
+    )
+    def test_point_costs_equal_frozen_reference_bit_for_bit(self, truths, annotators, aggregation, kind, draws, seed):
+        spec = OracleSpec(
+            kind="aggregated", num_annotators=annotators, aggregation=aggregation, mc_draws=draws, mc_seed=seed
+        )
+        loss = LossSpec(kind)
+        assert spec.point_costs(loss, truths).tolist() == reference_mc_costs(spec, loss, truths).tolist()
+
+    def test_entry_a_rounding_error_below_zero(self):
+        # simplex_ok admits entries down to -1e-9; this row's running sum dips below a uniform
+        spec = OracleSpec(kind="aggregated", num_annotators=5, aggregation="majority")
+        x = _sorted_annotator_uniforms(spec.mc_seed, spec.mc_draws, 5)[0][2500]
+        truth = np.array([[x + 1e-12, -1e-9, 1.0 - x - 1e-12 + 1e-9]])
+        assert simplex_ok(truth).all()
+        assert np.isfinite(spec.point_costs(brier, truth)).all()
+
+    def test_sorted_uniforms_are_the_draw_sorted_and_read_only(self):
+        uniforms, draw = _sorted_annotator_uniforms(7, 1000, 5)
+        flat = _annotator_uniforms(7, 1000, 5).ravel()
+        order = np.argsort(flat, kind="stable")
+        assert uniforms.tolist() == flat[order].tolist() and draw.tolist() == (order // 5).tolist()
+        for array in (uniforms, draw):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 0
 
 
 class TestRouterCache:

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -151,6 +152,65 @@ class TestModelFile:
         path.write_text(json.dumps({"format": "something-else"}))
         with pytest.raises(InvalidInputError, match="not a"):
             load_model(path)
+
+    @pytest.fixture(scope="class")
+    def valid_payload(self, small_run):
+        data = small_run.calibration[:200]
+        model = calibrate(fit("topclass", data, buckets=3), data, recalibrate=True)
+        return {
+            "format": "hoc-router-model",
+            "version": 1,
+            "num_classes": model.num_classes,
+            "recalibrated": model.recalibrated,
+            "partition": model.partition.to_record(),
+            "bins": {b: {"preds": m.preds.tolist(), "means": m.means.tolist()} for b, m in model.mixtures.items()},
+            "global": {"preds": model.global_mixture.preds.tolist(), "means": model.global_mixture.means.tolist()},
+            "centroids": {b: c.probs.tolist() for b, c in model.centroids.items()},
+        }
+
+    def corrupt(self, payload, damage):
+        payload = json.loads(json.dumps(payload))
+        damage(payload)
+        return payload
+
+    @pytest.mark.parametrize(
+        "damage, field",
+        [
+            pytest.param(lambda p: p.pop("partition"), "partition", id="missing-field"),
+            pytest.param(lambda p: p["bins"]["c0:b0"].pop("means"), "bins", id="mixture-without-means"),
+            pytest.param(lambda p: p["bins"]["c0:b0"]["means"][0].append(0.0), "bins", id="ragged-row"),
+            pytest.param(lambda p: p["bins"]["c0:b0"]["preds"].pop(), "bins", id="preds-means-misaligned"),
+            pytest.param(lambda p: p["bins"]["c0:b0"]["means"].__setitem__(0, [0.7, 0.7]), "bins", id="mass-off"),
+            pytest.param(lambda p: p["global"]["preds"].__setitem__(3, [-0.5, 1.5]), "global", id="negative-entry"),
+            pytest.param(lambda p: p["bins"].__setitem__("c0:b9", p["bins"]["c0:b0"]), "bins", id="unknown-bin"),
+            pytest.param(lambda p: p["centroids"].__setitem__("c0:b0", [0.5, 0.6]), "centroids", id="bad-centroid"),
+            pytest.param(lambda p: p["partition"]["class_edges"]["0"].reverse(), "partition", id="unsorted-edges"),
+            pytest.param(lambda p: p.__setitem__("num_classes", "2"), "num_classes", id="num-classes-not-int"),
+        ],
+    )
+    def test_corrupt_model_fields_named(self, tmp_path, valid_payload, damage, field):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(self.corrupt(valid_payload, damage)))
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(str(path))}: field '{field}': "):
+            load_model(path)
+
+    def test_valid_payload_loads_and_bad_json_is_refused(self, tmp_path, valid_payload):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(valid_payload))
+        assert load_model(path).num_classes == 2
+        path.write_text(json.dumps(valid_payload)[:-10])
+        with pytest.raises(InvalidInputError, match="invalid JSON"):
+            load_model(path)
+        path.write_bytes(b"\xff\xfe")
+        with pytest.raises(InvalidInputError, match="invalid JSON"):
+            load_model(path)
+
+    @pytest.mark.parametrize("kind", ["topclass", "feature", "levelset"])
+    def test_calibrated_models_pass_the_bin_rule(self, tmp_path, small_run, kind):
+        data = small_run.calibration[:300]
+        path = tmp_path / "model.json"
+        save_model(path, calibrate(fit(kind, data, buckets=4), data, recalibrate=True))
+        load_model(path)  # refuses a bin outside the partition's fitted bins
 
 
 class TestReports:
