@@ -144,21 +144,20 @@ class OracleSpec:
         cdfs = np.maximum.accumulate(np.cumsum(truths, axis=1), axis=1)
         cdfs /= cdfs[:, -1:]
         out = np.zeros(truths.shape[0])
-        for start in range(0, truths.shape[0], block):
-            rows = truths[start : start + block]
-            if self.aggregation == MAJORITY:
-                table = expected_loss_batch(
-                    loss, np.repeat(rows, classes, axis=0), np.tile(one_hots, (rows.shape[0], 1))
-                ).reshape(rows.shape[0], classes)
-            for i, truth in enumerate(rows):
-                bounds = np.searchsorted(uniforms, cdfs[start + i], side="left")
-                labels = np.repeat(class_ids, np.diff(bounds, prepend=0))
-                counts = np.bincount(offsets + labels, minlength=m * classes).reshape(m, classes)
-                if self.aggregation == MEAN:
-                    losses = expected_loss_batch(loss, np.tile(truth, (m, 1)), counts / k)
-                else:
-                    losses = table[i, np.argmax(counts, axis=1)]
-                out[start + i] = float(np.mean(losses))
+        for i, truth in enumerate(truths):
+            bounds = np.searchsorted(uniforms, cdfs[i], side="left")
+            labels = np.repeat(class_ids, np.diff(bounds, prepend=0))
+            counts = np.bincount(offsets + labels, minlength=m * classes).reshape(m, classes)
+            if self.aggregation == MEAN:
+                losses = expected_loss_batch(loss, np.tile(truth, (m, 1)), counts / k)
+            else:
+                if i % block == 0:
+                    rows = truths[i : i + block]
+                    table = expected_loss_batch(
+                        loss, np.repeat(rows, classes, axis=0), np.tile(one_hots, (rows.shape[0], 1))
+                    ).reshape(rows.shape[0], classes)
+                losses = table[i % block, np.argmax(counts, axis=1)]
+            out[i] = float(np.mean(losses))
         return out
 
 

@@ -22,7 +22,6 @@ from .core import (
     InvalidInputError,
     LabelDistribution,
     SnapshotExample,
-    all_on_simplex,
     feature_matrix,
     normalize_simplex,
     simplex_ok,
@@ -238,7 +237,7 @@ def _query_columns(numbered: list[tuple[int, str]], num_classes: int, min_featur
         return None
     if probs.shape != (len(numbered), num_classes):
         return None
-    if not (abs(probs.sum(axis=1) - 1.0) <= PROB_SUM_TOL).all() or not all_on_simplex(probs):
+    if not (abs(probs.sum(axis=1) - 1.0) <= PROB_SUM_TOL).all() or not simplex_ok(probs).all():
         return None
     if features is not None and (
         features.ndim != 2 or features.shape[1] < min_features or not np.isfinite(features).all()
@@ -300,7 +299,7 @@ def _check_on_simplex(mixtures: dict[str, TaggedMixture]) -> None:
     rows together shows it."""
     named = [(f"{name}'preds'", m.preds) for name, m in mixtures.items()]
     named += [(f"{name}'means'", m.means) for name, m in mixtures.items()]
-    if all_on_simplex(np.concatenate([rows for _, rows in named])):
+    if not named or simplex_ok(np.concatenate([rows for _, rows in named])).all():
         return
     for name, rows in named:
         ok = simplex_ok(rows)

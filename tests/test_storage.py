@@ -205,6 +205,13 @@ class TestModelFile:
         with pytest.raises(InvalidInputError, match="invalid JSON"):
             load_model(path)
 
+    def test_model_without_bins_loads_and_uses_the_global_mixture(self, tmp_path, valid_payload):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({**valid_payload, "bins": {}, "centroids": {}}))
+        model = load_model(path)
+        assert model.mixtures == {}
+        assert model.mixture("c0:b0") is model.global_mixture
+
     @pytest.mark.parametrize("kind", ["topclass", "feature", "levelset"])
     def test_calibrated_models_pass_the_bin_rule(self, tmp_path, small_run, kind):
         data = small_run.calibration[:300]
