@@ -15,7 +15,7 @@ import numpy as np
 from .calibrator import CalibratedRouterModel
 from .core import InvalidInputError, SnapshotExample, ground_truth_matrix, weak_pred_matrix
 from .losses import LossSpec, entropy_batch, expected_loss_batch
-from .partition import assign_many
+from .partition import _assign_examples
 
 TOTAL_UNCERTAINTY = "total_uncertainty"
 POINTWISE_OPTIMAL = "pointwise_optimal"
@@ -41,10 +41,13 @@ def _deployed(
     test: Sequence[SnapshotExample],
     model: CalibratedRouterModel | None,
     use_recalibrated: bool = True,
+    bins: tuple[list[str], np.ndarray] | None = None,
 ) -> np.ndarray:
+    """The model's deployed predictions, or the raw weak ones without a model
+    or with ``use_recalibrated`` off."""
     if model is None or not use_recalibrated:
         return weak_pred_matrix(test)
-    return model.deployed_matrix(test)
+    return model.deployed_matrix(test, bins)
 
 
 def total_uncertainty_scores(
@@ -57,9 +60,9 @@ def total_uncertainty_scores(
     return RankedPolicy(TOTAL_UNCERTAINTY, entropy_batch(loss, _deployed(test, model, use_recalibrated)))
 
 
-def _reducible(test, loss, model, truths=None, use_recalibrated=True) -> np.ndarray:
+def _reducible(test, loss, model, truths=None, use_recalibrated=True, bins=None) -> np.ndarray:
     gt = ground_truth_matrix(test) if truths is None else np.asarray(truths, dtype=float)
-    deployed = _deployed(test, model, use_recalibrated)
+    deployed = _deployed(test, model, use_recalibrated, bins)
     return expected_loss_batch(loss, gt, deployed) - entropy_batch(loss, gt)
 
 
@@ -83,15 +86,10 @@ def bucket_optimal_scores(
 ) -> RankedPolicy:
     """Rank by the mean true reducible loss of each point's bin, measured on
     the test set itself: the best ordering that is constant per bin."""
-    reducible = _reducible(test, loss, model, truths, use_recalibrated)
-    bins = assign_many(model.partition, test)
-    sums: dict[str, float] = {}
-    counts: dict[str, int] = {}
-    for value, b in zip(reducible, bins):
-        sums[b] = sums.get(b, 0.0) + float(value)
-        counts[b] = counts.get(b, 0) + 1
-    bin_mean = {b: sums[b] / counts[b] for b in sums}
-    return RankedPolicy(BUCKET_OPTIMAL, np.array([bin_mean[b] for b in bins]))
+    bins, index = _assign_examples(model.partition, test)
+    reducible = _reducible(test, loss, model, truths, use_recalibrated, (bins, index))
+    bin_mean = np.bincount(index, weights=reducible) / np.bincount(index)
+    return RankedPolicy(BUCKET_OPTIMAL, bin_mean[index])
 
 
 def random_scores(test: Sequence[SnapshotExample], seed: int = 0) -> RankedPolicy:

@@ -22,7 +22,7 @@ from .core import (
     weak_pred_matrix,
 )
 from .losses import LossSpec, entropy_batch, expected_loss_batch
-from .partition import PartitionSpec, assign_many
+from .partition import PartitionSpec, _assign_examples, _bin_positions
 
 
 @dataclass(eq=False)
@@ -83,14 +83,18 @@ class CalibratedRouterModel:
         return LabelDistribution(row)
 
     def deployed_matrix(
-        self, examples: Sequence[SnapshotExample], bins: Sequence[str] | None = None
+        self, examples: Sequence[SnapshotExample], bins: tuple[list[str], np.ndarray] | None = None
     ) -> np.ndarray:
+        """The prediction served for each example, one row each. ``bins`` is
+        the examples' ``(bin ids, index)`` pair as ``partition.assign_rows``
+        returns it, from a caller that has assigned them; without it they are
+        assigned here. Each distinct bin's row is looked up once."""
         raw = weak_pred_matrix(examples)
         if not self.recalibrated:
             return raw
-        if bins is None:
-            bins = assign_many(self.partition, examples)
-        return np.stack([self.deployed_row(b, raw[i]) for i, b in enumerate(bins)])
+        bin_ids, index = _assign_examples(self.partition, examples) if bins is None else bins
+        # raw_pred only matters for a model that is not recalibrated
+        return np.stack([self.deployed_row(b, None) for b in bin_ids])[index]
 
 
 def calibrate(
@@ -113,22 +117,16 @@ def calibrate(
 
     preds = weak_pred_matrix(calibration)
     means = snapshot_mean_matrix(calibration)
-    bins = assign_many(partition, calibration)
-
-    grouped: dict[str, list[int]] = {}
-    for i, b in enumerate(bins):
-        grouped.setdefault(b, []).append(i)
-
     mixtures: dict[str, TaggedMixture] = {}
     centroids: dict[str, LabelDistribution] = {}
-    for b, idxs in grouped.items():
-        bin_means = means[idxs]
+    for b, rows in _bin_positions(*_assign_examples(partition, calibration)).items():
+        bin_means = means[rows]
         if recalibrate:
             centroid = bin_means.mean(axis=0)
             centroids[b] = LabelDistribution(centroid)
-            bin_preds = np.tile(centroid, (len(idxs), 1))
+            bin_preds = np.tile(centroid, (len(rows), 1))
         else:
-            bin_preds = preds[idxs]
+            bin_preds = preds[rows]
         mixtures[b] = TaggedMixture(preds=bin_preds, means=bin_means)
 
     if recalibrate:
@@ -182,6 +180,18 @@ def wasserstein_1d(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.sum(np.abs(cdf_a - cdf_b) * deltas))
 
 
+def _wasserstein_by_bin(model: CalibratedRouterModel, reference: Sequence[SnapshotExample]):
+    """``wasserstein_error`` and the reference rows of each bin it covers."""
+    if model.num_classes != 2:
+        raise UnsupportedDiagnosticError("Wasserstein diagnostic requires 2 classes")
+    if not reference:
+        raise InvalidInputError("reference set is empty")
+    ref_means = snapshot_mean_matrix(reference)
+    positions = _bin_positions(*_assign_examples(model.partition, reference))
+    per_bin = {b: 2.0 * wasserstein_1d(model.mixture(b).means[:, 1], ref_means[r, 1]) for b, r in positions.items()}
+    return per_bin, positions
+
+
 def wasserstein_error(
     model: CalibratedRouterModel, reference: Sequence[SnapshotExample]
 ) -> dict[str, float]:
@@ -193,29 +203,12 @@ def wasserstein_error(
     under the l1 norm on the two-class simplex. This is a proxy for the
     higher-order calibration error against the unobservable exact mixture.
     """
-    if model.num_classes != 2:
-        raise UnsupportedDiagnosticError("Wasserstein diagnostic requires 2 classes")
-    if not reference:
-        raise InvalidInputError("reference set is empty")
-    ref_means = snapshot_mean_matrix(reference)
-    bins = assign_many(model.partition, reference)
-    grouped: dict[str, list[int]] = {}
-    for i, b in enumerate(bins):
-        grouped.setdefault(b, []).append(i)
-    return {
-        b: 2.0 * wasserstein_1d(model.mixture(b).means[:, 1], ref_means[idxs, 1])
-        for b, idxs in grouped.items()
-    }
+    return _wasserstein_by_bin(model, reference)[0]
 
 
 def aggregate_wasserstein(
     model: CalibratedRouterModel, reference: Sequence[SnapshotExample]
 ) -> float:
     """Reference-mass-weighted mean of the per-bin Wasserstein proxy."""
-    per_bin = wasserstein_error(model, reference)
-    bins = assign_many(model.partition, reference)
-    counts: dict[str, int] = {}
-    for b in bins:
-        counts[b] = counts.get(b, 0) + 1
-    total = sum(counts.values())
-    return float(sum(per_bin[b] * counts[b] for b in per_bin) / total)
+    per_bin, positions = _wasserstein_by_bin(model, reference)
+    return float(sum(per_bin[b] * len(positions[b]) for b in per_bin) / len(reference))

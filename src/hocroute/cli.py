@@ -179,11 +179,19 @@ def cmd_route(args: argparse.Namespace) -> int:
     )
     oracles = [parse_oracle(o) for o in args.oracle] if args.oracle else None
     router = Router(model, config, oracles)
-    in_stream = open(args.input) if args.input else sys.stdin
+    # A byte that is not UTF-8 is read as a lone surrogate, so it fails on its
+    # own line below, after the decisions of the lines before it are written.
+    in_stream = open(args.input, encoding="utf-8", errors="surrogateescape") if args.input else sys.stdin
+    if in_stream is sys.stdin and hasattr(in_stream, "reconfigure"):
+        in_stream.reconfigure(errors="surrogateescape")
     out_stream = open(args.out, "w") if args.out else sys.stdout
     suffixes: dict[str, str] = {}  # bin id -> serialized decision, made at the bin's first query
 
     def route_lines(lines: list[str], first_lineno: int) -> None:
+        try:
+            "".join(lines).encode()
+        except UnicodeEncodeError:
+            raise InvalidInputError(f"{args.input or '<stdin>'}: line {first_lineno}: not UTF-8 text") from None
         batch = storage.parse_queries(lines, model.num_classes, first_lineno, model.partition.features_needed)
         if not batch.ids:
             return

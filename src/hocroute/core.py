@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -247,10 +247,6 @@ class RoutingDecision:
 # ---------------------------------------------------------------------------
 # Array helpers shared by the numeric modules
 # ---------------------------------------------------------------------------
-
-
-def stack_probs(dists: Iterable[LabelDistribution]) -> np.ndarray:
-    return np.stack([d.probs for d in dists])
 
 
 def feature_matrix(rows: Sequence[np.ndarray | None]) -> np.ndarray | None:

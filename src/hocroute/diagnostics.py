@@ -23,7 +23,7 @@ from .losses import (
     expected_loss_batch,
     pointwise_loss,
 )
-from .partition import assign_many, fit
+from .partition import _assign_examples, _bin_positions, fit
 from .router import OracleSpec, simulated_costs, tree_decide
 from .synthetic import SINUSOIDAL, generate
 
@@ -196,15 +196,11 @@ def check_simulated_cost_gap(seed: int = 0) -> CheckResult:
     spec = LossSpec("brier")
     model = calibrate(fit("topclass", data.calibration, buckets=10), data.calibration, recalibrate=True)
     config = RoutingConfig(loss=spec, route_penalties=(0.05,), abstain_penalty=math.inf)
-    bins = assign_many(model.partition, data.test)
     truth = ground_truth_matrix(data.test)
-    grouped: dict[str, list[int]] = {}
-    for i, b in enumerate(bins):
-        grouped.setdefault(b, []).append(i)
 
     excesses = []
     oracle = OracleSpec(kind="bayes")
-    for b, idxs in grouped.items():
+    for b, idxs in _bin_positions(*_assign_examples(model.partition, data.test)).items():
         mixture = model.mixture(b)
         sim = simulated_costs(model, b, config, oracles=[oracle])
         centroid = model.deployed_row(b, mixture.preds[0])

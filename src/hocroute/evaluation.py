@@ -17,6 +17,7 @@ import numpy as np
 
 from .baselines import (
     RankedPolicy,
+    _deployed,
     bucket_optimal_scores,
     external_scores,
     pointwise_optimal_scores,
@@ -33,10 +34,9 @@ from .core import (
     SnapshotExample,
     UnsupportedLossError,
     ground_truth_matrix,
-    weak_pred_matrix,
 )
 from .losses import LossSpec, entropy_batch, expected_loss_batch
-from .partition import assign_many
+from .partition import _assign_examples, _bin_positions
 from .router import OracleSpec, _check_oracles, decide, simulated_costs
 
 HOC_ROUTER = "hoc_router"
@@ -80,12 +80,6 @@ class CostSweep:
 # ---------------------------------------------------------------------------
 
 
-def _deployed_matrix(test, model, use_recalibrated, bins=None) -> np.ndarray:
-    if model is None or not (model.recalibrated and use_recalibrated):
-        return weak_pred_matrix(test)
-    return model.deployed_matrix(test, bins=bins)
-
-
 def per_point_losses(
     test: Sequence[SnapshotExample],
     loss: LossSpec,
@@ -95,7 +89,7 @@ def per_point_losses(
     """(weak loss, oracle loss) per test point against the ground-truth
     source: the exact conditional when attached, the snapshot mean otherwise."""
     truth = ground_truth_matrix(test)
-    deployed = _deployed_matrix(test, model, use_recalibrated)
+    deployed = _deployed(test, model, use_recalibrated)
     return expected_loss_batch(loss, truth, deployed), entropy_batch(loss, truth)
 
 
@@ -153,12 +147,9 @@ def router_scores(
 ) -> RankedPolicy:
     """The calibrated router's ranking: each point scored by the estimated
     reducible loss of its bin."""
-    bins = assign_many(model.partition, test)
-    cache: dict[str, float] = {}
-    for b in bins:
-        if b not in cache:
-            cache[b] = estimate_decomposition(model, b, loss)[1]
-    return RankedPolicy(HOC_ROUTER, np.array([cache[b] for b in bins]))
+    bins, index = _assign_examples(model.partition, test)
+    reducible = np.array([estimate_decomposition(model, b, loss)[1] for b in bins])
+    return RankedPolicy(HOC_ROUTER, reducible[index])
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +159,6 @@ def router_scores(
 
 @dataclass(eq=False)
 class _EvalArrays:
-    bins: list[str]
     unique_bins: list[str]
     positions: dict[str, np.ndarray]  # bin id -> indices of its test points
     predict_cost: np.ndarray  # (n,) true loss of the deployed prediction
@@ -176,17 +166,13 @@ class _EvalArrays:
 
 
 def _eval_arrays(model, test, loss, oracles, use_recalibrated) -> _EvalArrays:
-    bins = assign_many(model.partition, test)
+    bins, index = _assign_examples(model.partition, test)
     truth = ground_truth_matrix(test)
-    deployed = _deployed_matrix(test, model, use_recalibrated, bins=bins)
+    deployed = _deployed(test, model, use_recalibrated, (bins, index))
     predict_cost = expected_loss_batch(loss, truth, deployed)
     oracle_cost = np.stack([o.point_costs(loss, truth) for o in oracles])
-    grouped: dict[str, list[int]] = {}
-    for i, b in enumerate(bins):
-        grouped.setdefault(b, []).append(i)
-    positions = {b: np.asarray(idxs) for b, idxs in grouped.items()}
+    positions = _bin_positions(bins, index)
     return _EvalArrays(
-        bins=bins,
         unique_bins=sorted(positions),
         positions=positions,
         predict_cost=predict_cost,

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import InvalidInputError, SnapshotExample, feature_matrix, stack_probs
+from .core import InvalidInputError, SnapshotExample, feature_matrix, snapshot_mean_matrix, weak_pred_matrix
 from .losses import LossSpec, entropy_batch, expected_loss_batch
 
 TOP_CLASS = "topclass"
@@ -111,7 +111,7 @@ def fit(
         raise InvalidInputError("need at least one bucket")
 
     if kind == TOP_CLASS:
-        preds = np.stack([e.weak_pred.probs for e in calibration])
+        preds = weak_pred_matrix(calibration)
         classes = np.argmax(preds, axis=1)
         confidences = preds[np.arange(preds.shape[0]), classes]
         class_edges = {
@@ -188,11 +188,23 @@ def assign_rows(
     return list(first_seen), index
 
 
+def _assign_examples(spec: PartitionSpec, examples: Sequence) -> tuple[list[str], np.ndarray]:
+    """``assign_rows`` over a sequence of examples: distinct bin ids, row indices."""
+    features = feature_matrix([e.features for e in examples]) if spec.kind == FEATURE else None
+    return assign_rows(spec, weak_pred_matrix(examples), features)
+
+
+def _bin_positions(bins: list[str], index: np.ndarray) -> dict[str, np.ndarray]:
+    """Each bin's row positions in input order, keyed by bin id in order of
+    first appearance, as a loop over the rows would meet them."""
+    order = np.argsort(index, kind="stable")
+    rows = np.split(order, np.cumsum(np.bincount(index, minlength=len(bins)))[:-1])
+    return {bins[j]: rows[j] for j in sorted(range(len(bins)), key=lambda j: rows[j][0])}
+
+
 def assign_many(spec: PartitionSpec, examples: Sequence) -> list[str]:
     """``assign`` over a sequence of examples, through ``assign_rows``."""
-    probs = stack_probs(e.weak_pred for e in examples)
-    features = feature_matrix([e.features for e in examples]) if spec.kind == FEATURE else None
-    bins, index = assign_rows(spec, probs, features)
+    bins, index = _assign_examples(spec, examples)
     return [bins[i] for i in index.tolist()]
 
 
@@ -226,23 +238,18 @@ def partition_quality(
 ) -> PartitionQualityReport:
     if not data:
         raise InvalidInputError("no data to evaluate partition quality")
-    means = np.stack([e.snapshot_mean.probs for e in data])
-    preds = np.stack([e.weak_pred.probs for e in data])
+    means = snapshot_mean_matrix(data)
+    preds = weak_pred_matrix(data)
     reducible = expected_loss_batch(loss, means, preds) - entropy_batch(loss, means)
-    bins = assign_many(spec, data)
-
-    grouped: dict[str, list[int]] = {}
-    for i, b in enumerate(bins):
-        grouped.setdefault(b, []).append(i)
+    positions = _bin_positions(*_assign_examples(spec, data))
 
     per_bin: dict[str, float] = {}
     counts: dict[str, int] = {}
-    for b, idxs in grouped.items():
-        rl = reducible[idxs]
+    for b, rows in positions.items():
+        rl = reducible[rows]
         per_bin[b] = float(0.5 * np.mean(np.abs(rl - rl.mean())))
-        counts[b] = len(idxs)
+        counts[b] = len(rows)
 
-    total = sum(counts.values())
-    aggregate = float(sum(per_bin[b] * counts[b] for b in per_bin) / total)
-    empty = [b for b in fitted_bins(spec) if b not in grouped]
+    aggregate = float(sum(per_bin[b] * counts[b] for b in per_bin) / len(data))
+    empty = [b for b in fitted_bins(spec) if b not in positions]
     return PartitionQualityReport(per_bin=per_bin, counts=counts, aggregate=aggregate, empty_bins=empty)

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -419,15 +421,26 @@ def load_model(path: str | Path) -> CalibratedRouterModel:
 
 
 def read_scores_csv(path: str | Path) -> dict[str, float]:
-    """External priority scores: a CSV of (id, score) rows, header optional."""
+    """External priority scores: a CSV of (id, score) rows, header optional.
+    A file that is not UTF-8 text, or a row without an id and a finite
+    numeric score, fails with ``InvalidInputError`` naming the file and line."""
+    raw = Path(path).read_bytes()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as err:
+        lineno = raw.count(b"\n", 0, err.start) + 1
+        raise InvalidInputError(f"{path}: line {lineno}: not UTF-8 text") from None
     table: dict[str, float] = {}
-    with open(path, newline="") as fh:
-        for row in csv.reader(fh):
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        for row in reader:
             if not row or (row[0] == "id" and not table):
                 continue
-            if len(row) < 2:
-                raise InvalidInputError(f"{path}: score rows need (id, score)")
-            table[row[0]] = float(row[1])
+            table[row[0]] = float(row[1]) if len(row) > 1 else math.nan
+            if not math.isfinite(table[row[0]]):
+                raise ValueError("score is not finite")
+    except (ValueError, csv.Error):  # csv.Error: a field beyond csv.field_size_limit
+        raise InvalidInputError(f"{path}: line {reader.line_num}: score rows need (id, finite score)") from None
     if not table:
         raise InvalidInputError(f"{path}: no score rows")
     return table

@@ -211,6 +211,20 @@ class TestPipeline:
         assert rc == 0
         assert any(line.startswith("xgb,") for line in out.read_text().splitlines())
 
+    def test_curve_refuses_a_score_that_is_not_a_number(self, workspace, tmp_path, capsys):
+        root, data_dir, model_path = workspace
+        scores = tmp_path / "scores.csv"
+        scores.write_text("a,notanumber\n")
+        rc = cli_dispatch(
+            [
+                "curve", "--model", str(model_path), "--test", str(data_dir / "test.jsonl"),
+                "--policies", "hoc_router", "--scores", f"x={scores}", "--out", str(tmp_path / "c.csv"),
+            ]
+        )
+        assert rc == 1
+        payload = json.loads(capsys.readouterr().err)
+        assert payload == {"error": "InvalidInputError", "message": f"{scores}: line 1: score rows need (id, finite score)"}
+
     def test_sweep_row_count(self, workspace, tmp_path):
         root, data_dir, model_path = workspace
         out = tmp_path / "sweep.csv"
@@ -332,6 +346,28 @@ class TestMalformedLines:
         assert payload["error"] == "InvalidInputError"
         assert payload["message"].startswith(f"line 4: field '{field}': ")
         assert [json.loads(l)["id"] for l in out.read_text().splitlines()] == ["ok0", "ok1"]
+
+
+@pytest.mark.parametrize("chunk", [1, 2, cli.ROUTE_CHUNK_LINES])
+@pytest.mark.parametrize("source", ["file", "stdin"])
+def test_route_refuses_input_that_is_not_utf8(chunk, source, workspace, tmp_path, capsys, monkeypatch):
+    root, data_dir, model_path = workspace
+    monkeypatch.setattr(cli, "ROUTE_CHUNK_LINES", chunk)
+    raw = (_line(GOOD[0]) + "\n" + _line(GOOD[1]) + "\n").encode() + b'{"id": "\xff", "weak_probs": [0.5, 0.5]}\n'
+    queries, out = tmp_path / "q.jsonl", tmp_path / "d.jsonl"
+    queries.write_bytes(raw + (_line(GOOD[2]) + "\n").encode())
+    argv = ["route", "--model", str(model_path), "--out", str(out)]
+    if source == "file":
+        argv += ["--in", str(queries)]
+    else:
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(queries.read_bytes()), encoding="utf-8"))
+    assert cli_dispatch(argv) == 1
+    err_lines = capsys.readouterr().err.splitlines()
+    assert len(err_lines) == 1
+    payload = json.loads(err_lines[0])
+    assert payload["error"] == "InvalidInputError"
+    assert payload["message"] == f"{queries if source == 'file' else '<stdin>'}: line 3: not UTF-8 text"
+    assert [json.loads(l)["id"] for l in out.read_text().splitlines()] == ["ok0", "ok1"]
 
 
 def test_route_names_query_lacking_partition_feature(workspace, tmp_path, capsys):

@@ -1,0 +1,302 @@
+"""The per-bin quantities, which group rows by the integer index of
+``assign_rows``, against frozen string-keyed references that group
+``assign_many``'s per-row bin ids with a dict loop. Results must be equal bit
+for bit, including the order of per-bin dicts."""
+
+import math
+
+import numpy as np
+import pytest
+
+from hocroute.baselines import bucket_optimal_scores
+from hocroute.calibrator import (
+    aggregate_wasserstein,
+    calibrate,
+    estimate_decomposition,
+    wasserstein_1d,
+    wasserstein_error,
+)
+from hocroute.core import (
+    ABSTAIN,
+    PREDICT,
+    RoutingConfig,
+    RoutingDecision,
+    ground_truth_matrix,
+    snapshot_mean_matrix,
+    weak_pred_matrix,
+)
+from hocroute.evaluation import bucket_optimal_point_costs, policy_point_costs, router_scores
+from hocroute.losses import LossSpec, entropy_batch, expected_loss_batch
+from hocroute.partition import OVERFLOW_BIN, assign_many, fit, fitted_bins, partition_quality
+from hocroute.router import OracleSpec, decide
+
+from conftest import make_example
+
+BRIER = LossSpec("brier")
+
+# ---------------------------------------------------------------------------
+# Frozen string-keyed implementations
+# ---------------------------------------------------------------------------
+
+
+def _group(bins):
+    grouped = {}
+    for i, b in enumerate(bins):
+        grouped.setdefault(b, []).append(i)
+    return grouped
+
+
+def ref_deployed_matrix(model, examples):
+    raw = weak_pred_matrix(examples)
+    if not model.recalibrated:
+        return raw
+    rows = []
+    for b in assign_many(model.partition, examples):
+        centroid = model.centroids.get(b)
+        rows.append(model.global_mixture.means.mean(axis=0) if centroid is None else centroid.probs)
+    return np.stack(rows)
+
+
+def ref_deployed(test, model, use_recalibrated):
+    if model is None or not use_recalibrated:
+        return weak_pred_matrix(test)
+    return ref_deployed_matrix(model, test)
+
+
+def ref_bucket_optimal_scores(test, loss, model, truths=None, use_recalibrated=True):
+    gt = ground_truth_matrix(test) if truths is None else np.asarray(truths, dtype=float)
+    reducible = expected_loss_batch(loss, gt, ref_deployed(test, model, use_recalibrated)) - entropy_batch(loss, gt)
+    bins = assign_many(model.partition, test)
+    sums, counts = {}, {}
+    for value, b in zip(reducible, bins):
+        sums[b] = sums.get(b, 0.0) + float(value)
+        counts[b] = counts.get(b, 0) + 1
+    bin_mean = {b: sums[b] / counts[b] for b in sums}
+    return np.array([bin_mean[b] for b in bins])
+
+
+def ref_router_scores(model, test, loss):
+    bins = assign_many(model.partition, test)
+    cache = {}
+    for b in bins:
+        if b not in cache:
+            cache[b] = estimate_decomposition(model, b, loss)[1]
+    return np.array([cache[b] for b in bins])
+
+
+def ref_partition_quality(spec, data, loss):
+    means = np.stack([e.snapshot_mean.probs for e in data])
+    preds = np.stack([e.weak_pred.probs for e in data])
+    reducible = expected_loss_batch(loss, means, preds) - entropy_batch(loss, means)
+    grouped = _group(assign_many(spec, data))
+    per_bin, counts = {}, {}
+    for b, idxs in grouped.items():
+        rl = reducible[idxs]
+        per_bin[b] = float(0.5 * np.mean(np.abs(rl - rl.mean())))
+        counts[b] = len(idxs)
+    aggregate = float(sum(per_bin[b] * counts[b] for b in per_bin) / sum(counts.values()))
+    return per_bin, counts, aggregate, [b for b in fitted_bins(spec) if b not in grouped]
+
+
+def ref_calibrate_bins(partition, calibration, recalibrate):
+    """bin id -> (stored predictions, snapshot means, centroid or None)."""
+    preds = weak_pred_matrix(calibration)
+    means = snapshot_mean_matrix(calibration)
+    out = {}
+    for b, idxs in _group(assign_many(partition, calibration)).items():
+        bin_means = means[idxs]
+        if recalibrate:
+            centroid = bin_means.mean(axis=0)
+            out[b] = (np.tile(centroid, (len(idxs), 1)), bin_means, centroid)
+        else:
+            out[b] = (preds[idxs], bin_means, None)
+    return out
+
+
+def ref_wasserstein_error(model, reference):
+    ref_means = snapshot_mean_matrix(reference)
+    grouped = _group(assign_many(model.partition, reference))
+    return {
+        b: 2.0 * wasserstein_1d(model.mixture(b).means[:, 1], ref_means[idxs, 1]) for b, idxs in grouped.items()
+    }
+
+
+def ref_aggregate_wasserstein(model, reference):
+    per_bin = ref_wasserstein_error(model, reference)
+    counts = {}
+    for b in assign_many(model.partition, reference):
+        counts[b] = counts.get(b, 0) + 1
+    return float(sum(per_bin[b] * counts[b] for b in per_bin) / sum(counts.values()))
+
+
+def ref_eval_arrays(model, test, loss, oracles, use_recalibrated):
+    bins = assign_many(model.partition, test)
+    truth = ground_truth_matrix(test)
+    deployed = ref_deployed(test, model, use_recalibrated)
+    predict_cost = expected_loss_batch(loss, truth, deployed)
+    oracle_cost = np.stack([o.point_costs(loss, truth) for o in oracles])
+    positions = {b: np.asarray(idxs) for b, idxs in _group(bins).items()}
+    return positions, predict_cost, oracle_cost
+
+
+def ref_realized(arrays, action_by_bin, config):
+    positions, predict_cost, oracle_cost = arrays
+    out = np.empty(predict_cost.shape[0])
+    for b, idxs in positions.items():
+        action = action_by_bin[b]
+        if action == PREDICT:
+            out[idxs] = predict_cost[idxs]
+        elif action == ABSTAIN:
+            out[idxs] = config.abstain_penalty
+        else:
+            i = int(action.split(":", 1)[1])
+            out[idxs] = oracle_cost[i][idxs] + config.route_penalties[i]
+    return out
+
+
+def ref_policy_point_costs(model, test, config, oracles, decide_config=None, use_recalibrated=True):
+    arrays = ref_eval_arrays(model, test, config.loss, oracles, use_recalibrated)
+    actions = {b: decide(model, b, decide_config or config, oracles).action for b in sorted(arrays[0])}
+    return ref_realized(arrays, actions, config)
+
+
+def ref_bucket_optimal_point_costs(model, test, config, oracles, use_recalibrated=True):
+    arrays = ref_eval_arrays(model, test, config.loss, oracles, use_recalibrated)
+    positions, predict_cost, oracle_cost = arrays
+    actions = {}
+    for b, idxs in positions.items():
+        costs = {PREDICT: float(predict_cost[idxs].mean()), ABSTAIN: config.abstain_penalty}
+        for i, alpha in enumerate(config.route_penalties):
+            costs[f"route:{i}"] = float(oracle_cost[i][idxs].mean()) + alpha
+        actions[b] = RoutingDecision.from_costs(costs).action
+    return ref_realized(arrays, actions, config)
+
+
+# ---------------------------------------------------------------------------
+# Cases: every partition kind, with and without recalibration, with test
+# queries in fitted bins that received no calibration data and, for level
+# sets, in the overflow bin
+# ---------------------------------------------------------------------------
+
+PARTITIONS = [("topclass", 4), ("feature", 6), ("levelset", 1)]
+
+
+def _examples(rng, pool, n, prefix):
+    out = []
+    for i in range(n):
+        p_star = rng.dirichlet(np.ones(pool.shape[1]))
+        out.append(
+            make_example(
+                f"{prefix}{i}",
+                pool[rng.integers(pool.shape[0])],
+                rng.choice(pool.shape[1], size=5, p=p_star),
+                features=np.array([rng.uniform(-0.2, 1.2)]),
+                p_star=p_star,
+            )
+        )
+    return out
+
+
+@pytest.fixture(scope="module", params=[2, 3], ids=["2cls", "3cls"])
+def data(request):
+    classes = request.param
+    rng = np.random.default_rng(20 + classes)
+    pool = rng.dirichlet(np.ones(classes), size=14)
+    calibration = _examples(rng, pool[:11], 400, "c")  # the last pool rows are unseen: overflow
+    return classes, calibration, _examples(rng, pool, 300, "t")
+
+
+@pytest.fixture(scope="module", params=PARTITIONS, ids=[kind for kind, _ in PARTITIONS])
+def spec_case(request, data):
+    kind, buckets = request.param
+    classes, calibration, test = data
+    spec = fit(kind, calibration, buckets=buckets)
+    bins = assign_many(spec, calibration)
+    dropped = set(sorted(set(bins))[::3])
+    kept = [e for e, b in zip(calibration, bins) if b not in dropped]
+    return classes, spec, kept, test, dropped
+
+
+@pytest.fixture(scope="module", params=[False, True], ids=["raw", "recalibrated"])
+def case(request, spec_case):
+    classes, spec, calibration, test, dropped = spec_case
+    return classes, calibrate(spec, calibration, recalibrate=request.param), calibration, test, dropped
+
+
+def test_cases_reach_empty_fitted_bins_and_overflow(case):
+    _, model, _, test, dropped = case
+    test_bins = set(assign_many(model.partition, test))
+    assert dropped & test_bins and not dropped & set(model.mixtures)
+    if model.partition.kind == "levelset":
+        assert OVERFLOW_BIN in test_bins
+
+
+def test_calibrate_bins_equal_reference(case):
+    _, model, calibration, _, _ = case
+    reference = ref_calibrate_bins(model.partition, calibration, model.recalibrated)
+    assert list(model.mixtures) == list(reference)
+    for b, (preds, means, centroid) in reference.items():
+        assert np.array_equal(model.mixtures[b].preds, preds)
+        assert np.array_equal(model.mixtures[b].means, means)
+        if centroid is None:
+            assert b not in model.centroids
+        else:
+            assert np.array_equal(model.centroids[b].probs, centroid)
+
+
+def test_deployed_matrix_equals_reference(case):
+    _, model, _, test, _ = case
+    expected = ref_deployed_matrix(model, test)
+    assert np.array_equal(model.deployed_matrix(test), expected)
+    bins = assign_many(model.partition, test)
+    distinct = sorted(set(bins))
+    pair = (distinct, np.array([distinct.index(b) for b in bins]))
+    assert np.array_equal(model.deployed_matrix(test, pair), expected)
+
+
+@pytest.mark.parametrize("use_recalibrated", [True, False])
+def test_bucket_optimal_scores_equal_reference(case, use_recalibrated):
+    _, model, _, test, _ = case
+    got = bucket_optimal_scores(test, BRIER, model, use_recalibrated=use_recalibrated).scores
+    assert np.array_equal(got, ref_bucket_optimal_scores(test, BRIER, model, use_recalibrated=use_recalibrated))
+    truths = snapshot_mean_matrix(test)
+    got = bucket_optimal_scores(test, BRIER, model, truths=truths, use_recalibrated=use_recalibrated).scores
+    assert np.array_equal(got, ref_bucket_optimal_scores(test, BRIER, model, truths, use_recalibrated))
+
+
+def test_router_scores_equal_reference(case):
+    _, model, _, test, _ = case
+    for loss in (BRIER, LossSpec("classification")):
+        assert np.array_equal(router_scores(model, test, loss).scores, ref_router_scores(model, test, loss))
+
+
+def test_partition_quality_equals_reference(case):
+    _, model, calibration, test, _ = case
+    for data in (calibration, test):
+        report = partition_quality(model.partition, data, BRIER)
+        per_bin, counts, aggregate, empty = ref_partition_quality(model.partition, data, BRIER)
+        assert list(report.per_bin.items()) == list(per_bin.items())
+        assert list(report.counts.items()) == list(counts.items())
+        assert report.aggregate == aggregate
+        assert report.empty_bins == empty
+
+
+def test_wasserstein_equals_reference(case):
+    classes, model, _, test, _ = case
+    if classes != 2:
+        pytest.skip("the Wasserstein proxy is binary only")
+    assert list(wasserstein_error(model, test).items()) == list(ref_wasserstein_error(model, test).items())
+    assert aggregate_wasserstein(model, test) == ref_aggregate_wasserstein(model, test)
+
+
+@pytest.mark.parametrize("use_recalibrated", [True, False])
+def test_point_costs_equal_reference(case, use_recalibrated):
+    _, model, _, test, _ = case
+    oracles = [OracleSpec("bayes"), OracleSpec("aggregated", num_annotators=3, aggregation="majority", mc_draws=50)]
+    config = RoutingConfig(BRIER, route_penalties=(0.05, 0.02), abstain_penalty=0.2)
+    two_way = RoutingConfig(BRIER, route_penalties=(0.05, math.inf), abstain_penalty=math.inf)
+    for decide_config in (None, two_way):
+        got = policy_point_costs(model, test, config, oracles, decide_config, use_recalibrated)
+        assert np.array_equal(got, ref_policy_point_costs(model, test, config, oracles, decide_config, use_recalibrated))
+    got = bucket_optimal_point_costs(model, test, config, oracles, use_recalibrated)
+    assert np.array_equal(got, ref_bucket_optimal_point_costs(model, test, config, oracles, use_recalibrated))

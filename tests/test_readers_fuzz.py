@@ -14,7 +14,16 @@ from hocroute.core import InvalidInputError, RoutingConfig
 from hocroute.losses import LossSpec
 from hocroute.partition import fit
 from hocroute.router import Router
-from hocroute.storage import header_path, ingest, load_model, parse_queries, parse_query, save_model, write_dataset
+from hocroute.storage import (
+    header_path,
+    ingest,
+    load_model,
+    parse_queries,
+    parse_query,
+    read_scores_csv,
+    save_model,
+    write_dataset,
+)
 
 FUZZ = settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
@@ -166,3 +175,19 @@ def test_load_model_raises_only_invalid_input(workspace, model_texts, data):
     router = Router(model, RoutingConfig(LossSpec("brier"), (0.05,), 0.3))
     for bin_id in model.mixtures:
         assert all(math.isfinite(c) for c in router.decide_bin(bin_id).est_costs.values())
+
+
+@FUZZ
+@given(data=st.data())
+def test_read_scores_csv_raises_only_invalid_input(workspace, data):
+    raw = mutate_text(data, "id,score\na,0.5\nb,1e-3\nc,-2\n").encode()
+    if data.draw(st.integers(0, 4)) == 0:  # a byte that is not UTF-8
+        i = data.draw(st.integers(0, len(raw)))
+        raw = raw[:i] + b"\xff" + raw[i:]
+    path = workspace / "fuzzed.csv"
+    path.write_bytes(raw)
+    try:
+        table = read_scores_csv(path)
+    except InvalidInputError:
+        return
+    assert table and all(math.isfinite(v) for v in table.values())

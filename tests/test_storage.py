@@ -253,6 +253,22 @@ class TestReports:
         with pytest.raises(InvalidInputError):
             read_scores_csv(empty)
 
+    @pytest.mark.parametrize(
+        "content, line",
+        [
+            (b"id,score\na,0.5\nb,notanumber\n", 3),
+            (b"a,0.5\nb,0.\xff5\n", 2),
+            (b"a,0.5\nb,nan\n", 2),
+            (b"a,inf\n", 1),
+        ],
+        ids=["not_a_number", "not_utf8", "nan", "inf"],
+    )
+    def test_bad_score_rows_name_file_and_line(self, content, line, tmp_path):
+        path = tmp_path / "scores.csv"
+        path.write_bytes(content)
+        with pytest.raises(InvalidInputError, match=rf"^{re.escape(str(path))}: line {line}: "):
+            read_scores_csv(path)
+
     def test_manifest_hashes_inputs(self, tmp_path):
         data = tmp_path / "in.txt"
         data.write_text("hello")
