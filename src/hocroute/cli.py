@@ -28,6 +28,16 @@ from .synthetic import generate
 ROUTE_CHUNK_LINES = 2048
 
 
+def _parameter(convert, value: str, flag: str, text: str):
+    """``convert(value)`` for a parameter in the text of ``flag``; a value it
+    refuses fails with ``InvalidInputError`` naming the flag and its text."""
+    try:
+        return convert(value)
+    except ValueError:
+        kind = "an integer" if convert is int else "a number"
+        raise InvalidInputError(f"{flag} {text!r}: {value!r} is not {kind}") from None
+
+
 def parse_loss(text: str) -> LossSpec:
     """``brier`` | ``crossentropy[:eps]`` | ``weighted_fp_fn:CFP:CFN`` |
     ``asymmetric_class:GAMMA`` | ``classification`` | ``three_part``"""
@@ -36,11 +46,12 @@ def parse_loss(text: str) -> LossSpec:
     if kind not in KINDS:
         raise InvalidInputError(f"unknown loss {kind!r}; choose from {KINDS}")
     if kind == CROSS_ENTROPY and len(parts) == 2:
-        return LossSpec(kind, epsilon=float(parts[1]))
+        return LossSpec(kind, epsilon=_parameter(float, parts[1], "--loss", text))
     if kind == "weighted_fp_fn" and len(parts) == 3:
-        return LossSpec(kind, c_fp=float(parts[1]), c_fn=float(parts[2]))
+        c_fp, c_fn = (_parameter(float, v, "--loss", text) for v in parts[1:])
+        return LossSpec(kind, c_fp=c_fp, c_fn=c_fn)
     if kind == "asymmetric_class" and len(parts) == 2:
-        return LossSpec(kind, gamma=float(parts[1]))
+        return LossSpec(kind, gamma=_parameter(float, parts[1], "--loss", text))
     if len(parts) > 1:
         raise InvalidInputError(f"unexpected parameters for loss {kind!r}: {text!r}")
     return LossSpec(kind)
@@ -53,15 +64,15 @@ def parse_partition(text: str):
     if kind == "levelset":
         return {"kind": kind}
     if kind in ("topclass", "feature") and len(parts) >= 2:
-        spec = {"kind": kind, "buckets": int(parts[1])}
+        spec = {"kind": kind, "buckets": _parameter(int, parts[1], "--partition", text)}
         if kind == "feature":
-            spec["feature_index"] = int(parts[2]) if len(parts) > 2 else 0
+            spec["feature_index"] = _parameter(int, parts[2], "--partition", text) if len(parts) > 2 else 0
         return spec
     raise InvalidInputError(f"bad partition spec {text!r}")
 
 
 def parse_beta(text: str) -> float:
-    return math.inf if text.lower() in ("inf", "infinity") else float(text)
+    return math.inf if text.lower() in ("inf", "infinity") else _parameter(float, text, "--beta", text)
 
 
 def parse_oracle(text: str) -> OracleSpec:
@@ -70,7 +81,8 @@ def parse_oracle(text: str) -> OracleSpec:
     if parts[0] == "bayes" and len(parts) == 1:
         return OracleSpec(kind="bayes")
     if parts[0] == "aggregated" and len(parts) == 3:
-        return OracleSpec(kind="aggregated", num_annotators=int(parts[1]), aggregation=parts[2])
+        annotators = _parameter(int, parts[1], "--oracle", text)
+        return OracleSpec(kind="aggregated", num_annotators=annotators, aggregation=parts[2])
     raise InvalidInputError(f"bad oracle spec {text!r}")
 
 

@@ -1,7 +1,8 @@
 """File formats: snapshot datasets, model files, score tables, reports, manifests.
 
 Datasets are JSONL (one record per example) with a small JSON header
-sidecar carrying the class count. Model files are versioned JSON; floats
+sidecar carrying the class count. Model files are versioned JSON: one table
+of the distinct probability rows, which each mixture lists by index; floats
 survive the round trip bit-exactly. Every CLI run records a manifest with
 its arguments, seeds, and input hashes so it can be reproduced.
 """
@@ -280,56 +281,81 @@ def parse_queries(lines: Sequence[str], num_classes: int, first_lineno: int = 1,
 # ---------------------------------------------------------------------------
 
 
-def _mixture_record(m: TaggedMixture) -> dict:
-    return {"preds": m.preds.tolist(), "means": m.means.tolist()}
+def _row_table(mixtures: list[TaggedMixture]) -> tuple[np.ndarray, list[list[int]]]:
+    """The distinct rows of ``mixtures`` by bit pattern, in order of first
+    appearance (each mixture's preds, then its means), and each mixture's
+    preds and means as indices into them."""
+    first: dict[bytes, int] = {}  # a row's bytes -> its index in the table
+    codes = []
+    for m in mixtures:
+        for rows in (m.preds, m.means):
+            row_bytes = np.dtype((np.void, rows.itemsize * rows.shape[1]))
+            keys = np.ascontiguousarray(rows).view(row_bytes).ravel().tolist()
+            codes.append([first.setdefault(key, len(first)) for key in keys])
+    return np.frombuffer(b"".join(first)).reshape(len(first), -1), codes
 
 
 def _row_matrix(values, name: str, num_classes: int) -> np.ndarray:
-    """``values`` as a nonempty ``(n, num_classes)`` matrix of numbers."""
+    """``values`` as a nonempty ``(n, num_classes)`` matrix of probability vectors."""
     try:
         rows = np.asarray(values, dtype=float)
     except (TypeError, ValueError, OverflowError):
         rows = None
     if rows is None or rows.ndim != 2 or rows.shape[0] == 0 or rows.shape[1] != num_classes:
-        raise InvalidInputError(f"{name} must be a nonempty list of rows of {num_classes} numbers")
+        raise InvalidInputError(f"{name}must be a nonempty list of rows of {num_classes} numbers")
+    ok = simplex_ok(rows)
+    if not ok.all():
+        raise InvalidInputError(f"{name}row {int(np.argmin(ok))} is not a probability vector")
     return rows
 
 
-def _check_on_simplex(mixtures: dict[str, TaggedMixture]) -> None:
-    """Refuse the first mixture holding a row that fails ``simplex_ok``,
-    naming it by its key; when every row passes, one check over all the
-    rows together shows it."""
-    named = [(f"{name}'preds'", m.preds) for name, m in mixtures.items()]
-    named += [(f"{name}'means'", m.means) for name, m in mixtures.items()]
-    if not named or simplex_ok(np.concatenate([rows for _, rows in named])).all():
-        return
-    for name, rows in named:
-        ok = simplex_ok(rows)
-        if not ok.all():
-            raise InvalidInputError(f"{name} row {int(np.argmin(ok))} is not a probability vector")
+def _row_indices(values, size: int, name: str) -> np.ndarray:
+    """``values`` as a nonempty flat list of indices into a table of ``size`` rows."""
+    if not isinstance(values, list) or not values or set(map(type, values)) != {int}:
+        raise InvalidInputError(f"{name} must be a nonempty flat list of integer row indices")
+    try:
+        index = np.fromiter(values, dtype=np.intp, count=len(values))
+        in_range = index.min() >= 0 and index.max() < size
+    except OverflowError:  # an integer beyond the index type
+        in_range = False
+    if not in_range:
+        raise InvalidInputError(f"{name} index {next(v for v in values if not 0 <= v < size)} is out of range")
+    return index
 
 
-def _mixture_from_record(record, num_classes: int, name: str = "") -> TaggedMixture:
-    """A mixture whose rows have the right shapes; ``_check_on_simplex``
-    checks their values."""
+def _mixture(record, rows: np.ndarray | None, num_classes: int, name: str = "") -> TaggedMixture:
+    """The mixture whose 'preds' and 'means' list indices into the table
+    ``rows``. In version 1 (``rows`` None) they list the rows themselves,
+    which are read as the mixture's own table with identity indices."""
     if not isinstance(record, dict) or "preds" not in record or "means" not in record:
         raise InvalidInputError(f"{name}a mixture must be an object with 'preds' and 'means'")
-    preds = _row_matrix(record["preds"], f"{name}'preds'", num_classes)
-    means = _row_matrix(record["means"], f"{name}'means'", num_classes)
-    if preds.shape != means.shape:
-        raise InvalidInputError(f"{name}{preds.shape[0]} 'preds' rows for {means.shape[0]} 'means' rows")
-    return TaggedMixture(preds=preds, means=means)
+    preds, means = record["preds"], record["means"]
+    if rows is None:
+        preds = _row_matrix(preds, f"{name}'preds' ", num_classes)
+        rows = np.concatenate([preds, _row_matrix(means, f"{name}'means' ", num_classes)])
+        preds, means = list(range(len(preds))), list(range(len(preds), len(rows)))
+    preds = _row_indices(preds, len(rows), f"{name}'preds'")
+    means = _row_indices(means, len(rows), f"{name}'means'")
+    if preds.size != means.size:
+        raise InvalidInputError(f"{name}{preds.size} 'preds' rows for {means.size} 'means' rows")
+    return TaggedMixture(preds=rows.take(preds, axis=0), means=rows.take(means, axis=0))
 
 
 def save_model(path: str | Path, model: CalibratedRouterModel) -> None:
+    """Write ``model`` as a version-2 file: ``rows`` holds the distinct rows
+    of all mixtures, and each mixture's ``preds`` and ``means`` index them."""
+    bins = sorted(model.mixtures.items())
+    rows, codes = _row_table([m for _, m in bins] + [model.global_mixture])
+    records = [{"preds": preds, "means": means} for preds, means in zip(codes[::2], codes[1::2])]
     payload = {
         "format": MODEL_FORMAT,
-        "version": FORMAT_VERSION,
+        "version": 2,
         "num_classes": model.num_classes,
         "recalibrated": model.recalibrated,
         "partition": model.partition.to_record(),
-        "bins": {b: _mixture_record(m) for b, m in sorted(model.mixtures.items())},
-        "global": _mixture_record(model.global_mixture),
+        "rows": rows.tolist(),
+        "bins": {b: record for (b, _), record in zip(bins, records)},
+        "global": records[-1],
         "centroids": {b: c.probs.tolist() for b, c in sorted(model.centroids.items())},
     }
     Path(path).write_text(json.dumps(payload) + "\n")
@@ -352,18 +378,6 @@ def _bin_table(table, partition: PartitionSpec, read) -> dict:
     return {bin_id: read(value, f"bin {bin_id!r}: ") for bin_id, value in table.items()}
 
 
-def _mixtures(table, partition: PartitionSpec, num_classes: int) -> dict[str, TaggedMixture]:
-    mixtures = _bin_table(table, partition, lambda r, name: _mixture_from_record(r, num_classes, name))
-    _check_on_simplex({f"bin {b!r}: ": m for b, m in mixtures.items()})
-    return mixtures
-
-
-def _global_mixture(record, num_classes: int) -> TaggedMixture:
-    mixture = _mixture_from_record(record, num_classes)
-    _check_on_simplex({"": mixture})
-    return mixture
-
-
 def _centroid(value, num_classes: int, name: str) -> LabelDistribution:
     try:
         centroid = LabelDistribution(np.asarray(value, dtype=float))
@@ -375,9 +389,10 @@ def _centroid(value, num_classes: int, name: str) -> LabelDistribution:
 
 
 def load_model(path: str | Path) -> CalibratedRouterModel:
-    """A model written by ``save_model``. A file that is not valid JSON, or
-    lacks a field, or whose mixtures are not rows of probability vectors over
-    ``num_classes`` classes, or that names a bin its partition cannot
+    """A model written by ``save_model``, in format version 1 or 2. A file
+    that is not valid JSON, or lacks a field, or whose rows are not
+    probability vectors over ``num_classes`` classes, or whose mixtures index
+    rows that do not exist, or that names a bin its partition cannot
     produce, fails with ``InvalidInputError`` naming the file and field."""
     path = Path(path)
     if not path.exists():
@@ -388,8 +403,9 @@ def load_model(path: str | Path) -> CalibratedRouterModel:
         raise InvalidInputError(f"{path}: field '-': invalid JSON ({err})") from None
     if not isinstance(payload, dict) or payload.get("format") != MODEL_FORMAT:
         raise InvalidInputError(f"{path}: not a {MODEL_FORMAT} file")
-    if payload.get("version") != FORMAT_VERSION:
-        raise InvalidInputError(f"{path}: unsupported version {payload.get('version')}")
+    version = payload.get("version")
+    if version not in (1, 2):
+        raise InvalidInputError(f"{path}: unsupported version {version}")
 
     def field(name: str, read):
         if name not in payload:
@@ -403,10 +419,13 @@ def load_model(path: str | Path) -> CalibratedRouterModel:
 
     num_classes = field("num_classes", _num_classes)
     partition = field("partition", PartitionSpec.from_record)
+    rows = field("rows", lambda values: _row_matrix(values, "", num_classes)) if version == 2 else None
     return CalibratedRouterModel(
         partition=partition,
-        mixtures=field("bins", lambda table: _mixtures(table, partition, num_classes)),
-        global_mixture=field("global", lambda record: _global_mixture(record, num_classes)),
+        mixtures=field(
+            "bins", lambda table: _bin_table(table, partition, lambda r, name: _mixture(r, rows, num_classes, name))
+        ),
+        global_mixture=field("global", lambda record: _mixture(record, rows, num_classes)),
         recalibrated=field("recalibrated", _flag),
         num_classes=num_classes,
         centroids=field(

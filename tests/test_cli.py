@@ -291,6 +291,28 @@ class TestErrorHandling:
         assert rc == 1
         assert json.loads(capsys.readouterr().err.splitlines()[-1])["error"] == "InvalidInputError"
 
+    @pytest.mark.parametrize(
+        "flag, text",
+        [
+            ("--beta", "abc"),
+            ("--loss", "crossentropy:abc"),
+            ("--loss", "weighted_fp_fn:1:x"),
+            ("--oracle", "aggregated:x:mean"),
+            ("--partition", "topclass:x"),
+        ],
+    )
+    def test_bad_flag_parameter_names_the_flag(self, workspace, tmp_path, capsys, flag, text):
+        root, data_dir, model_path = workspace
+        if flag == "--partition":
+            argv = ["calibrate", "--in", str(data_dir / "calibration.jsonl"), "--out", str(tmp_path / "m.json")]
+        else:
+            argv = ["route", "--model", str(model_path), "--in", str(data_dir / "test.jsonl")]
+        assert cli_dispatch([*argv, flag, text]) == 1
+        err_lines = capsys.readouterr().err.splitlines()
+        assert len(err_lines) == 1
+        error = json.loads(err_lines[0])
+        assert error["error"] == "InvalidInputError" and error["message"].startswith(f"{flag} {text!r}: ")
+
 
 # Malformed query/dataset lines and the field each must be reported under.
 MALFORMED = [

@@ -113,7 +113,17 @@ def model_texts(workspace, small_run):
         path = workspace / f"{kind}.json"
         save_model(path, calibrate(fit(kind, cal, buckets=buckets), cal, recalibrate=kind == "topclass"))
         texts.append(path.read_text())
-    return texts
+    return texts + [_as_version_1(texts[0])]
+
+
+def _as_version_1(text: str) -> str:
+    """A version-2 model file written out as version 1: each mixture lists its rows."""
+    payload = json.loads(text)
+    rows = payload.pop("rows")
+    for mixture in [*payload["bins"].values(), payload["global"]]:
+        for key in ("preds", "means"):
+            mixture[key] = [rows[i] for i in mixture[key]]
+    return json.dumps({**payload, "version": 1})
 
 
 @FUZZ

@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from hocroute.calibrator import calibrate, estimate_decomposition
+from hocroute.calibrator import TaggedMixture, calibrate, estimate_decomposition
 from hocroute.core import InvalidInputError
 from hocroute.evaluation import cost_sweep, multi_loss_report
 from hocroute.losses import LossSpec
@@ -24,6 +24,15 @@ from hocroute.storage import (
     write_sweep_csv,
 )
 brier = LossSpec("brier")
+V1, V2 = "valid_payload", "valid_payload_v2"  # model payload fixtures, format versions 1 and 2
+
+
+def model_arrays(model) -> dict[str, bytes]:
+    """Every array a model holds, by name, as its bytes."""
+    mixtures = {**model.mixtures, "global": model.global_mixture}
+    arrays = {f"{b}:{key}": getattr(m, key) for b, m in mixtures.items() for key in ("preds", "means")}
+    arrays.update({f"centroid:{b}": c.probs for b, c in model.centroids.items()})
+    return {name: a.tobytes() for name, a in arrays.items()}
 
 
 @pytest.fixture(scope="module")
@@ -154,9 +163,13 @@ class TestModelFile:
             load_model(path)
 
     @pytest.fixture(scope="class")
-    def valid_payload(self, small_run):
+    def payload_model(self, small_run):
         data = small_run.calibration[:200]
-        model = calibrate(fit("topclass", data, buckets=3), data, recalibrate=True)
+        return calibrate(fit("topclass", data, buckets=3), data, recalibrate=True)
+
+    @pytest.fixture(scope="class")
+    def valid_payload(self, payload_model):
+        model = payload_model
         return {
             "format": "hoc-router-model",
             "version": 1,
@@ -168,31 +181,100 @@ class TestModelFile:
             "centroids": {b: c.probs.tolist() for b, c in model.centroids.items()},
         }
 
+    @pytest.fixture(scope="class")
+    def valid_payload_v2(self, payload_model, tmp_path_factory):
+        path = tmp_path_factory.mktemp("v2") / "model.json"
+        save_model(path, payload_model)
+        return json.loads(path.read_text())
+
     def corrupt(self, payload, damage):
         payload = json.loads(json.dumps(payload))
         damage(payload)
         return payload
 
     @pytest.mark.parametrize(
-        "damage, field",
+        "damage, field, payload, detail",
         [
-            pytest.param(lambda p: p.pop("partition"), "partition", id="missing-field"),
-            pytest.param(lambda p: p["bins"]["c0:b0"].pop("means"), "bins", id="mixture-without-means"),
-            pytest.param(lambda p: p["bins"]["c0:b0"]["means"][0].append(0.0), "bins", id="ragged-row"),
-            pytest.param(lambda p: p["bins"]["c0:b0"]["preds"].pop(), "bins", id="preds-means-misaligned"),
-            pytest.param(lambda p: p["bins"]["c0:b0"]["means"].__setitem__(0, [0.7, 0.7]), "bins", id="mass-off"),
-            pytest.param(lambda p: p["global"]["preds"].__setitem__(3, [-0.5, 1.5]), "global", id="negative-entry"),
-            pytest.param(lambda p: p["bins"].__setitem__("c0:b9", p["bins"]["c0:b0"]), "bins", id="unknown-bin"),
-            pytest.param(lambda p: p["centroids"].__setitem__("c0:b0", [0.5, 0.6]), "centroids", id="bad-centroid"),
-            pytest.param(lambda p: p["partition"]["class_edges"]["0"].reverse(), "partition", id="unsorted-edges"),
-            pytest.param(lambda p: p.__setitem__("num_classes", "2"), "num_classes", id="num-classes-not-int"),
+            pytest.param(lambda p: p.pop("partition"), "partition", V1, "", id="missing-field"),
+            pytest.param(lambda p: p["bins"]["c0:b0"].pop("means"), "bins", V1, "", id="mixture-without-means"),
+            pytest.param(lambda p: p["bins"]["c0:b0"]["means"][0].append(0.0), "bins", V1, "", id="ragged-row"),
+            pytest.param(lambda p: p["bins"]["c0:b0"]["preds"].pop(), "bins", V1, "", id="preds-means-misaligned"),
+            pytest.param(lambda p: p["bins"]["c0:b0"]["means"].__setitem__(0, [0.7, 0.7]), "bins", V1, "", id="mass-off"),
+            pytest.param(lambda p: p["global"]["preds"].__setitem__(3, [-0.5, 1.5]), "global", V1, "", id="negative-entry"),
+            pytest.param(lambda p: p["bins"].__setitem__("c0:b9", p["bins"]["c0:b0"]), "bins", V1, "", id="unknown-bin"),
+            pytest.param(lambda p: p["centroids"].__setitem__("c0:b0", [0.5, 0.6]), "centroids", V1, "", id="bad-centroid"),
+            pytest.param(lambda p: p["partition"]["class_edges"]["0"].reverse(), "partition", V1, "", id="unsorted-edges"),
+            pytest.param(lambda p: p.__setitem__("num_classes", "2"), "num_classes", V1, "", id="num-classes-not-int"),
+            pytest.param(lambda p: p.pop("rows"), "rows", V2, "missing", id="v2-missing-rows"),
+            pytest.param(
+                lambda p: p["rows"].__setitem__(1, [0.7, 0.7]), "rows", V2, "row 1 is not a probability vector",
+                id="v2-row-off-simplex",
+            ),
+            pytest.param(
+                lambda p: p["rows"].__setitem__(0, [0.5]), "rows", V2, "must be a nonempty list of rows", id="v2-short-row"
+            ),
+            pytest.param(
+                lambda p: p["bins"]["c0:b0"]["means"].__setitem__(0, len(p["rows"])), "bins", V2,
+                r"bin 'c0:b0': 'means' index \d+ is out of range", id="v2-index-out-of-range",
+            ),
+            pytest.param(
+                lambda p: p["bins"]["c0:b0"]["preds"].__setitem__(2, -1), "bins", V2,
+                "bin 'c0:b0': 'preds' index -1 is out of range", id="v2-negative-index",
+            ),
+            pytest.param(
+                lambda p: p["bins"]["c0:b0"]["preds"].__setitem__(0, 2**70), "bins", V2,
+                "bin 'c0:b0': 'preds' index 1180591620717411303424 is out of range", id="v2-index-beyond-int64",
+            ),
+            pytest.param(
+                lambda p: p["bins"]["c0:b0"]["means"].__setitem__(0, 0.0), "bins", V2,
+                "bin 'c0:b0': 'means' must be a nonempty flat list of integer row indices", id="v2-float-index",
+            ),
+            pytest.param(
+                lambda p: p["global"]["preds"].__setitem__(1, True), "global", V2,
+                "'preds' must be a nonempty flat list of integer row indices", id="v2-bool-index",
+            ),
+            pytest.param(
+                lambda p: p["global"].__setitem__("means", [[0.5, 0.5]]), "global", V2,
+                "'means' must be a nonempty flat list of integer row indices", id="v2-rows-instead-of-indices",
+            ),
+            pytest.param(
+                lambda p: p["bins"]["c0:b0"].update(preds=[], means=[]), "bins", V2,
+                "bin 'c0:b0': 'preds' must be a nonempty flat list", id="v2-empty-index-list",
+            ),
+            pytest.param(
+                lambda p: p["bins"]["c0:b0"]["preds"].pop(), "bins", V2,
+                r"bin 'c0:b0': \d+ 'preds' rows for \d+ 'means' rows", id="v2-preds-means-misaligned",
+            ),
         ],
     )
-    def test_corrupt_model_fields_named(self, tmp_path, valid_payload, damage, field):
+    def test_corrupt_model_fields_named(self, tmp_path, request, damage, field, payload, detail):
         path = tmp_path / "model.json"
-        path.write_text(json.dumps(self.corrupt(valid_payload, damage)))
-        with pytest.raises(InvalidInputError, match=f"^{re.escape(str(path))}: field '{field}': "):
+        path.write_text(json.dumps(self.corrupt(request.getfixturevalue(payload), damage)))
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(str(path))}: field '{field}': {detail}"):
             load_model(path)
+
+    def test_round_trip_keeps_bit_patterns(self, tmp_path, small_run):
+        data = small_run.calibration[:200]
+        model = calibrate(fit("topclass", data, buckets=3), data, recalibrate=False)
+        mixture = model.mixtures["c0:b0"]
+        preds = mixture.preds.copy()
+        preds[:2] = [[1.0, -0.0], [1.0, 0.0]]
+        model.mixtures["c0:b0"] = TaggedMixture(preds=preds, means=mixture.means)
+        first, second = tmp_path / "model.json", tmp_path / "model2.json"
+        save_model(first, model)
+        rows = json.loads(first.read_text())["rows"]
+        assert {"[1.0, -0.0]", "[1.0, 0.0]"} <= {json.dumps(r) for r in rows}  # distinct bit patterns, equal values
+        loaded = load_model(first)
+        assert model_arrays(loaded) == model_arrays(model)
+        save_model(second, loaded)
+        assert first.read_bytes() == second.read_bytes()
+
+    def test_version_1_file_loads_as_version_2(self, tmp_path, valid_payload, payload_model):
+        v1, v2 = tmp_path / "v1.json", tmp_path / "v2.json"
+        v1.write_text(json.dumps(valid_payload))
+        save_model(v2, payload_model)
+        assert json.loads(v2.read_text())["version"] == 2
+        assert model_arrays(load_model(v1)) == model_arrays(load_model(v2)) == model_arrays(payload_model)
 
     def test_valid_payload_loads_and_bad_json_is_refused(self, tmp_path, valid_payload):
         path = tmp_path / "model.json"
