@@ -13,6 +13,7 @@ from .core import (
     LabelDistribution,
     RoutingConfig,
     RoutingDecision,
+    SnapshotBatch,
     SnapshotExample,
     UnsupportedDiagnosticError,
     UnsupportedLossError,
@@ -57,6 +58,7 @@ __all__ = [
     "RoutingConfig",
     "RoutingCurve",
     "RoutingDecision",
+    "SnapshotBatch",
     "SnapshotExample",
     "SyntheticDataset",
     "TaggedMixture",

@@ -13,9 +13,9 @@ from typing import Sequence
 import numpy as np
 
 from .calibrator import CalibratedRouterModel
-from .core import InvalidInputError, SnapshotExample, ground_truth_matrix, weak_pred_matrix
+from .core import InvalidInputError, SnapshotBatch, SnapshotExample, as_batch
 from .losses import LossSpec, entropy_batch, expected_loss_batch
-from .partition import _assign_examples
+from .partition import assign_rows
 
 TOTAL_UNCERTAINTY = "total_uncertainty"
 POINTWISE_OPTIMAL = "pointwise_optimal"
@@ -38,7 +38,7 @@ class RankedPolicy:
 
 
 def _deployed(
-    test: Sequence[SnapshotExample],
+    test: SnapshotBatch,
     model: CalibratedRouterModel | None,
     use_recalibrated: bool = True,
     bins: tuple[list[str], np.ndarray] | None = None,
@@ -46,39 +46,39 @@ def _deployed(
     """The model's deployed predictions, or the raw weak ones without a model
     or with ``use_recalibrated`` off."""
     if model is None or not use_recalibrated:
-        return weak_pred_matrix(test)
+        return test.probs
     return model.deployed_matrix(test, bins)
 
 
 def total_uncertainty_scores(
-    test: Sequence[SnapshotExample],
+    test: SnapshotBatch | Sequence[SnapshotExample],
     loss: LossSpec,
     model: CalibratedRouterModel | None = None,
     use_recalibrated: bool = True,
 ) -> RankedPolicy:
     """Rank by the deployed prediction's own entropy under the target loss."""
-    return RankedPolicy(TOTAL_UNCERTAINTY, entropy_batch(loss, _deployed(test, model, use_recalibrated)))
+    return RankedPolicy(TOTAL_UNCERTAINTY, entropy_batch(loss, _deployed(as_batch(test), model, use_recalibrated)))
 
 
-def _reducible(test, loss, model, truths=None, use_recalibrated=True, bins=None) -> np.ndarray:
-    gt = ground_truth_matrix(test) if truths is None else np.asarray(truths, dtype=float)
+def _reducible(test: SnapshotBatch, loss, model, truths=None, use_recalibrated=True, bins=None) -> np.ndarray:
+    gt = test.truth if truths is None else np.asarray(truths, dtype=float)
     deployed = _deployed(test, model, use_recalibrated, bins)
     return expected_loss_batch(loss, gt, deployed) - entropy_batch(loss, gt)
 
 
 def pointwise_optimal_scores(
-    test: Sequence[SnapshotExample],
+    test: SnapshotBatch | Sequence[SnapshotExample],
     loss: LossSpec,
     model: CalibratedRouterModel | None = None,
     truths: np.ndarray | None = None,
     use_recalibrated: bool = True,
 ) -> RankedPolicy:
     """Rank by the true per-point reducible loss (oracle baseline)."""
-    return RankedPolicy(POINTWISE_OPTIMAL, _reducible(test, loss, model, truths, use_recalibrated))
+    return RankedPolicy(POINTWISE_OPTIMAL, _reducible(as_batch(test), loss, model, truths, use_recalibrated))
 
 
 def bucket_optimal_scores(
-    test: Sequence[SnapshotExample],
+    test: SnapshotBatch | Sequence[SnapshotExample],
     loss: LossSpec,
     model: CalibratedRouterModel,
     truths: np.ndarray | None = None,
@@ -86,23 +86,25 @@ def bucket_optimal_scores(
 ) -> RankedPolicy:
     """Rank by the mean true reducible loss of each point's bin, measured on
     the test set itself: the best ordering that is constant per bin."""
-    bins, index = _assign_examples(model.partition, test)
+    test = as_batch(test)
+    bins, index = assign_rows(model.partition, test.probs, test.features)
     reducible = _reducible(test, loss, model, truths, use_recalibrated, (bins, index))
     bin_mean = np.bincount(index, weights=reducible) / np.bincount(index)
     return RankedPolicy(BUCKET_OPTIMAL, bin_mean[index])
 
 
-def random_scores(test: Sequence[SnapshotExample], seed: int = 0) -> RankedPolicy:
+def random_scores(test: SnapshotBatch | Sequence[SnapshotExample], seed: int = 0) -> RankedPolicy:
     """Uniformly random priorities; its curve declines linearly in expectation."""
     rng = np.random.default_rng(seed)
     return RankedPolicy(RANDOM, rng.random(len(test)))
 
 
 def external_scores(
-    test: Sequence[SnapshotExample], table: dict[str, float], name: str = "external"
+    test: SnapshotBatch | Sequence[SnapshotExample], table: dict[str, float], name: str = "external"
 ) -> RankedPolicy:
     """Adopt externally computed priorities keyed by example id."""
-    missing = [e.id for e in test if e.id not in table]
+    ids = as_batch(test).ids
+    missing = [eid for eid in ids if eid not in table]
     if missing:
         raise InvalidInputError(f"scores missing for {len(missing)} ids (first: {missing[0]})")
-    return RankedPolicy(name, np.array([float(table[e.id]) for e in test]))
+    return RankedPolicy(name, np.array([float(table[eid]) for eid in ids]))

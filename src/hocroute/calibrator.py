@@ -16,13 +16,13 @@ import numpy as np
 from .core import (
     InvalidInputError,
     LabelDistribution,
+    SnapshotBatch,
     SnapshotExample,
     UnsupportedDiagnosticError,
-    snapshot_mean_matrix,
-    weak_pred_matrix,
+    as_batch,
 )
 from .losses import LossSpec, entropy_batch, expected_loss_batch
-from .partition import PartitionSpec, _assign_examples, _bin_positions
+from .partition import PartitionSpec, _bin_positions, assign_rows
 
 
 @dataclass(eq=False)
@@ -83,23 +83,25 @@ class CalibratedRouterModel:
         return LabelDistribution(row)
 
     def deployed_matrix(
-        self, examples: Sequence[SnapshotExample], bins: tuple[list[str], np.ndarray] | None = None
+        self,
+        examples: SnapshotBatch | Sequence[SnapshotExample],
+        bins: tuple[list[str], np.ndarray] | None = None,
     ) -> np.ndarray:
         """The prediction served for each example, one row each. ``bins`` is
         the examples' ``(bin ids, index)`` pair as ``partition.assign_rows``
         returns it, from a caller that has assigned them; without it they are
         assigned here. Each distinct bin's row is looked up once."""
-        raw = weak_pred_matrix(examples)
+        data = as_batch(examples)
         if not self.recalibrated:
-            return raw
-        bin_ids, index = _assign_examples(self.partition, examples) if bins is None else bins
+            return data.probs
+        bin_ids, index = assign_rows(self.partition, data.probs, data.features) if bins is None else bins
         # raw_pred only matters for a model that is not recalibrated
         return np.stack([self.deployed_row(b, None) for b in bin_ids])[index]
 
 
 def calibrate(
     partition: PartitionSpec,
-    calibration: Sequence[SnapshotExample],
+    calibration: SnapshotBatch | Sequence[SnapshotExample],
     recalibrate: bool = False,
 ) -> CalibratedRouterModel:
     """Build per-bin tagged mixtures from a k-snapshot calibration set.
@@ -111,15 +113,11 @@ def calibrate(
     """
     if not calibration:
         raise InvalidInputError("calibration set is empty")
-    num_classes = calibration[0].num_classes
-    if any(e.num_classes != num_classes for e in calibration):
-        raise InvalidInputError("calibration examples disagree on class count")
-
-    preds = weak_pred_matrix(calibration)
-    means = snapshot_mean_matrix(calibration)
+    data = as_batch(calibration)
+    preds, means = data.probs, data.means
     mixtures: dict[str, TaggedMixture] = {}
     centroids: dict[str, LabelDistribution] = {}
-    for b, rows in _bin_positions(*_assign_examples(partition, calibration)).items():
+    for b, rows in _bin_positions(*assign_rows(partition, preds, data.features)).items():
         bin_means = means[rows]
         if recalibrate:
             centroid = bin_means.mean(axis=0)
@@ -140,7 +138,7 @@ def calibrate(
         mixtures=mixtures,
         global_mixture=global_mixture,
         recalibrated=recalibrate,
-        num_classes=num_classes,
+        num_classes=data.num_classes,
         centroids=centroids,
     )
 
@@ -180,20 +178,20 @@ def wasserstein_1d(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.sum(np.abs(cdf_a - cdf_b) * deltas))
 
 
-def _wasserstein_by_bin(model: CalibratedRouterModel, reference: Sequence[SnapshotExample]):
+def _wasserstein_by_bin(model: CalibratedRouterModel, reference: SnapshotBatch | Sequence[SnapshotExample]):
     """``wasserstein_error`` and the reference rows of each bin it covers."""
     if model.num_classes != 2:
         raise UnsupportedDiagnosticError("Wasserstein diagnostic requires 2 classes")
     if not reference:
         raise InvalidInputError("reference set is empty")
-    ref_means = snapshot_mean_matrix(reference)
-    positions = _bin_positions(*_assign_examples(model.partition, reference))
-    per_bin = {b: 2.0 * wasserstein_1d(model.mixture(b).means[:, 1], ref_means[r, 1]) for b, r in positions.items()}
+    data = as_batch(reference)
+    positions = _bin_positions(*assign_rows(model.partition, data.probs, data.features))
+    per_bin = {b: 2.0 * wasserstein_1d(model.mixture(b).means[:, 1], data.means[r, 1]) for b, r in positions.items()}
     return per_bin, positions
 
 
 def wasserstein_error(
-    model: CalibratedRouterModel, reference: Sequence[SnapshotExample]
+    model: CalibratedRouterModel, reference: SnapshotBatch | Sequence[SnapshotExample]
 ) -> dict[str, float]:
     """Per-bin distance between the calibrated mixture's snapshot-mean
     distribution and a held-out reference sample.
@@ -207,7 +205,7 @@ def wasserstein_error(
 
 
 def aggregate_wasserstein(
-    model: CalibratedRouterModel, reference: Sequence[SnapshotExample]
+    model: CalibratedRouterModel, reference: SnapshotBatch | Sequence[SnapshotExample]
 ) -> float:
     """Reference-mass-weighted mean of the per-bin Wasserstein proxy."""
     per_bin, positions = _wasserstein_by_bin(model, reference)

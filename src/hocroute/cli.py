@@ -92,6 +92,8 @@ def parse_grid(text: str) -> list[float]:
         lo, hi, step = (float(v) for v in text.split(":"))
     except ValueError:
         raise InvalidInputError(f"bad grid {text!r}, expected lo:hi:step") from None
+    if not all(map(math.isfinite, (lo, hi, step))):
+        raise InvalidInputError(f"--beta {text!r}: lo, hi and step must be finite")
     if step <= 0 or hi < lo:
         raise InvalidInputError(f"bad grid {text!r}: need step > 0 and hi >= lo")
     values = []
@@ -115,6 +117,13 @@ def _args_record(args: argparse.Namespace) -> dict:
     return {k: v for k, v in vars(args).items() if k != "func"}
 
 
+def _require_non_negative(**values: int) -> None:
+    """Refuse a negative value of the integer flags named by the keywords."""
+    for name, value in values.items():
+        if value < 0:
+            raise InvalidInputError(f"--{name} {value}: must be >= 0")
+
+
 def _require_files(*paths: str) -> None:
     missing = [p for p in paths if p and not Path(p).exists()]
     if missing:
@@ -127,6 +136,7 @@ def _require_files(*paths: str) -> None:
 
 
 def cmd_generate_synthetic(args: argparse.Namespace) -> int:
+    _require_non_negative(seed=args.seed)
     data = generate(
         args.kind,
         sizes=(args.train, args.cal, args.test),
@@ -176,8 +186,11 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
 
 def _decision_suffix(bin_id: str, decision) -> str:
     """A decision line after its id: ``json.dumps`` of the whole record,
-    whose key order puts ``id`` first, ends with exactly this text."""
-    fields = json.dumps({"bin": bin_id, "action": decision.action, "est_costs": decision.est_costs})
+    whose key order puts ``id`` first, ends with exactly this text. An action
+    whose estimated cost is infinite (switched off) can never win and is left
+    out of ``est_costs``, so the line is strict JSON."""
+    costs = {action: cost for action, cost in decision.est_costs.items() if not math.isinf(cost)}
+    fields = json.dumps({"bin": bin_id, "action": decision.action, "est_costs": costs}, allow_nan=False)
     return ", " + fields[1:] + "\n"
 
 
@@ -250,6 +263,7 @@ def cmd_route(args: argparse.Namespace) -> int:
 
 
 def cmd_curve(args: argparse.Namespace) -> int:
+    _require_non_negative(seed=args.seed)
     _require_files(args.model, args.test)
     model = storage.load_model(args.model)
     test = storage.ingest(args.test)
@@ -316,6 +330,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_diagnose(args: argparse.Namespace) -> int:
+    _require_non_negative(seed=args.seed, trials=args.trials)
     report: dict = {}
     failed = False
     if args.self_test:
@@ -349,7 +364,7 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
         failed = failed or any(not r.passed for r in spots)
     elif not args.self_test:
         raise InvalidInputError("diagnose needs --self-test and/or --model with --test")
-    print(json.dumps(report, indent=2, sort_keys=True))
+    print(json.dumps(storage.json_value(report), indent=2, sort_keys=True, allow_nan=False))
     storage.write_manifest(
         _manifest_path(args, None, "diagnose.manifest.json"),
         command="diagnose",
@@ -452,7 +467,7 @@ def cli_dispatch(argv: list[str]) -> int:
     try:
         return args.func(args)
     except (InvalidInputError, UnsupportedLossError, UnsupportedDiagnosticError, OSError) as err:
-        print(json.dumps({"error": type(err).__name__, "message": str(err)}), file=sys.stderr)
+        print(json.dumps({"error": type(err).__name__, "message": str(err)}, allow_nan=False), file=sys.stderr)
         return 1
 
 

@@ -188,6 +188,123 @@ def ground_truth(example: SnapshotExample) -> LabelDistribution:
     return example.p_star if example.p_star is not None else example.snapshot_mean
 
 
+def nan_padded(flat: np.ndarray, lengths: np.ndarray) -> np.ndarray | None:
+    """Consecutive runs of ``flat``, ``lengths[i]`` values for row ``i``, as
+    the rows of one matrix, NaN past each run; None when every run is empty."""
+    if not lengths.any():
+        return None
+    out = np.full((lengths.size, lengths.max()), np.nan)
+    out[np.arange(out.shape[1]) < lengths[:, None]] = flat
+    return out
+
+
+@dataclass(frozen=True, eq=False)
+class SnapshotBatch:
+    """Snapshot records as columns, row for row: what every batch path reads.
+
+    ``counts`` holds each row's labels as per-class counts. ``features`` is
+    NaN past a row's own features and ``p_star`` (the exact conditional) a NaN
+    row where a record has none; each is None when no row has one. ``means``
+    (``counts / k``) and ``truth`` (``p_star`` where present, the mean
+    otherwise) are derived at construction with ``LabelDistribution``'s
+    arithmetic, so a row's values do not depend on the batch it is in.
+    ``batch[i]`` is row ``i`` as a ``SnapshotExample``, its labels grouped by
+    class; a slice is a batch.
+    """
+
+    ids: list[str]
+    probs: np.ndarray  # (n, K) weak predictions
+    counts: np.ndarray  # (n, K) integer label counts
+    features: np.ndarray | None = None  # (n, F)
+    p_star: np.ndarray | None = None  # (n, K)
+    means: np.ndarray = field(init=False)
+    truth: np.ndarray = field(init=False)
+
+    def __post_init__(self) -> None:
+        n = len(self.ids)
+        probs, counts = np.array(self.probs, dtype=float, ndmin=2), np.array(self.counts, ndmin=2)
+        p_star = np.full(probs.shape, np.nan) if self.p_star is None else np.array(self.p_star, dtype=float, ndmin=2)
+        features = np.empty((n, 0)) if self.features is None else np.array(self.features, dtype=float)
+        present = ~np.isnan(p_star).all(axis=-1)
+        if not (
+            probs.shape[0] == n
+            and probs.shape[1] >= 2
+            and probs.shape == counts.shape == p_star.shape
+            and features.shape[:1] == (n,)
+            and features.ndim == 2
+            and np.issubdtype(counts.dtype, np.integer)
+            and (counts >= 0).all()
+            and counts.sum(axis=1).all()
+            and simplex_ok(probs).all()
+            and simplex_ok(p_star[present]).all()
+        ):
+            raise InvalidInputError(
+                "need, for each id, probabilities and label counts (at least one label) over the same >= 2 classes,"
+                " a p_star row of probabilities or of NaN, and a row of features"
+            )
+        means = normalize_simplex(counts / counts.sum(axis=1, keepdims=True))
+        p_star[present] = normalize_simplex(p_star[present])
+        columns = {
+            "ids": list(self.ids),
+            "probs": normalize_simplex(probs),
+            "counts": counts,
+            "features": None if self.features is None else features,
+            "p_star": p_star if present.any() else None,
+            "means": means,
+            "truth": np.where(present[:, None], p_star, means),
+        }
+        for name, column in columns.items():
+            if isinstance(column, np.ndarray):
+                column.flags.writeable = False
+            object.__setattr__(self, name, column)
+
+    @classmethod
+    def from_examples(cls, examples: Sequence[SnapshotExample]) -> SnapshotBatch:
+        """The columns of a sequence of records: the one place rows are stacked."""
+        examples = list(examples)
+        if not examples or len({e.num_classes for e in examples}) != 1:
+            raise InvalidInputError("need examples, all over the same number of classes")
+        num_classes = examples[0].num_classes
+        features = [np.zeros(0) if e.features is None else e.features.ravel() for e in examples]
+        return cls(
+            ids=[e.id for e in examples],
+            probs=np.stack([e.weak_pred.probs for e in examples]),
+            counts=np.stack([np.bincount(e.labels, minlength=num_classes) for e in examples]),
+            features=nan_padded(np.concatenate(features), np.array([f.size for f in features])),
+            p_star=np.stack([np.full(num_classes, np.nan) if e.p_star is None else e.p_star.probs for e in examples]),
+        )
+
+    @property
+    def num_classes(self) -> int:
+        return int(self.probs.shape[1])
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
+
+    def __getitem__(self, index) -> SnapshotExample | SnapshotBatch:
+        if isinstance(index, slice):
+            columns = {name: getattr(self, name) for name in ("probs", "counts", "features", "p_star")}
+            return SnapshotBatch(self.ids[index], **{k: None if c is None else c[index] for k, c in columns.items()})
+        i = range(len(self))[index]
+        features = np.empty(0) if self.features is None else self.features[i][~np.isnan(self.features[i])]
+        has_p_star = self.p_star is not None and not np.isnan(self.p_star[i, 0])
+        return SnapshotExample(
+            id=self.ids[i],
+            weak_pred=LabelDistribution(self.probs[i]),
+            labels=np.repeat(np.arange(self.num_classes), self.counts[i]),
+            features=features if features.size else None,
+            p_star=LabelDistribution(self.p_star[i]) if has_p_star else None,
+        )
+
+
+def as_batch(data: SnapshotBatch | Sequence[SnapshotExample]) -> SnapshotBatch:
+    """``data`` itself when it is a batch, its columns when it is a sequence of records."""
+    return data if isinstance(data, SnapshotBatch) else SnapshotBatch.from_examples(data)
+
+
 # ---------------------------------------------------------------------------
 # Routing configuration and decisions
 # ---------------------------------------------------------------------------
@@ -242,33 +359,3 @@ class RoutingDecision:
         """Pick the cost-minimizing action; exact ties resolve by priority."""
         best = min(est_costs, key=lambda a: (est_costs[a], action_priority(a)))
         return cls(action=best, est_costs={a: float(c) for a, c in est_costs.items()})
-
-
-# ---------------------------------------------------------------------------
-# Array helpers shared by the numeric modules
-# ---------------------------------------------------------------------------
-
-
-def feature_matrix(rows: Sequence[np.ndarray | None]) -> np.ndarray | None:
-    """Per-row feature vectors as one ``(n, F)`` matrix, ``F`` the longest
-    vector; NaN fills the entries a row lacks. None when no row has features."""
-    present = [f for f in rows if f is not None]
-    if not present:
-        return None
-    out = np.full((len(rows), max(f.size for f in present)), np.nan)
-    for i, f in enumerate(rows):
-        if f is not None:
-            out[i, : f.size] = f
-    return out
-
-
-def weak_pred_matrix(examples: Sequence[SnapshotExample]) -> np.ndarray:
-    return np.stack([e.weak_pred.probs for e in examples])
-
-
-def snapshot_mean_matrix(examples: Sequence[SnapshotExample]) -> np.ndarray:
-    return np.stack([e.snapshot_mean.probs for e in examples])
-
-
-def ground_truth_matrix(examples: Sequence[SnapshotExample]) -> np.ndarray:
-    return np.stack([ground_truth(e).probs for e in examples])

@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .calibrator import calibrate, wasserstein_1d
-from .core import ABSTAIN, PREDICT, RoutingConfig, action_priority, ground_truth_matrix
+from .core import ABSTAIN, PREDICT, RoutingConfig, action_priority
 from .losses import (
     BINARY_ONLY,
     LossSpec,
@@ -23,7 +23,7 @@ from .losses import (
     expected_loss_batch,
     pointwise_loss,
 )
-from .partition import _assign_examples, _bin_positions, fit
+from .partition import _bin_positions, assign_rows, fit
 from .router import OracleSpec, simulated_costs, tree_decide
 from .synthetic import SINUSOIDAL, generate
 
@@ -196,11 +196,11 @@ def check_simulated_cost_gap(seed: int = 0) -> CheckResult:
     spec = LossSpec("brier")
     model = calibrate(fit("topclass", data.calibration, buckets=10), data.calibration, recalibrate=True)
     config = RoutingConfig(loss=spec, route_penalties=(0.05,), abstain_penalty=math.inf)
-    truth = ground_truth_matrix(data.test)
+    truth = data.test.truth
 
     excesses = []
     oracle = OracleSpec(kind="bayes")
-    for b, idxs in _bin_positions(*_assign_examples(model.partition, data.test)).items():
+    for b, idxs in _bin_positions(*assign_rows(model.partition, data.test.probs, data.test.features)).items():
         mixture = model.mixture(b)
         sim = simulated_costs(model, b, config, oracles=[oracle])
         centroid = model.deployed_row(b, mixture.preds[0])

@@ -31,12 +31,13 @@ from .core import (
     InvalidInputError,
     RoutingConfig,
     RoutingDecision,
+    SnapshotBatch,
     SnapshotExample,
     UnsupportedLossError,
-    ground_truth_matrix,
+    as_batch,
 )
 from .losses import LossSpec, entropy_batch, expected_loss_batch
-from .partition import _assign_examples, _bin_positions
+from .partition import _bin_positions, assign_rows
 from .router import OracleSpec, _check_oracles, decide, simulated_costs
 
 HOC_ROUTER = "hoc_router"
@@ -81,16 +82,16 @@ class CostSweep:
 
 
 def per_point_losses(
-    test: Sequence[SnapshotExample],
+    test: SnapshotBatch | Sequence[SnapshotExample],
     loss: LossSpec,
     model: CalibratedRouterModel | None = None,
     use_recalibrated: bool = True,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(weak loss, oracle loss) per test point against the ground-truth
     source: the exact conditional when attached, the snapshot mean otherwise."""
-    truth = ground_truth_matrix(test)
+    test = as_batch(test)
     deployed = _deployed(test, model, use_recalibrated)
-    return expected_loss_batch(loss, truth, deployed), entropy_batch(loss, truth)
+    return expected_loss_batch(loss, test.truth, deployed), entropy_batch(loss, test.truth)
 
 
 def _ordered_prefix(scores, ids, weak_losses, oracle_losses):
@@ -124,7 +125,7 @@ def _grid_curve(policy, ids, weak_losses, oracle_losses, loss_name, grid_points)
 
 def routing_curve(
     policy: RankedPolicy,
-    test: Sequence[SnapshotExample],
+    test: SnapshotBatch | Sequence[SnapshotExample],
     loss: LossSpec,
     model: CalibratedRouterModel | None = None,
     use_recalibrated: bool = True,
@@ -137,17 +138,16 @@ def routing_curve(
     """
     if len(policy.scores) != len(test):
         raise InvalidInputError("policy scores do not cover the test set")
+    test = as_batch(test)
     weak_losses, oracle_losses = per_point_losses(test, loss, model, use_recalibrated)
-    ids = np.array([e.id for e in test])
-    return _grid_curve(policy, ids, weak_losses, oracle_losses, loss.name, grid_points)
+    return _grid_curve(policy, np.array(test.ids), weak_losses, oracle_losses, loss.name, grid_points)
 
 
-def router_scores(
-    model: CalibratedRouterModel, test: Sequence[SnapshotExample], loss: LossSpec
-) -> RankedPolicy:
+def router_scores(model: CalibratedRouterModel, test: SnapshotBatch | Sequence[SnapshotExample], loss: LossSpec) -> RankedPolicy:
     """The calibrated router's ranking: each point scored by the estimated
     reducible loss of its bin."""
-    bins, index = _assign_examples(model.partition, test)
+    test = as_batch(test)
+    bins, index = assign_rows(model.partition, test.probs, test.features)
     reducible = np.array([estimate_decomposition(model, b, loss)[1] for b in bins])
     return RankedPolicy(HOC_ROUTER, reducible[index])
 
@@ -165,12 +165,11 @@ class _EvalArrays:
     oracle_cost: np.ndarray  # (oracles, n) true oracle loss, before penalties
 
 
-def _eval_arrays(model, test, loss, oracles, use_recalibrated) -> _EvalArrays:
-    bins, index = _assign_examples(model.partition, test)
-    truth = ground_truth_matrix(test)
+def _eval_arrays(model, test: SnapshotBatch, loss, oracles, use_recalibrated) -> _EvalArrays:
+    bins, index = assign_rows(model.partition, test.probs, test.features)
     deployed = _deployed(test, model, use_recalibrated, (bins, index))
-    predict_cost = expected_loss_batch(loss, truth, deployed)
-    oracle_cost = np.stack([o.point_costs(loss, truth) for o in oracles])
+    predict_cost = expected_loss_batch(loss, test.truth, deployed)
+    oracle_cost = np.stack([o.point_costs(loss, test.truth) for o in oracles])
     positions = _bin_positions(bins, index)
     return _EvalArrays(
         unique_bins=sorted(positions),
@@ -202,7 +201,7 @@ def _decide_bins(model, unique_bins, config, oracles) -> dict[str, str]:
 
 def policy_point_costs(
     model: CalibratedRouterModel,
-    test: Sequence[SnapshotExample],
+    test: SnapshotBatch | Sequence[SnapshotExample],
     config: RoutingConfig,
     oracles: Sequence[OracleSpec] | None = None,
     decide_config: RoutingConfig | None = None,
@@ -216,14 +215,14 @@ def policy_point_costs(
     two-way policies.
     """
     oracles = _check_oracles(config, oracles)
-    arrays = _eval_arrays(model, test, config.loss, oracles, use_recalibrated)
+    arrays = _eval_arrays(model, as_batch(test), config.loss, oracles, use_recalibrated)
     actions = _decide_bins(model, arrays.unique_bins, decide_config or config, oracles)
     return _realized(arrays, actions, config)
 
 
 def bucket_optimal_point_costs(
     model: CalibratedRouterModel,
-    test: Sequence[SnapshotExample],
+    test: SnapshotBatch | Sequence[SnapshotExample],
     config: RoutingConfig,
     oracles: Sequence[OracleSpec] | None = None,
     use_recalibrated: bool = True,
@@ -231,7 +230,7 @@ def bucket_optimal_point_costs(
     """Realized per-point cost of the best constant action per bin, measured
     on the test set itself (oracle baseline)."""
     oracles = _check_oracles(config, oracles)
-    arrays = _eval_arrays(model, test, config.loss, oracles, use_recalibrated)
+    arrays = _eval_arrays(model, as_batch(test), config.loss, oracles, use_recalibrated)
     actions: dict[str, str] = {}
     for b, idxs in arrays.positions.items():
         costs = {PREDICT: float(arrays.predict_cost[idxs].mean()), ABSTAIN: config.abstain_penalty}
@@ -243,7 +242,7 @@ def bucket_optimal_point_costs(
 
 def cost_sweep(
     model: CalibratedRouterModel,
-    test: Sequence[SnapshotExample],
+    test: SnapshotBatch | Sequence[SnapshotExample],
     loss: LossSpec,
     alpha: float,
     betas: Sequence[float],
@@ -257,7 +256,7 @@ def cost_sweep(
         raise InvalidInputError("empty beta grid")
     probe = RoutingConfig(loss=loss, route_penalties=(alpha,), abstain_penalty=float(betas[0]))
     oracles = _check_oracles(probe, oracles)
-    arrays = _eval_arrays(model, test, loss, oracles, use_recalibrated)
+    arrays = _eval_arrays(model, as_batch(test), loss, oracles, use_recalibrated)
 
     rows: list[SweepRow] = []
     max_gap = -math.inf
@@ -287,7 +286,7 @@ def cost_sweep(
 
 def multi_loss_report(
     model: CalibratedRouterModel,
-    test: Sequence[SnapshotExample],
+    test: SnapshotBatch | Sequence[SnapshotExample],
     losses: Sequence[LossSpec],
     external: dict[str, dict[str, float]] | None = None,
     random_seed: int | None = None,
@@ -300,7 +299,8 @@ def multi_loss_report(
     skipped with a warning.
     """
     report: dict[str, list[RoutingCurve]] = {}
-    ids = np.array([e.id for e in test])
+    test = as_batch(test)
+    ids = np.array(test.ids)
     for loss in losses:
         try:
             policies = [

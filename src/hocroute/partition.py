@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import InvalidInputError, SnapshotExample, feature_matrix, snapshot_mean_matrix, weak_pred_matrix
+from .core import InvalidInputError, SnapshotBatch, SnapshotExample, as_batch
 from .losses import LossSpec, entropy_batch, expected_loss_batch
 
 TOP_CLASS = "topclass"
@@ -98,7 +98,7 @@ class PartitionSpec:
 
 def fit(
     kind: str,
-    calibration: Sequence[SnapshotExample],
+    calibration: SnapshotBatch | Sequence[SnapshotExample],
     buckets: int = 10,
     feature_index: int = 0,
 ) -> PartitionSpec:
@@ -109,9 +109,12 @@ def fit(
         raise InvalidInputError("calibration set is empty")
     if buckets < 1:
         raise InvalidInputError("need at least one bucket")
+    if feature_index < 0:
+        raise InvalidInputError("feature_index must be >= 0")
+    data = as_batch(calibration)
 
     if kind == TOP_CLASS:
-        preds = weak_pred_matrix(calibration)
+        preds = data.probs
         classes = np.argmax(preds, axis=1)
         confidences = preds[np.arange(preds.shape[0]), classes]
         class_edges = {
@@ -120,15 +123,16 @@ def fit(
         return PartitionSpec(kind=kind, buckets=buckets, class_edges=class_edges)
 
     if kind == FEATURE:
-        values = []
-        for e in calibration:
-            if e.features is None or e.features.size <= feature_index:
-                raise InvalidInputError(f"example {e.id} lacks feature {feature_index}")
-            values.append(e.features[feature_index])
-        edges = _rank_edges(np.asarray(values), buckets)
-        return PartitionSpec(kind=kind, buckets=buckets, edges=edges, feature_index=feature_index)
+        j = feature_index
+        present = data.features is not None and data.features.shape[1] > j
+        values = data.features[:, j] if present else np.full(len(data), np.nan)
+        lacking = np.isnan(values)
+        if lacking.any():
+            raise InvalidInputError(f"example {data.ids[int(np.argmax(lacking))]} lacks feature {j}")
+        edges = _rank_edges(values, buckets)
+        return PartitionSpec(kind=kind, buckets=buckets, edges=edges, feature_index=j)
 
-    keys = frozenset(_level_key(e.weak_pred.probs) for e in calibration)
+    keys = frozenset(map(_level_key, data.probs))
     return PartitionSpec(kind=kind, buckets=len(keys), level_keys=keys)
 
 
@@ -188,12 +192,6 @@ def assign_rows(
     return list(first_seen), index
 
 
-def _assign_examples(spec: PartitionSpec, examples: Sequence) -> tuple[list[str], np.ndarray]:
-    """``assign_rows`` over a sequence of examples: distinct bin ids, row indices."""
-    features = feature_matrix([e.features for e in examples]) if spec.kind == FEATURE else None
-    return assign_rows(spec, weak_pred_matrix(examples), features)
-
-
 def _bin_positions(bins: list[str], index: np.ndarray) -> dict[str, np.ndarray]:
     """Each bin's row positions in input order, keyed by bin id in order of
     first appearance, as a loop over the rows would meet them."""
@@ -202,9 +200,10 @@ def _bin_positions(bins: list[str], index: np.ndarray) -> dict[str, np.ndarray]:
     return {bins[j]: rows[j] for j in sorted(range(len(bins)), key=lambda j: rows[j][0])}
 
 
-def assign_many(spec: PartitionSpec, examples: Sequence) -> list[str]:
-    """``assign`` over a sequence of examples, through ``assign_rows``."""
-    bins, index = _assign_examples(spec, examples)
+def assign_many(spec: PartitionSpec, examples: SnapshotBatch | Sequence[SnapshotExample]) -> list[str]:
+    """``assign`` of every row, through ``assign_rows``."""
+    data = as_batch(examples)
+    bins, index = assign_rows(spec, data.probs, data.features)
     return [bins[i] for i in index.tolist()]
 
 
@@ -234,14 +233,13 @@ class PartitionQualityReport:
 
 
 def partition_quality(
-    spec: PartitionSpec, data: Sequence[SnapshotExample], loss: LossSpec
+    spec: PartitionSpec, data: SnapshotBatch | Sequence[SnapshotExample], loss: LossSpec
 ) -> PartitionQualityReport:
     if not data:
         raise InvalidInputError("no data to evaluate partition quality")
-    means = snapshot_mean_matrix(data)
-    preds = weak_pred_matrix(data)
-    reducible = expected_loss_batch(loss, means, preds) - entropy_batch(loss, means)
-    positions = _bin_positions(*_assign_examples(spec, data))
+    data = as_batch(data)
+    reducible = expected_loss_batch(loss, data.means, data.probs) - entropy_batch(loss, data.means)
+    positions = _bin_positions(*assign_rows(spec, data.probs, data.features))
 
     per_bin: dict[str, float] = {}
     counts: dict[str, int] = {}

@@ -15,6 +15,7 @@ import io
 import json
 import math
 from dataclasses import dataclass
+from itertools import chain, islice
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -24,8 +25,10 @@ from .calibrator import CalibratedRouterModel, TaggedMixture
 from .core import (
     InvalidInputError,
     LabelDistribution,
+    SnapshotBatch,
     SnapshotExample,
-    feature_matrix,
+    as_batch,
+    nan_padded,
     normalize_simplex,
     simplex_ok,
 )
@@ -55,31 +58,45 @@ def sha256_file(path: str | Path) -> str:
 # Datasets
 # ---------------------------------------------------------------------------
 
+# Dataset lines decoded and checked (or written) together. The decoded JSON
+# of a chunk is many times the size of the columns it becomes, so chunks stay
+# small.
+INGEST_CHUNK_LINES = 256
+
 
 def write_dataset(
     path: str | Path,
-    examples: Sequence[SnapshotExample],
+    examples: SnapshotBatch | Sequence[SnapshotExample],
     class_names: Sequence[str] | None = None,
 ) -> None:
+    """Write a dataset and its header sidecar, one record per row; a row's
+    labels are written grouped by class."""
     if not examples:
         raise InvalidInputError("refusing to write an empty dataset")
-    num_classes = examples[0].num_classes
-    header = {"format": DATASET_FORMAT, "version": FORMAT_VERSION, "num_classes": num_classes}
+    batch = as_batch(examples)
+    header = {"format": DATASET_FORMAT, "version": FORMAT_VERSION, "num_classes": batch.num_classes}
     if class_names is not None:
         header["class_names"] = list(class_names)
     header_path(path).write_text(json.dumps(header, indent=2) + "\n")
     with open(path, "w") as fh:
-        for e in examples:
-            record: dict = {
-                "id": e.id,
-                "weak_probs": e.weak_pred.probs.tolist(),
-                "labels": e.labels.tolist(),
-            }
-            if e.features is not None:
-                record["features"] = e.features.tolist()
-            if e.p_star is not None:
-                record["p_star"] = e.p_star.probs.tolist()
-            fh.write(json.dumps(record) + "\n")
+        for start in range(0, len(batch), INGEST_CHUNK_LINES):
+            rows = slice(start, start + INGEST_CHUNK_LINES)
+            absent = [None] * len(batch.ids[rows])
+            features = absent if batch.features is None else batch.features[rows].tolist()
+            p_stars = absent if batch.p_star is None else batch.p_star[rows].tolist()
+            lines = []
+            for eid, probs, counts, row_features, p_star in zip(
+                batch.ids[rows], batch.probs[rows].tolist(), batch.counts[rows].tolist(), features, p_stars
+            ):
+                labels = list(chain.from_iterable([c] * n for c, n in enumerate(counts)))
+                record: dict = {"id": eid, "weak_probs": probs, "labels": labels}
+                row_features = [v for v in row_features or () if not math.isnan(v)]
+                if row_features:
+                    record["features"] = row_features
+                if p_star is not None and not math.isnan(p_star[0]):
+                    record["p_star"] = p_star
+                lines.append(json.dumps(record) + "\n")
+            fh.write("".join(lines))
 
 
 def _record_error(lineno: int, field: str, message: str) -> InvalidInputError:
@@ -137,21 +154,89 @@ def _check_fields(
     return weak, features
 
 
-def _parse_record(record: dict, num_classes: int, lineno: int) -> SnapshotExample:
-    weak, features = _check_fields(record, num_classes, lineno, ("id", "weak_probs", "labels"))
+def _check_line(line: str, num_classes: int, lineno: int, min_features: int = 0, dataset: bool = False) -> None:
+    """Raise for the first field of a line that breaks a rule of
+    ``_read_columns``: ``_check_fields``, at least ``min_features`` features
+    and, in a dataset record, ``labels`` a nonempty flat list of class indices
+    and ``p_star``, when present, a valid distribution."""
+    record = _decode(line, lineno)
+    required = ("id", "weak_probs", "labels") if dataset else ("id", "weak_probs")
+    _, features = _check_fields(record, num_classes, lineno, required)
+    if features is None and min_features:
+        raise _record_error(lineno, "features", "missing")
+    if features is not None and features.size < min_features:
+        raise _record_error(lineno, "features", f"expected at least {min_features} entries")
+    if not dataset:
+        return
     labels = record["labels"]
     if not isinstance(labels, list) or not labels:
         raise _record_error(lineno, "labels", "must be a nonempty list")
-    try:
-        labels = np.asarray(labels)
-    except ValueError:  # ragged nesting
-        labels = None
-    if labels is None or labels.ndim != 1 or not np.issubdtype(labels.dtype, np.integer):
+    if set(map(type, labels)) != {int}:
         raise _record_error(lineno, "labels", "must be a flat list of integers")
-    if labels.min() < 0 or labels.max() >= num_classes:
+    if min(labels) < 0 or max(labels) >= num_classes:
         raise _record_error(lineno, "labels", f"class index out of range for {num_classes} classes")
-    p_star = None if record.get("p_star") is None else _distribution(record, "p_star", num_classes, lineno)
-    return SnapshotExample(id=str(record["id"]), weak_pred=weak, labels=labels, features=features, p_star=p_star)
+    if record.get("p_star") is not None:
+        _distribution(record, "p_star", num_classes, lineno)
+
+
+def _distributions(values: list, num_classes: int) -> np.ndarray:
+    """``_distribution`` over a column: one normalized row per value."""
+    probs = np.array(values, dtype=float)
+    if (
+        probs.shape != (len(values), num_classes)
+        or not (abs(probs.sum(axis=1) - 1.0) <= PROB_SUM_TOL).all()
+        or not simplex_ok(probs).all()
+    ):
+        raise ValueError("not probability vectors")
+    return normalize_simplex(probs)
+
+
+def _flat_rows(rows: list) -> tuple[list, np.ndarray]:
+    """The items of ``rows``, which must be lists (or None, for no items), in
+    one flat list, and the number of items in each row."""
+    if rows.count(None) == len(rows):
+        return [], np.zeros(len(rows), dtype=np.intp)
+    rows = [[] if row is None else row for row in rows]
+    if not all(type(row) is list for row in rows):
+        raise TypeError("rows must be lists")
+    return list(chain.from_iterable(rows)), np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
+
+
+def _read_columns(numbered: list[tuple[int, str]], num_classes: int, min_features: int = 0, dataset: bool = False):
+    """The columns of the nonblank ``(line number, line)`` pairs ``numbered``,
+    checked once with the rules of ``_check_line`` and the arithmetic of
+    ``_check_fields``: the ids, the normalized ``weak_probs``, every feature
+    in one flat array with each record's count and, for a dataset, per-class
+    label counts and ``p_star`` rows (NaN where a record has none). When some
+    line breaks a rule, the lines are read again one at a time by
+    ``_check_line``, so the error names the first bad line and field."""
+    try:
+        records = [json.loads(line) for _, line in numbered]
+        ids = [str(record["id"]) for record in records]
+        probs = _distributions([record["weak_probs"] for record in records], num_classes)
+        values, lengths = _flat_rows([record.get("features") for record in records])
+        features = np.array(values, dtype=float)
+        if features.ndim != 1 or not np.isfinite(features).all() or lengths.min() < min_features:
+            raise ValueError("features must be lists of finite numbers")
+        if not dataset:
+            return ids, probs, features, lengths
+        labels, sizes = _flat_rows([record["labels"] for record in records])
+        if not sizes.all() or set(map(type, labels)) != {int}:
+            raise TypeError("labels must be nonempty lists of integers")
+        classes = np.fromiter(labels, dtype=np.intp, count=len(labels))
+        if classes.min() < 0 or classes.max() >= num_classes:
+            raise ValueError("class index out of range")
+        cells = np.repeat(np.arange(len(records)) * num_classes, sizes) + classes
+        counts = np.bincount(cells, minlength=len(records) * num_classes).reshape(-1, num_classes)
+        p_star = np.full((len(records), num_classes), np.nan)
+        present = [i for i, record in enumerate(records) if record.get("p_star") is not None]
+        if present:
+            p_star[present] = _distributions([records[i]["p_star"] for i in present], num_classes)
+        return ids, probs, features, lengths, counts, p_star
+    except (ValueError, TypeError, KeyError, OverflowError, RecursionError):
+        for lineno, line in numbered:
+            _check_line(line, num_classes, lineno, min_features, dataset)
+        raise AssertionError("the column check refused lines that the per-line check accepts") from None
 
 
 def _num_classes(value) -> int:
@@ -179,24 +264,35 @@ def read_header(path: str | Path) -> dict:
     return header
 
 
-def ingest(path: str | Path) -> list[SnapshotExample]:
-    """Validated examples in file order; malformed records fail with their
-    line number and the offending field."""
+def ingest(path: str | Path) -> SnapshotBatch:
+    """The records of a dataset file, in file order, as one batch. Lines are
+    decoded and checked ``INGEST_CHUNK_LINES`` at a time; a malformed record
+    fails with its line number and the offending field."""
     path = Path(path)
     if not path.exists():
         raise InvalidInputError(f"dataset file {path} does not exist")
     num_classes = int(read_header(path)["num_classes"])
-    examples: list[SnapshotExample] = []
+    chunks = []
     try:
         with open(path) as fh:
-            for lineno, line in enumerate(fh, start=1):
-                if line.strip():
-                    examples.append(_parse_record(_decode(line, lineno), num_classes, lineno))
+            lineno = 1
+            while lines := list(islice(fh, INGEST_CHUNK_LINES)):
+                numbered = [(lineno + i, line) for i, line in enumerate(lines) if line.strip()]
+                lineno += len(lines)
+                if numbered:
+                    chunks.append(_read_columns(numbered, num_classes, dataset=True))
     except UnicodeDecodeError as err:
         raise InvalidInputError(f"{path}: not UTF-8 text ({err})") from None
-    if not examples:
+    if not chunks:
         raise InvalidInputError(f"dataset file {path} holds no records")
-    return examples
+    ids, probs, features, lengths, counts, p_star = zip(*chunks)
+    return SnapshotBatch(
+        ids=list(chain.from_iterable(ids)),
+        probs=np.concatenate(probs),
+        counts=np.concatenate(counts),
+        features=nan_padded(np.concatenate(features), np.concatenate(lengths)),
+        p_star=np.concatenate(p_star),
+    )
 
 
 @dataclass(frozen=True)
@@ -224,56 +320,18 @@ class QueryBatch:
     linenos: list[int]
 
 
-def _query_columns(numbered: list[tuple[int, str]], num_classes: int, min_features: int) -> QueryBatch | None:
-    """The columns of well-formed, valid query lines, checked once over the
-    whole batch; None when some line fails (or needs the per-line reader)."""
-    ids, rows, feats = [], [], []
-    try:
-        for _, line in numbered:
-            record = json.loads(line)
-            ids.append(str(record["id"]))
-            rows.append(record["weak_probs"])
-            feats.append(record.get("features"))
-        probs = np.array(rows, dtype=float)
-        features = None if min_features == 0 and feats.count(None) == len(feats) else np.array(feats, dtype=float)
-    except (ValueError, RecursionError, TypeError, KeyError, OverflowError):  # bad JSON, record or field values
-        return None
-    if probs.shape != (len(numbered), num_classes):
-        return None
-    if not (abs(probs.sum(axis=1) - 1.0) <= PROB_SUM_TOL).all() or not simplex_ok(probs).all():
-        return None
-    if features is not None and (
-        features.ndim != 2 or features.shape[1] < min_features or not np.isfinite(features).all()
-    ):
-        return None
-    return QueryBatch(ids=ids, probs=normalize_simplex(probs), features=features, linenos=[n for n, _ in numbered])
-
-
 def parse_queries(lines: Sequence[str], num_classes: int, first_lineno: int = 1, min_features: int = 0) -> QueryBatch:
     """Routing queries from consecutive JSONL lines, the first numbered
     ``first_lineno``; blank lines are skipped. Validation runs once over the
     batch and applies ``parse_query``'s rules with its arithmetic. When a line
     breaks them, or carries fewer than ``min_features`` features, the lines are
-    read again one at a time by ``parse_query``, so the error names the first
-    bad line and field exactly as it would."""
+    read again one at a time, so the error names the first bad line and field
+    exactly as ``parse_query`` would."""
     numbered = [(first_lineno + i, line) for i, line in enumerate(lines) if line.strip()]
-    batch = _query_columns(numbered, num_classes, min_features)
-    if batch is not None:
-        return batch
-    queries = []
-    for lineno, line in numbered:
-        query = parse_query(line, num_classes, lineno)
-        if query.features is None and min_features:
-            raise _record_error(lineno, "features", "missing")
-        if query.features is not None and query.features.size < min_features:
-            raise _record_error(lineno, "features", f"expected at least {min_features} entries")
-        queries.append(query)
-    return QueryBatch(
-        ids=[q.id for q in queries],
-        probs=np.array([q.weak_pred.probs for q in queries]).reshape(len(queries), num_classes),
-        features=feature_matrix([q.features for q in queries]),
-        linenos=[n for n, _ in numbered],
-    )
+    if not numbered:
+        return QueryBatch(ids=[], probs=np.empty((0, num_classes)), features=None, linenos=[])
+    ids, probs, features, lengths = _read_columns(numbered, num_classes, min_features)
+    return QueryBatch(ids=ids, probs=probs, features=nan_padded(features, lengths), linenos=[n for n, _ in numbered])
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +416,7 @@ def save_model(path: str | Path, model: CalibratedRouterModel) -> None:
         "global": records[-1],
         "centroids": {b: c.probs.tolist() for b, c in sorted(model.centroids.items())},
     }
-    Path(path).write_text(json.dumps(payload) + "\n")
+    Path(path).write_text(json.dumps(payload, allow_nan=False) + "\n")
 
 
 def _flag(value) -> bool:
@@ -494,10 +552,22 @@ def write_manifest(
     content hashes of every input file."""
     manifest = {
         "command": command,
-        "args": {k: (str(v) if isinstance(v, Path) else v) for k, v in args.items()},
+        "args": json_value({k: (str(v) if isinstance(v, Path) else v) for k, v in args.items()}),
         "seed": seed,
         "inputs": {str(p): sha256_file(p) for p in inputs},
         "outputs": [str(p) for p in outputs],
     }
-    Path(path).write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    Path(path).write_text(json.dumps(manifest, indent=2, sort_keys=True, allow_nan=False) + "\n")
     return manifest
+
+
+def json_value(value):
+    """``value`` with every float that is not finite written as its text
+    (``"inf"``, ``"-inf"``, ``"nan"``), so that strict JSON can hold it."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else str(float(value))
+    if isinstance(value, (list, tuple)):
+        return [json_value(v) for v in value]
+    if isinstance(value, dict):
+        return {k: json_value(v) for k, v in value.items()}
+    return value

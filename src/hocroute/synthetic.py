@@ -13,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import InvalidInputError, LabelDistribution, SnapshotExample
+from .core import InvalidInputError, LabelDistribution, SnapshotBatch
 from .partition import _rank_edges
 
 SINUSOIDAL = "sinusoidal"
@@ -105,32 +105,23 @@ class SyntheticDataset:
     seed: int
     train_x: np.ndarray
     train_y: np.ndarray
-    calibration: list[SnapshotExample]
-    test: list[SnapshotExample]
+    calibration: SnapshotBatch
+    test: SnapshotBatch
     weak_model: BinnedFrequencyPredictor
 
 
-def _build_examples(
-    prefix: str,
-    x: np.ndarray,
-    labels: np.ndarray,
-    weak: BinnedFrequencyPredictor,
-    p_star: np.ndarray | None,
-) -> list[SnapshotExample]:
-    probs = weak.predict_proba(x)
-    out = []
-    for i in range(x.size):
-        truth = None if p_star is None else LabelDistribution([1.0 - p_star[i], p_star[i]])
-        out.append(
-            SnapshotExample(
-                id=f"{prefix}-{i:06d}",
-                weak_pred=LabelDistribution(probs[i]),
-                labels=labels[i],
-                features=np.array([x[i]]),
-                p_star=truth,
-            )
-        )
-    return out
+def _snapshots(
+    prefix: str, x: np.ndarray, positives: np.ndarray, k: int, weak: BinnedFrequencyPredictor, p_star=None
+) -> SnapshotBatch:
+    """The split whose row ``i`` has input ``x[i]`` and ``positives[i]`` of
+    its ``k`` labels positive."""
+    return SnapshotBatch(
+        ids=[f"{prefix}-{i:06d}" for i in range(x.size)],
+        probs=weak.predict_proba(x),
+        counts=np.column_stack([k - positives, positives]),
+        features=x[:, None],
+        p_star=None if p_star is None else np.column_stack([1.0 - p_star, p_star]),
+    )
 
 
 def generate(
@@ -158,13 +149,13 @@ def generate(
     weak = fit_weak_predictor(train_x, train_y, bins=weak_bins)
 
     cal_x = rng_cal.standard_normal(n_cal)
-    cal_labels = (rng_cal.random((n_cal, k)) < eval_ground_truth(kind, cal_x)[:, None]).astype(np.int32)
-    calibration = _build_examples("cal", cal_x, cal_labels, weak, p_star=None)
+    cal_positives = (rng_cal.random((n_cal, k)) < eval_ground_truth(kind, cal_x)[:, None]).sum(axis=1)
+    calibration = _snapshots("cal", cal_x, cal_positives, k, weak)
 
     test_x = rng_test.standard_normal(n_test)
     test_p = eval_ground_truth(kind, test_x)
-    test_labels = (rng_test.random((n_test, k)) < test_p[:, None]).astype(np.int32)
-    test = _build_examples("test", test_x, test_labels, weak, p_star=test_p)
+    test_positives = (rng_test.random((n_test, k)) < test_p[:, None]).sum(axis=1)
+    test = _snapshots("test", test_x, test_positives, k, weak, p_star=test_p)
 
     return SyntheticDataset(
         kind=kind,

@@ -24,7 +24,6 @@ from hocroute.core import (
     SnapshotExample,
     action_priority,
     ground_truth,
-    snapshot_mean_matrix,
 )
 from hocroute.diagnostics import (
     brute_force_action,
@@ -393,7 +392,7 @@ def test_criterion_10_ingestion_round_trip(tmp_path):
 
 def test_criterion_11_recalibration_benefit(big_run, big_model):
     raw_model = calibrate(big_model.partition, big_run.calibration, recalibrate=False)
-    means = snapshot_mean_matrix(big_run.test)
+    means = big_run.test.means
     raw_loss = float(expected_loss_batch(brier, means, raw_model.deployed_matrix(big_run.test)).mean())
     recal_loss = float(expected_loss_batch(brier, means, big_model.deployed_matrix(big_run.test)).mean())
     assert recal_loss <= raw_loss + 1e-3

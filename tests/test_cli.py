@@ -141,7 +141,7 @@ class TestPipeline:
         )
         assert rc == 0
         record = json.loads(out.read_text().splitlines()[0])
-        assert record["est_costs"]["abstain"] == math.inf
+        assert "abstain" not in record["est_costs"]
         assert record["action"] != "abstain"
 
     def test_route_among_multiple_oracles(self, workspace, tmp_path):
@@ -487,3 +487,58 @@ def test_columnar_route_equals_per_line_reference(route_models, data, kind):
             assert cli_dispatch(["route", "--model", str(paths[kind]), "--alpha", "0.05", "--beta", "0.3",
                                  "--in", str(queries), "--out", str(out)]) == 0
         assert out.read_text() == expected
+
+
+def _strict_json(text: str):
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_route_stream_and_manifest_are_strict_json(workspace, tmp_path):
+    root, data_dir, model_path = workspace
+    queries = tmp_path / "q.jsonl"
+    queries.write_text("".join(_line(g) + "\n" for g in GOOD))
+    out, manifest = tmp_path / "d.jsonl", tmp_path / "route.manifest.json"
+    argv = ["route", "--model", str(model_path), "--in", str(queries), "--out", str(out), "--manifest", str(manifest)]
+    # the default --beta disables abstention; an infinite --alpha disables routing too
+    for extra, actions in (([], {"predict", "route:0"}), (["--alpha", "inf"], {"predict"})):
+        assert cli_dispatch([*argv, *extra]) == 0
+        records = [_strict_json(line) for line in out.read_text().splitlines()]
+        assert len(records) == len(GOOD)
+        assert all(set(r["est_costs"]) == actions and r["action"] in actions for r in records)
+        _strict_json(manifest.read_text())
+    assert _strict_json(manifest.read_text())["args"]["alpha"] == ["inf"]
+
+
+@pytest.mark.parametrize(
+    "command, flags, named",
+    [
+        ("sweep", ["--beta", "0:1:nan"], "--beta"),
+        ("sweep", ["--beta", "0:1:inf"], "--beta"),
+        ("sweep", ["--beta", "0:inf:0.1"], "--beta"),
+        ("generate-synthetic", ["--seed", "-1"], "--seed"),
+        ("diagnose", ["--seed", "-1"], "--seed"),
+        ("curve", ["--policies", "random", "--seed", "-1"], "--seed"),
+        ("diagnose", ["--self-test", "--trials", "-1"], "--trials"),
+        ("calibrate", ["--partition", "feature:3:-1"], "feature_index"),
+    ],
+)
+def test_bad_numeric_parameter_fails_as_invalid_input(command, flags, named, workspace, tmp_path, capsys):
+    root, data_dir, model_path = workspace
+    test = str(data_dir / "test.jsonl")
+    out = str(tmp_path / "out")
+    required = {
+        "sweep": ["--model", str(model_path), "--test", test, "--out", out],
+        "generate-synthetic": ["--train", "50", "--cal", "20", "--test", "20", "--out-dir", out],
+        "diagnose": ["--model", str(model_path), "--test", test],
+        "curve": ["--model", str(model_path), "--test", test, "--out", out],
+        "calibrate": ["--in", str(data_dir / "calibration.jsonl"), "--out", out],
+    }
+    assert cli_dispatch([command, *required[command], *flags]) == 1
+    err_lines = capsys.readouterr().err.splitlines()
+    assert len(err_lines) == 1
+    error = json.loads(err_lines[0])
+    assert error["error"] == "InvalidInputError" and named in error["message"]
+    assert not (tmp_path / "out").exists()

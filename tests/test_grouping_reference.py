@@ -21,9 +21,7 @@ from hocroute.core import (
     PREDICT,
     RoutingConfig,
     RoutingDecision,
-    ground_truth_matrix,
-    snapshot_mean_matrix,
-    weak_pred_matrix,
+    ground_truth,
 )
 from hocroute.evaluation import bucket_optimal_point_costs, policy_point_costs, router_scores
 from hocroute.losses import LossSpec, entropy_batch, expected_loss_batch
@@ -47,7 +45,7 @@ def _group(bins):
 
 
 def ref_deployed_matrix(model, examples):
-    raw = weak_pred_matrix(examples)
+    raw = np.stack([e.weak_pred.probs for e in examples])
     if not model.recalibrated:
         return raw
     rows = []
@@ -59,12 +57,12 @@ def ref_deployed_matrix(model, examples):
 
 def ref_deployed(test, model, use_recalibrated):
     if model is None or not use_recalibrated:
-        return weak_pred_matrix(test)
+        return np.stack([e.weak_pred.probs for e in test])
     return ref_deployed_matrix(model, test)
 
 
 def ref_bucket_optimal_scores(test, loss, model, truths=None, use_recalibrated=True):
-    gt = ground_truth_matrix(test) if truths is None else np.asarray(truths, dtype=float)
+    gt = np.stack([ground_truth(e).probs for e in test]) if truths is None else np.asarray(truths, dtype=float)
     reducible = expected_loss_batch(loss, gt, ref_deployed(test, model, use_recalibrated)) - entropy_batch(loss, gt)
     bins = assign_many(model.partition, test)
     sums, counts = {}, {}
@@ -100,8 +98,8 @@ def ref_partition_quality(spec, data, loss):
 
 def ref_calibrate_bins(partition, calibration, recalibrate):
     """bin id -> (stored predictions, snapshot means, centroid or None)."""
-    preds = weak_pred_matrix(calibration)
-    means = snapshot_mean_matrix(calibration)
+    preds = np.stack([e.weak_pred.probs for e in calibration])
+    means = np.stack([e.snapshot_mean.probs for e in calibration])
     out = {}
     for b, idxs in _group(assign_many(partition, calibration)).items():
         bin_means = means[idxs]
@@ -114,7 +112,7 @@ def ref_calibrate_bins(partition, calibration, recalibrate):
 
 
 def ref_wasserstein_error(model, reference):
-    ref_means = snapshot_mean_matrix(reference)
+    ref_means = np.stack([e.snapshot_mean.probs for e in reference])
     grouped = _group(assign_many(model.partition, reference))
     return {
         b: 2.0 * wasserstein_1d(model.mixture(b).means[:, 1], ref_means[idxs, 1]) for b, idxs in grouped.items()
@@ -131,7 +129,7 @@ def ref_aggregate_wasserstein(model, reference):
 
 def ref_eval_arrays(model, test, loss, oracles, use_recalibrated):
     bins = assign_many(model.partition, test)
-    truth = ground_truth_matrix(test)
+    truth = np.stack([ground_truth(e).probs for e in test])
     deployed = ref_deployed(test, model, use_recalibrated)
     predict_cost = expected_loss_batch(loss, truth, deployed)
     oracle_cost = np.stack([o.point_costs(loss, truth) for o in oracles])
@@ -259,7 +257,7 @@ def test_bucket_optimal_scores_equal_reference(case, use_recalibrated):
     _, model, _, test, _ = case
     got = bucket_optimal_scores(test, BRIER, model, use_recalibrated=use_recalibrated).scores
     assert np.array_equal(got, ref_bucket_optimal_scores(test, BRIER, model, use_recalibrated=use_recalibrated))
-    truths = snapshot_mean_matrix(test)
+    truths = np.stack([e.snapshot_mean.probs for e in test])
     got = bucket_optimal_scores(test, BRIER, model, truths=truths, use_recalibrated=use_recalibrated).scores
     assert np.array_equal(got, ref_bucket_optimal_scores(test, BRIER, model, truths, use_recalibrated))
 

@@ -137,8 +137,9 @@ def test_ingest_raises_only_invalid_input(workspace, dataset_lines, data):
     else:
         header = mutate(data, header)
     path = workspace / "fuzzed.jsonl"
-    header_path(path).write_text(header)
-    raw = ("\n".join(lines) + "\n").encode()
+    # surrogatepass: a lone surrogate drawn by the text mutation becomes bytes that are not UTF-8
+    header_path(path).write_bytes(header.encode("utf-8", "surrogatepass"))
+    raw = ("\n".join(lines) + "\n").encode("utf-8", "surrogatepass")
     if data.draw(st.integers(0, 9)) == 0:  # a byte that is not UTF-8
         i = data.draw(st.integers(0, len(raw)))
         raw = raw[:i] + b"\xff" + raw[i:]
@@ -176,7 +177,7 @@ def test_query_readers_raise_only_invalid_input(dataset_lines, data):
 def test_load_model_raises_only_invalid_input(workspace, model_texts, data):
     text = mutate(data, data.draw(st.sampled_from(model_texts)))
     path = workspace / "fuzzed.json"
-    path.write_text(text)
+    path.write_bytes(text.encode("utf-8", "surrogatepass"))
     try:
         model = load_model(path)
     except InvalidInputError:
@@ -190,7 +191,7 @@ def test_load_model_raises_only_invalid_input(workspace, model_texts, data):
 @FUZZ
 @given(data=st.data())
 def test_read_scores_csv_raises_only_invalid_input(workspace, data):
-    raw = mutate_text(data, "id,score\na,0.5\nb,1e-3\nc,-2\n").encode()
+    raw = mutate_text(data, "id,score\na,0.5\nb,1e-3\nc,-2\n").encode("utf-8", "surrogatepass")
     if data.draw(st.integers(0, 4)) == 0:  # a byte that is not UTF-8
         i = data.draw(st.integers(0, len(raw)))
         raw = raw[:i] + b"\xff" + raw[i:]

@@ -72,7 +72,7 @@ class TestGenerate:
         a = generate("three_steps", sizes=(200, 100, 100), k=7, seed=5)
         b = generate("three_steps", sizes=(200, 100, 100), k=7, seed=5)
         np.testing.assert_array_equal(a.train_x, b.train_x)
-        for ea, eb in zip(a.calibration + a.test, b.calibration + b.test):
+        for ea, eb in zip([*a.calibration, *a.test], [*b.calibration, *b.test]):
             assert ea.id == eb.id
             np.testing.assert_array_equal(ea.labels, eb.labels)
             np.testing.assert_array_equal(ea.weak_pred.probs, eb.weak_pred.probs)
