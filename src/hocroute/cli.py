@@ -86,8 +86,12 @@ def parse_oracle(text: str) -> OracleSpec:
     raise InvalidInputError(f"bad oracle spec {text!r}")
 
 
+MAX_GRID_POINTS = 100_000
+
+
 def parse_grid(text: str) -> list[float]:
-    """Inclusive ``lo:hi:step`` grid (endpoints within half a step)."""
+    """Inclusive ``lo:hi:step`` grid (endpoints within half a step) of at
+    most ``MAX_GRID_POINTS`` values."""
     try:
         lo, hi, step = (float(v) for v in text.split(":"))
     except ValueError:
@@ -96,6 +100,9 @@ def parse_grid(text: str) -> list[float]:
         raise InvalidInputError(f"--beta {text!r}: lo, hi and step must be finite")
     if step <= 0 or hi < lo:
         raise InvalidInputError(f"bad grid {text!r}: need step > 0 and hi >= lo")
+    points = (hi - lo) / step + 1
+    if points > MAX_GRID_POINTS:
+        raise InvalidInputError(f"--beta {text!r}: {points:,.0f} points, more than {MAX_GRID_POINTS:,}")
     values = []
     i = 0
     while True:
@@ -307,15 +314,11 @@ def cmd_curve(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     _require_files(args.model, args.test)
+    loss, betas = parse_loss(args.loss), parse_grid(args.beta)
     model = storage.load_model(args.model)
     test = storage.ingest(args.test)
     sweep = evaluation.cost_sweep(
-        model,
-        test,
-        parse_loss(args.loss),
-        alpha=args.alpha,
-        betas=parse_grid(args.beta),
-        use_recalibrated=not args.raw_predictions,
+        model, test, loss, alpha=args.alpha, betas=betas, use_recalibrated=not args.raw_predictions
     )
     storage.write_sweep_csv(args.out, sweep)
     storage.write_manifest(
@@ -439,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--test", required=True)
     p.add_argument("--loss", default="brier")
     p.add_argument("--alpha", type=float, default=0.05)
-    p.add_argument("--beta", required=True, help="grid lo:hi:step")
+    p.add_argument("--beta", required=True, help=f"grid lo:hi:step of at most {MAX_GRID_POINTS:,} points")
     p.add_argument("--raw-predictions", action="store_true")
     p.add_argument("--out", required=True)
     p.add_argument("--manifest")

@@ -35,10 +35,11 @@ from .core import (
     SnapshotExample,
     UnsupportedLossError,
     as_batch,
+    route_action,
 )
 from .losses import LossSpec, entropy_batch, expected_loss_batch
 from .partition import _bin_positions, assign_rows
-from .router import OracleSpec, _check_oracles, decide, simulated_costs
+from .router import OracleSpec, _check_oracles, bin_costs, with_penalties
 
 HOC_ROUTER = "hoc_router"
 
@@ -159,7 +160,6 @@ def router_scores(model: CalibratedRouterModel, test: SnapshotBatch | Sequence[S
 
 @dataclass(eq=False)
 class _EvalArrays:
-    unique_bins: list[str]
     positions: dict[str, np.ndarray]  # bin id -> indices of its test points
     predict_cost: np.ndarray  # (n,) true loss of the deployed prediction
     oracle_cost: np.ndarray  # (oracles, n) true oracle loss, before penalties
@@ -170,13 +170,7 @@ def _eval_arrays(model, test: SnapshotBatch, loss, oracles, use_recalibrated) ->
     deployed = _deployed(test, model, use_recalibrated, (bins, index))
     predict_cost = expected_loss_batch(loss, test.truth, deployed)
     oracle_cost = np.stack([o.point_costs(loss, test.truth) for o in oracles])
-    positions = _bin_positions(bins, index)
-    return _EvalArrays(
-        unique_bins=sorted(positions),
-        positions=positions,
-        predict_cost=predict_cost,
-        oracle_cost=oracle_cost,
-    )
+    return _EvalArrays(_bin_positions(bins, index), predict_cost, oracle_cost)
 
 
 def _realized(arrays: _EvalArrays, action_by_bin: dict[str, str], config: RoutingConfig) -> np.ndarray:
@@ -195,8 +189,9 @@ def _realized(arrays: _EvalArrays, action_by_bin: dict[str, str], config: Routin
     return out
 
 
-def _decide_bins(model, unique_bins, config, oracles) -> dict[str, str]:
-    return {b: decide(model, b, config, oracles).action for b in unique_bins}
+def _decide_bins(priced: dict[str, dict[str, float]], config: RoutingConfig) -> dict[str, str]:
+    """The argmin action of every priced bin under the penalties of ``config``."""
+    return {b: RoutingDecision.from_costs(with_penalties(c, config)).action for b, c in priced.items()}
 
 
 def policy_point_costs(
@@ -216,7 +211,8 @@ def policy_point_costs(
     """
     oracles = _check_oracles(config, oracles)
     arrays = _eval_arrays(model, as_batch(test), config.loss, oracles, use_recalibrated)
-    actions = _decide_bins(model, arrays.unique_bins, decide_config or config, oracles)
+    cfg = decide_config or config
+    actions = _decide_bins({b: bin_costs(model, b, cfg.loss, oracles) for b in sorted(arrays.positions)}, cfg)
     return _realized(arrays, actions, config)
 
 
@@ -231,13 +227,11 @@ def bucket_optimal_point_costs(
     on the test set itself (oracle baseline)."""
     oracles = _check_oracles(config, oracles)
     arrays = _eval_arrays(model, as_batch(test), config.loss, oracles, use_recalibrated)
-    actions: dict[str, str] = {}
+    measured: dict[str, dict[str, float]] = {}
     for b, idxs in arrays.positions.items():
-        costs = {PREDICT: float(arrays.predict_cost[idxs].mean()), ABSTAIN: config.abstain_penalty}
-        for i, alpha in enumerate(config.route_penalties):
-            costs[f"route:{i}"] = float(arrays.oracle_cost[i][idxs].mean()) + alpha
-        actions[b] = RoutingDecision.from_costs(costs).action
-    return _realized(arrays, actions, config)
+        measured[b] = {PREDICT: float(arrays.predict_cost[idxs].mean())}
+        measured[b].update((route_action(i), float(cost[idxs].mean())) for i, cost in enumerate(arrays.oracle_cost))
+    return _realized(arrays, _decide_bins(measured, config), config)
 
 
 def cost_sweep(
@@ -258,19 +252,17 @@ def cost_sweep(
     oracles = _check_oracles(probe, oracles)
     arrays = _eval_arrays(model, as_batch(test), loss, oracles, use_recalibrated)
 
+    priced = {b: bin_costs(model, b, loss, oracles) for b in sorted(arrays.positions)}  # once: no penalty in it
+    pr_cfg = RoutingConfig(loss=loss, route_penalties=(alpha,), abstain_penalty=math.inf)
     rows: list[SweepRow] = []
     max_gap = -math.inf
     for beta in betas:
         true_cfg = RoutingConfig(loss=loss, route_penalties=(alpha,), abstain_penalty=float(beta))
-        pr_cfg = RoutingConfig(loss=loss, route_penalties=(alpha,), abstain_penalty=math.inf)
         pa_cfg = RoutingConfig(loss=loss, route_penalties=(math.inf,), abstain_penalty=float(beta))
-        chosen = {
-            THREE_WAY: _decide_bins(model, arrays.unique_bins, true_cfg, oracles),
-            PREDICT_ROUTE: _decide_bins(model, arrays.unique_bins, pr_cfg, oracles),
-            PREDICT_ABSTAIN: _decide_bins(model, arrays.unique_bins, pa_cfg, oracles),
-        }
-        for b in arrays.unique_bins:
-            est = simulated_costs(model, b, true_cfg, oracles)
+        configs = {THREE_WAY: true_cfg, PREDICT_ROUTE: pr_cfg, PREDICT_ABSTAIN: pa_cfg}
+        chosen = {policy: _decide_bins(priced, cfg) for policy, cfg in configs.items()}
+        for b, costs in priced.items():
+            est = with_penalties(costs, true_cfg)
             gap = est[chosen[THREE_WAY][b]] - min(est[chosen[PREDICT_ROUTE][b]], est[chosen[PREDICT_ABSTAIN][b]])
             max_gap = max(max_gap, gap)
         for policy, actions in chosen.items():

@@ -175,6 +175,22 @@ def _check_oracles(config: RoutingConfig, oracles: Sequence[OracleSpec] | None) 
     return list(oracles)
 
 
+def bin_costs(model: CalibratedRouterModel, bin_id: str, loss: LossSpec, oracles: Sequence[OracleSpec]) -> dict[str, float]:
+    """Estimated cost of predicting and of each oracle from the bin's stored
+    mixture, before any penalty, so one pricing serves every penalty."""
+    irreducible, reducible = estimate_decomposition(model, bin_id, loss)
+    means = model.mixture(bin_id).means
+    return {PREDICT: irreducible + reducible} | {
+        route_action(i): oracle.mean_cost(loss, means) for i, oracle in enumerate(oracles)
+    }
+
+
+def with_penalties(costs: dict[str, float], config: RoutingConfig) -> dict[str, float]:
+    """Penalty-free action costs charged the penalties of ``config``."""
+    routes = {route_action(i): costs[route_action(i)] + alpha for i, alpha in enumerate(config.route_penalties)}
+    return {PREDICT: costs[PREDICT], **routes, ABSTAIN: config.abstain_penalty}
+
+
 def simulated_costs(
     model: CalibratedRouterModel,
     bin_id: str,
@@ -183,13 +199,7 @@ def simulated_costs(
 ) -> dict[str, float]:
     """Estimated cost of every action from the bin's stored mixture."""
     oracles = _check_oracles(config, oracles)
-    mixture = model.mixture(bin_id)
-    irreducible, reducible = estimate_decomposition(model, bin_id, config.loss)
-    costs = {PREDICT: irreducible + reducible}
-    for i, (oracle, alpha) in enumerate(zip(oracles, config.route_penalties)):
-        costs[route_action(i)] = oracle.mean_cost(config.loss, mixture.means) + alpha
-    costs[ABSTAIN] = config.abstain_penalty
-    return costs
+    return with_penalties(bin_costs(model, bin_id, config.loss, oracles), config)
 
 
 def decide(
@@ -261,10 +271,8 @@ def true_costs(
     """Realized cost of every action when the exact conditional is known."""
     oracles = _check_oracles(config, oracles)
     costs = {PREDICT: expected_loss(config.loss, truth, deployed)}
-    for i, (oracle, alpha) in enumerate(zip(oracles, config.route_penalties)):
-        costs[route_action(i)] = oracle.cost(config.loss, truth) + alpha
-    costs[ABSTAIN] = config.abstain_penalty
-    return costs
+    costs.update((route_action(i), oracle.cost(config.loss, truth)) for i, oracle in enumerate(oracles))
+    return with_penalties(costs, config)
 
 
 def pointwise_optimal(

@@ -124,6 +124,20 @@ def _snapshots(
     )
 
 
+LABEL_BLOCK = 1 << 18  # uniforms per block of label draws: a 2 MB buffer
+
+
+def _positive_counts(rng: np.random.Generator, p: np.ndarray, k: int) -> np.ndarray:
+    """How many of row ``i``'s ``k`` Bernoulli(``p[i]``) labels are positive.
+
+    The uniforms are drawn ``LABEL_BLOCK // k`` rows at a time from the one
+    stream. ``Generator.random`` fills row-major, so the counts equal those of
+    a single ``rng.random((n, k))`` draw, with a bounded buffer."""
+    rows = max(1, LABEL_BLOCK // k)
+    blocks = (p[i : i + rows] for i in range(0, p.size, rows))
+    return np.concatenate([(rng.random((b.size, k)) < b[:, None]).sum(axis=1) for b in blocks])
+
+
 def generate(
     kind: str,
     sizes: tuple[int, int, int] = (10_000, 5_000, 100_000),
@@ -149,12 +163,12 @@ def generate(
     weak = fit_weak_predictor(train_x, train_y, bins=weak_bins)
 
     cal_x = rng_cal.standard_normal(n_cal)
-    cal_positives = (rng_cal.random((n_cal, k)) < eval_ground_truth(kind, cal_x)[:, None]).sum(axis=1)
+    cal_positives = _positive_counts(rng_cal, eval_ground_truth(kind, cal_x), k)
     calibration = _snapshots("cal", cal_x, cal_positives, k, weak)
 
     test_x = rng_test.standard_normal(n_test)
     test_p = eval_ground_truth(kind, test_x)
-    test_positives = (rng_test.random((n_test, k)) < test_p[:, None]).sum(axis=1)
+    test_positives = _positive_counts(rng_test, test_p, k)
     test = _snapshots("test", test_x, test_positives, k, weak, p_star=test_p)
 
     return SyntheticDataset(

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from hocroute import cli
 from hocroute.calibrator import calibrate
-from hocroute.cli import cli_dispatch, parse_grid, parse_loss, parse_partition
+from hocroute.cli import MAX_GRID_POINTS, cli_dispatch, parse_grid, parse_loss, parse_partition
 from hocroute.core import InvalidInputError, RoutingConfig
 from hocroute.partition import fit
 from hocroute.router import Router
@@ -43,11 +43,18 @@ class TestArgumentParsing:
         grid = parse_grid("0.1:0.8:0.05")
         assert len(grid) == 15
         assert grid[0] == pytest.approx(0.1) and grid[-1] == pytest.approx(0.8)
+        assert grid == [0.1 + i * 0.05 for i in range(15)]
         assert parse_grid("0.5:0.5:0.1") == [0.5]
         with pytest.raises(InvalidInputError):
             parse_grid("1:0:0.1")
         with pytest.raises(InvalidInputError):
             parse_grid("nonsense")
+
+    def test_grid_point_cap(self):
+        assert len(parse_grid(f"0:{MAX_GRID_POINTS - 1}:1")) == MAX_GRID_POINTS
+        for text in (f"0:{MAX_GRID_POINTS}:1", "0:1:1e-12", "0:1:5e-324"):
+            with pytest.raises(InvalidInputError, match=r"^--beta .*points, more than 100,000$"):
+                parse_grid(text)
 
 
 @pytest.fixture(scope="module")
@@ -312,6 +319,15 @@ class TestErrorHandling:
         assert len(err_lines) == 1
         error = json.loads(err_lines[0])
         assert error["error"] == "InvalidInputError" and error["message"].startswith(f"{flag} {text!r}: ")
+
+    def test_sweep_refuses_a_grid_above_the_point_cap(self, workspace, tmp_path, capsys):
+        root, data_dir, model_path = workspace
+        out = tmp_path / "sweep.csv"
+        argv = ["sweep", "--model", model_path, "--test", data_dir / "test.jsonl", "--beta", "0:1:1e-12", "--out", out]
+        assert cli_dispatch([str(a) for a in argv]) == 1
+        error = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert error["error"] == "InvalidInputError" and error["message"].startswith("--beta '0:1:1e-12': ")
+        assert not out.exists()
 
 
 # Malformed query/dataset lines and the field each must be reported under.

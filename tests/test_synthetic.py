@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from hocroute import synthetic
 from hocroute.core import InvalidInputError
 from hocroute.synthetic import (
     KINDS,
@@ -162,3 +163,28 @@ class TestWeakPredictor:
             fit_weak_predictor(np.array([]), np.array([]), bins=3)
         with pytest.raises(InvalidInputError):
             fit_weak_predictor(np.array([0.0]), np.array([2]), bins=3)
+
+
+class TestBlockedLabelDraws:
+    """Labels are drawn in row blocks of one stream; the counts must equal a
+    single ``rng.random((n, k))`` draw bit for bit."""
+
+    def test_counts_across_block_boundaries_equal_single_draw(self, monkeypatch):
+        p = np.random.default_rng(5).random(1003)
+        expected = (np.random.default_rng(9).random((1003, 100)) < p[:, None]).sum(axis=1)
+        monkeypatch.setattr(synthetic, "LABEL_BLOCK", 256 * 100)  # 256-row blocks, a partial last one
+        got = synthetic._positive_counts(np.random.default_rng(9), p, 100)
+        assert got.dtype == expected.dtype and np.array_equal(got, expected)
+
+    def test_generated_splits_equal_single_draw_reference(self):
+        sizes, k, seed = (500, 3000, 2700), 100, 31
+        assert sizes[1] * k > synthetic.LABEL_BLOCK and sizes[2] * k > synthetic.LABEL_BLOCK
+        data = generate("sinusoidal", sizes=sizes, k=k, seed=seed)
+        _, rng_cal, rng_test = (np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(3))
+        cal_x = rng_cal.standard_normal(sizes[1])
+        cal_expected = (rng_cal.random((sizes[1], k)) < eval_ground_truth("sinusoidal", cal_x)[:, None]).sum(axis=1)
+        test_x = rng_test.standard_normal(sizes[2])
+        test_expected = (rng_test.random((sizes[2], k)) < eval_ground_truth("sinusoidal", test_x)[:, None]).sum(axis=1)
+        assert np.array_equal(data.calibration.counts[:, 1], cal_expected)
+        assert np.array_equal(data.test.counts[:, 1], test_expected)
+        assert np.array_equal(data.test.counts.sum(axis=1), np.full(sizes[2], k))
