@@ -61,6 +61,8 @@ def parse_partition(text: str):
     """``topclass:BUCKETS`` | ``feature:BUCKETS[:INDEX]`` | ``levelset``"""
     parts = text.split(":")
     kind = parts[0]
+    if len(parts) > {"levelset": 1, "topclass": 2, "feature": 3}.get(kind, len(parts)):
+        raise InvalidInputError(f"unexpected parameters for partition {kind!r}: {text!r}")
     if kind == "levelset":
         return {"kind": kind}
     if kind in ("topclass", "feature") and len(parts) >= 2:
@@ -216,7 +218,7 @@ def cmd_route(args: argparse.Namespace) -> int:
     in_stream = open(args.input, encoding="utf-8", errors="surrogateescape") if args.input else sys.stdin
     if in_stream is sys.stdin and hasattr(in_stream, "reconfigure"):
         in_stream.reconfigure(errors="surrogateescape")
-    out_stream = open(args.out, "w") if args.out else sys.stdout
+    out_stream = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
     suffixes: dict[str, str] = {}  # bin id -> serialized decision, made at the bin's first query
 
     def route_lines(lines: list[str], first_lineno: int) -> None:

@@ -14,6 +14,8 @@ import hashlib
 import io
 import json
 import math
+import secrets
+from contextlib import suppress
 from dataclasses import dataclass
 from itertools import chain, islice
 from pathlib import Path
@@ -77,8 +79,8 @@ def write_dataset(
     header = {"format": DATASET_FORMAT, "version": FORMAT_VERSION, "num_classes": batch.num_classes}
     if class_names is not None:
         header["class_names"] = list(class_names)
-    header_path(path).write_text(json.dumps(header, indent=2) + "\n")
-    with open(path, "w") as fh:
+    header_path(path).write_text(json.dumps(header, indent=2) + "\n", encoding="utf-8")
+    with open(path, "w", encoding="utf-8") as fh:
         for start in range(0, len(batch), INGEST_CHUNK_LINES):
             rows = slice(start, start + INGEST_CHUNK_LINES)
             absent = [None] * len(batch.ids[rows])
@@ -202,16 +204,31 @@ def _flat_rows(rows: list) -> tuple[list, np.ndarray]:
     return list(chain.from_iterable(rows)), np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
 
 
-def _read_columns(numbered: list[tuple[int, str]], num_classes: int, min_features: int = 0, dataset: bool = False):
-    """The columns of the nonblank ``(line number, line)`` pairs ``numbered``,
+def _decode_lines(lines: list[str]) -> list:
+    """``json.loads`` of each line, in one call on the lines joined into an
+    array with a fresh random string between each two. No JSON string holds a
+    raw newline or that string, so it lands at every odd position of ``2n - 1``
+    items only when each line is one JSON value; otherwise line by line."""
+    separator = secrets.token_hex(16)
+    with suppress(ValueError, RecursionError):  # bad JSON, or the added array level passed the recursion limit
+        items = json.loads("[" + f'\n,"{separator}",'.join(lines) + "]")
+        if len(items) == 2 * len(lines) - 1 and items[1::2].count(separator) == len(lines) - 1:
+            return items[::2]
+    return [json.loads(line) for line in lines]
+
+
+def _read_columns(lines: Sequence, first_lineno: int, num_classes: int, min_features: int = 0, dataset: bool = False):
+    """The columns of the nonblank ``lines`` (the first is line ``first_lineno``),
     checked once with the rules of ``_check_line`` and the arithmetic of
     ``_check_fields``: the ids, the normalized ``weak_probs``, every feature
     in one flat array with each record's count and, for a dataset, per-class
-    label counts and ``p_star`` rows (NaN where a record has none). When some
-    line breaks a rule, the lines are read again one at a time by
-    ``_check_line``, so the error names the first bad line and field."""
+    label counts and ``p_star`` rows (NaN where a record has none); None when
+    all are blank. When some line breaks a rule, the lines are read again one
+    at a time by ``_check_line``, so the error names the first bad line and field."""
     try:
-        records = [json.loads(line) for _, line in numbered]
+        records = _decode_lines([line for line in lines if line.strip()])
+        if not records:
+            return None
         ids = [str(record["id"]) for record in records]
         probs = _distributions([record["weak_probs"] for record in records], num_classes)
         values, lengths = _flat_rows([record.get("features") for record in records])
@@ -234,8 +251,9 @@ def _read_columns(numbered: list[tuple[int, str]], num_classes: int, min_feature
             p_star[present] = _distributions([records[i]["p_star"] for i in present], num_classes)
         return ids, probs, features, lengths, counts, p_star
     except (ValueError, TypeError, KeyError, OverflowError, RecursionError):
-        for lineno, line in numbered:
-            _check_line(line, num_classes, lineno, min_features, dataset)
+        for lineno, line in enumerate(lines, first_lineno):
+            if line.strip():
+                _check_line(line, num_classes, lineno, min_features, dataset)
         raise AssertionError("the column check refused lines that the per-line check accepts") from None
 
 
@@ -250,7 +268,7 @@ def read_header(path: str | Path) -> dict:
     if not hp.exists():
         raise InvalidInputError(f"missing dataset header sidecar {hp}")
     try:
-        header = json.loads(hp.read_text())
+        header = json.loads(hp.read_text(encoding="utf-8"))
     except (ValueError, RecursionError) as err:  # ValueError: bad JSON or not UTF-8
         raise InvalidInputError(f"{hp}: invalid JSON ({err})") from None
     if not isinstance(header, dict) or header.get("format") != DATASET_FORMAT:
@@ -274,13 +292,13 @@ def ingest(path: str | Path) -> SnapshotBatch:
     num_classes = int(read_header(path)["num_classes"])
     chunks = []
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             lineno = 1
             while lines := list(islice(fh, INGEST_CHUNK_LINES)):
-                numbered = [(lineno + i, line) for i, line in enumerate(lines) if line.strip()]
+                columns = _read_columns(lines, lineno, num_classes, dataset=True)
                 lineno += len(lines)
-                if numbered:
-                    chunks.append(_read_columns(numbered, num_classes, dataset=True))
+                if columns is not None:
+                    chunks.append(columns)
     except UnicodeDecodeError as err:
         raise InvalidInputError(f"{path}: not UTF-8 text ({err})") from None
     if not chunks:
@@ -317,7 +335,6 @@ class QueryBatch:
     ids: list[str]
     probs: np.ndarray  # (n, K) validated predictions
     features: np.ndarray | None  # (n, F), NaN past a row's own features; None when no row has any
-    linenos: list[int]
 
 
 def parse_queries(lines: Sequence[str], num_classes: int, first_lineno: int = 1, min_features: int = 0) -> QueryBatch:
@@ -327,11 +344,11 @@ def parse_queries(lines: Sequence[str], num_classes: int, first_lineno: int = 1,
     breaks them, or carries fewer than ``min_features`` features, the lines are
     read again one at a time, so the error names the first bad line and field
     exactly as ``parse_query`` would."""
-    numbered = [(first_lineno + i, line) for i, line in enumerate(lines) if line.strip()]
-    if not numbered:
-        return QueryBatch(ids=[], probs=np.empty((0, num_classes)), features=None, linenos=[])
-    ids, probs, features, lengths = _read_columns(numbered, num_classes, min_features)
-    return QueryBatch(ids=ids, probs=probs, features=nan_padded(features, lengths), linenos=[n for n, _ in numbered])
+    columns = _read_columns(lines, first_lineno, num_classes, min_features)
+    if columns is None:
+        return QueryBatch(ids=[], probs=np.empty((0, num_classes)), features=None)
+    ids, probs, features, lengths = columns
+    return QueryBatch(ids=ids, probs=probs, features=nan_padded(features, lengths))
 
 
 # ---------------------------------------------------------------------------
@@ -416,7 +433,7 @@ def save_model(path: str | Path, model: CalibratedRouterModel) -> None:
         "global": records[-1],
         "centroids": {b: c.probs.tolist() for b, c in sorted(model.centroids.items())},
     }
-    Path(path).write_text(json.dumps(payload, allow_nan=False) + "\n")
+    Path(path).write_text(json.dumps(payload, allow_nan=False) + "\n", encoding="utf-8")
 
 
 def _flag(value) -> bool:
@@ -456,7 +473,7 @@ def load_model(path: str | Path) -> CalibratedRouterModel:
     if not path.exists():
         raise InvalidInputError(f"model file {path} does not exist")
     try:
-        payload = json.loads(path.read_text())
+        payload = json.loads(path.read_text(encoding="utf-8"))
     except (ValueError, RecursionError) as err:  # ValueError: bad JSON or not UTF-8
         raise InvalidInputError(f"{path}: field '-': invalid JSON ({err})") from None
     if not isinstance(payload, dict) or payload.get("format") != MODEL_FORMAT:
@@ -524,7 +541,7 @@ def read_scores_csv(path: str | Path) -> dict[str, float]:
 
 
 def write_curves_csv(path: str | Path, curves: Iterable[RoutingCurve]) -> None:
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["policy", "loss", "fraction", "mean_loss"])
         for curve in curves:
@@ -533,7 +550,7 @@ def write_curves_csv(path: str | Path, curves: Iterable[RoutingCurve]) -> None:
 
 
 def write_sweep_csv(path: str | Path, sweep: CostSweep) -> None:
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["alpha", "beta", "policy", "mean_cost"])
         for row in sweep.rows:
@@ -557,7 +574,7 @@ def write_manifest(
         "inputs": {str(p): sha256_file(p) for p in inputs},
         "outputs": [str(p) for p in outputs],
     }
-    Path(path).write_text(json.dumps(manifest, indent=2, sort_keys=True, allow_nan=False) + "\n")
+    Path(path).write_text(json.dumps(manifest, indent=2, sort_keys=True, allow_nan=False) + "\n", encoding="utf-8")
     return manifest
 
 

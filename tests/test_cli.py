@@ -1,7 +1,11 @@
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -38,6 +42,9 @@ class TestArgumentParsing:
         assert parse_partition("levelset") == {"kind": "levelset"}
         with pytest.raises(InvalidInputError):
             parse_partition("topclass")
+        for text in ("topclass:10:3", "feature:4:0:9", "levelset:7"):
+            with pytest.raises(InvalidInputError, match=rf"^unexpected parameters for partition .*: {text!r}$"):
+                parse_partition(text)
 
     def test_grid_arithmetic(self):
         grid = parse_grid("0.1:0.8:0.05")
@@ -386,6 +393,43 @@ class TestMalformedLines:
         assert [json.loads(l)["id"] for l in out.read_text().splitlines()] == ["ok0", "ok1"]
 
 
+def _misaligned_chunk(**extra) -> list[str]:
+    """A good line, then line 2 holding two records and lines 3 and 4 holding
+    one record split in two: joined with commas into one JSON array, the four
+    lines read as four valid records."""
+    a, b, y = ({"id": qid, "weak_probs": [0.5, 0.5], **extra} for qid in "aby")
+    return [_line(GOOD[0], **extra), f"{_line(a)}, {_line(b)}", _line(y)[:-1] + ', "x": [[1', "2]]}"]
+
+
+MISALIGNED = r"^line 2: field '-': invalid JSON \(Extra data"
+
+
+class TestMisalignedChunk:
+    def test_a_comma_join_would_accept_it(self):
+        records = json.loads("[" + ",".join(_misaligned_chunk()) + "]")
+        assert [r["id"] for r in records] == ["ok0", "a", "b", "y"]
+
+    def test_parse_queries(self):
+        with pytest.raises(InvalidInputError, match=MISALIGNED):
+            parse_queries([line + "\n" for line in _misaligned_chunk()], 2)
+
+    def test_ingest(self, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        header_path(path).write_text(json.dumps({"format": "snapshot-dataset", "version": 1, "num_classes": 2}))
+        path.write_text("\n".join(_misaligned_chunk(labels=[0])) + "\n")
+        with pytest.raises(InvalidInputError, match=MISALIGNED):
+            ingest(path)
+
+    def test_route(self, workspace, tmp_path, capsys, monkeypatch):
+        root, data_dir, model_path = workspace
+        monkeypatch.setattr(cli, "ROUTE_CHUNK_LINES", 2048)
+        queries, out = tmp_path / "q.jsonl", tmp_path / "d.jsonl"
+        queries.write_text("\n".join(_misaligned_chunk()) + "\n")
+        assert cli_dispatch(["route", "--model", str(model_path), "--in", str(queries), "--out", str(out)]) == 1
+        assert re.match(MISALIGNED, json.loads(capsys.readouterr().err)["message"])
+        assert [json.loads(l)["id"] for l in out.read_text().splitlines()] == ["ok0"]
+
+
 @pytest.mark.parametrize("chunk", [1, 2, cli.ROUTE_CHUNK_LINES])
 @pytest.mark.parametrize("source", ["file", "stdin"])
 def test_route_refuses_input_that_is_not_utf8(chunk, source, workspace, tmp_path, capsys, monkeypatch):
@@ -494,7 +538,6 @@ def test_columnar_route_equals_per_line_reference(route_models, data, kind):
     batch = parse_queries(lines, 2)
     reference = [parse_query(line, 2, n) for n, line in enumerate(lines, start=1) if line.strip()]
     assert batch.probs.tobytes() == np.stack([q.weak_pred.probs for q in reference]).tobytes()
-    assert batch.linenos == [n for n, line in enumerate(lines, start=1) if line.strip()]
 
     queries, out = root / "q.jsonl", root / "d.jsonl"
     queries.write_text("".join(lines))
@@ -558,3 +601,42 @@ def test_bad_numeric_parameter_fails_as_invalid_input(command, flags, named, wor
     error = json.loads(err_lines[0])
     assert error["error"] == "InvalidInputError" and named in error["message"]
     assert not (tmp_path / "out").exists()
+
+
+def _run_cli(*argv, env=None, python_flags=()) -> subprocess.CompletedProcess:
+    """``python -m hocroute.cli`` in a fresh interpreter that imports this checkout's package."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, **(env or {}), "PYTHONPATH": src}
+    return subprocess.run(
+        [sys.executable, *python_flags, "-m", "hocroute.cli", *map(str, argv)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+
+
+def test_readers_decode_utf8_under_an_ascii_locale(tmp_path):
+    data = tmp_path / "u.jsonl"
+    header_path(data).write_text(json.dumps({"format": "snapshot-dataset", "version": 1, "num_classes": 2}))
+    records = [{"id": "caf\u00e9" if i == 0 else f"q{i}", "weak_probs": [0.6, 0.4], "labels": [i % 2]} for i in range(4)]
+    data.write_bytes("".join(json.dumps(r, ensure_ascii=False) + "\n" for r in records).encode("utf-8"))
+    ascii_locale = {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+    done = _run_cli("calibrate", "--in", data, "--out", tmp_path / "m.json", env=ascii_locale)
+    assert done.returncode == 0, done.stderr
+
+
+def test_pipeline_opens_no_file_in_the_locale_encoding(tmp_path):
+    """Under ``-X warn_default_encoding``, every text-mode open that leaves
+    the encoding to the locale emits ``EncodingWarning``; here each is an error."""
+    flags = ("-X", "warn_default_encoding", "-W", "error::EncodingWarning")
+    data, model = tmp_path / "data", tmp_path / "m.json"
+    test = data / "test.jsonl"
+    commands = [
+        ("generate-synthetic", "--train", 200, "--cal", 300, "--test", 300, "--k", 10, "--out-dir", data),
+        ("calibrate", "--in", data / "calibration.jsonl", "--out", model),
+        ("route", "--model", model, "--in", test, "--out", tmp_path / "d.jsonl"),
+        ("curve", "--model", model, "--test", test, "--out", tmp_path / "c.csv"),
+        ("sweep", "--model", model, "--test", test, "--beta", "0:0.5:0.1", "--out", tmp_path / "s.csv"),
+    ]
+    for argv in commands:
+        done = _run_cli(*argv, python_flags=flags)
+        assert done.returncode == 0, done.stderr
+        assert "EncodingWarning" not in done.stderr

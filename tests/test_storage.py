@@ -1,8 +1,11 @@
 import json
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hocroute.calibrator import TaggedMixture, calibrate, estimate_decomposition
 from hocroute.core import InvalidInputError
@@ -10,6 +13,7 @@ from hocroute.evaluation import cost_sweep, multi_loss_report
 from hocroute.losses import LossSpec
 from hocroute.partition import assign_many, fit
 from hocroute.storage import (
+    _decode_lines,
     header_path,
     ingest,
     load_model,
@@ -131,6 +135,98 @@ class TestQueryParsing:
     def test_query_validation(self):
         with pytest.raises(InvalidInputError, match="weak_probs"):
             parse_query(json.dumps({"id": "q1", "weak_probs": [0.7, 0.2]}), 2, 3)
+
+
+JSON_TEXTS = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6) | st.lists(st.integers(), min_size=2),
+    lambda children: st.lists(children, max_size=3) | st.dictionaries(st.text(max_size=3), children, max_size=3),
+    max_leaves=6,
+).map(json.dumps)
+
+
+def _loads_each(lines):
+    """The reference: ``json.loads`` of each line, or the error of the first that fails."""
+    try:
+        return [json.loads(line) for line in lines], None
+    except (ValueError, RecursionError) as err:
+        return None, err
+
+
+class TestDecodeLines:
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data())
+    def test_equals_json_loads_of_each_line(self, data):
+        """Values and blank lines joined by commas, broken into lines at some
+        of the commas (a kept comma merges two values onto one line, a break
+        at a nested one splits a value) and cut at random points: the one-call
+        decode returns what decoding each line returns, and raises what the
+        first failing line raises."""
+        blank = st.sampled_from(["", " ", "\t"])
+        pieces = data.draw(st.lists(st.one_of(JSON_TEXTS, JSON_TEXTS, JSON_TEXTS, JSON_TEXTS, blank), max_size=8))
+        text = ", ".join(pieces)
+        commas = [m.start() for m in re.finditer(", ", text)]
+        breaks = min(data.draw(st.sampled_from([len(pieces) - 1, len(commas) // 2, len(commas)])), len(commas))
+        for cut in sorted(data.draw(st.permutations(commas))[: max(breaks, 0)], reverse=True):
+            text = text[:cut] + "\n" + text[cut + 2 :]
+        for cut in sorted(data.draw(st.lists(st.integers(0, len(text)), max_size=1)), reverse=True):
+            text = text[:cut] + "\n" + text[cut:]
+        lines = [line + "\n" for line in text.split("\n")[:-1]] + [text.split("\n")[-1]] * data.draw(st.booleans())
+        lines = [line for line in lines if line.strip()] if data.draw(st.booleans()) else lines
+        expected, error = _loads_each(lines)
+        if error is None:
+            assert repr(_decode_lines(lines)) == repr(expected)
+        else:
+            with pytest.raises(type(error)) as raised:
+                _decode_lines(lines)
+            assert str(raised.value) == str(error)
+
+    def test_valid_lines_take_one_call(self):
+        lines = [json.dumps({"id": f"q{i}", "weak_probs": [0.5, 0.5]}) + "\n" for i in range(5)]
+        expected = [json.loads(line) for line in lines]
+        with mock.patch("json.loads", wraps=json.loads) as loads:
+            assert _decode_lines(lines) == expected
+        assert loads.call_count == 1
+
+    @pytest.mark.parametrize(
+        "lines, first_bad",
+        [
+            # joined with plain commas, these read as four values from four lines
+            (['{"id": "q0"}\n', '{"id": "a"}, {"id": "b"}\n', "[[1\n", "2]]\n"], 2),
+            # joined with separators, these read as the 2n - 1 items of four lines
+            (["1, 2\n", "3, 4\n", "[5\n", "6]\n"], 1),
+        ],
+    )
+    def test_misaligned_lines_are_decoded_one_at_a_time(self, lines, first_bad):
+        with mock.patch("json.loads", wraps=json.loads) as loads:
+            with pytest.raises(json.JSONDecodeError, match="^Extra data"):
+                _decode_lines(lines)
+        assert loads.call_count == 1 + first_bad
+
+    def test_a_line_at_the_nesting_limit_is_decoded_on_its_own(self):
+        """The one call nests each line one level deeper than ``json.loads``
+        of the line alone, so a line at the deepest level that decodes alone
+        makes the one call fail, and the per-line fallback decodes it."""
+
+        def decodes(depth: int) -> bool:
+            try:
+                _decode_lines(["[" * depth + "]" * depth])
+            except RecursionError:
+                return False
+            return True
+
+        lo, hi = 1, 2  # ``lo`` decodes, ``hi`` does not
+        while decodes(hi) and hi < 1 << 20:
+            lo, hi = hi, 2 * hi
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if decodes(mid) else (lo, mid)
+        line = "[" * lo + "]" * lo
+        values = _decode_lines([line, line])  # the one call nests ``hi`` levels deep and fails
+        assert len(values) == 2
+        for value in values:  # walked down a level at a time: comparing nested lists recurses
+            for _ in range(lo - 1):
+                (value,) = value
+            assert value == []
 
 
 class TestModelFile:
