@@ -116,14 +116,18 @@ def parse_grid(text: str) -> list[float]:
     return values
 
 
-def _manifest_path(args: argparse.Namespace, out: str | None, fallback: str) -> Path:
-    if getattr(args, "manifest", None):
-        return Path(args.manifest)
-    return Path(str(out) + ".manifest.json") if out else Path(fallback)
-
-
-def _args_record(args: argparse.Namespace) -> dict:
-    return {k: v for k, v in vars(args).items() if k != "func"}
+def _write_manifest(args: argparse.Namespace, inputs=(), outputs=(), fallback: str | Path | None = None) -> None:
+    """Record the run at ``--manifest``, else ``<--out>.manifest.json``, else
+    ``fallback``, else ``<command>.manifest.json``; paths that are None are left out."""
+    out = getattr(args, "out", None)
+    storage.write_manifest(
+        args.manifest or (out and f"{out}.manifest.json") or fallback or f"{args.command}.manifest.json",
+        command=args.command,
+        args={k: v for k, v in vars(args).items() if k != "func"},
+        inputs=[p for p in inputs if p],
+        outputs=[p for p in outputs if p],
+        seed=getattr(args, "seed", None),
+    )
 
 
 def _require_non_negative(**values: int) -> None:
@@ -159,13 +163,7 @@ def cmd_generate_synthetic(args: argparse.Namespace) -> int:
     test_path = out_dir / "test.jsonl"
     storage.write_dataset(cal_path, data.calibration)
     storage.write_dataset(test_path, data.test)
-    storage.write_manifest(
-        _manifest_path(args, None, str(out_dir / "manifest.json")),
-        command="generate-synthetic",
-        args=_args_record(args),
-        outputs=[cal_path, test_path],
-        seed=args.seed,
-    )
+    _write_manifest(args, outputs=(cal_path, test_path), fallback=out_dir / "manifest.json")
     print(f"wrote {cal_path} ({len(data.calibration)} records) and {test_path} ({len(data.test)} records)")
     return 0
 
@@ -182,13 +180,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     )
     model = calibrate(spec, examples, recalibrate=args.recalibrate)
     storage.save_model(args.out, model)
-    storage.write_manifest(
-        _manifest_path(args, args.out, "calibrate.manifest.json"),
-        command="calibrate",
-        args=_args_record(args),
-        inputs=[args.input],
-        outputs=[args.out],
-    )
+    _write_manifest(args, inputs=(args.input,), outputs=(args.out,))
     print(f"calibrated {len(examples)} examples into {len(model.mixtures)} bins -> {args.out}")
     return 0
 
@@ -261,13 +253,7 @@ def cmd_route(args: argparse.Namespace) -> int:
             in_stream.close()
         if args.out:
             out_stream.close()
-    storage.write_manifest(
-        _manifest_path(args, args.out, "route.manifest.json"),
-        command="route",
-        args=_args_record(args),
-        inputs=[p for p in (args.model, args.input) if p],
-        outputs=[p for p in (args.out,) if p],
-    )
+    _write_manifest(args, inputs=(args.model, args.input), outputs=(args.out,))
     return 0
 
 
@@ -302,14 +288,7 @@ def cmd_curve(args: argparse.Namespace) -> int:
         policy = baselines.external_scores(test, storage.read_scores_csv(path), name=name)
         curves.append(evaluation.routing_curve(policy, test, loss, model, use_recalibrated=use_recal))
     storage.write_curves_csv(args.out, curves)
-    storage.write_manifest(
-        _manifest_path(args, args.out, "curve.manifest.json"),
-        command="curve",
-        args=_args_record(args),
-        inputs=[args.model, args.test],
-        outputs=[args.out],
-        seed=args.seed,
-    )
+    _write_manifest(args, inputs=(args.model, args.test), outputs=(args.out,))
     print(f"wrote {len(curves)} curves -> {args.out}")
     return 0
 
@@ -323,13 +302,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         model, test, loss, alpha=args.alpha, betas=betas, use_recalibrated=not args.raw_predictions
     )
     storage.write_sweep_csv(args.out, sweep)
-    storage.write_manifest(
-        _manifest_path(args, args.out, "sweep.manifest.json"),
-        command="sweep",
-        args=_args_record(args),
-        inputs=[args.model, args.test],
-        outputs=[args.out],
-    )
+    _write_manifest(args, inputs=(args.model, args.test), outputs=(args.out,))
     print(f"wrote {len(sweep.rows)} sweep rows -> {args.out}")
     return 0
 
@@ -370,13 +343,7 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
     elif not args.self_test:
         raise InvalidInputError("diagnose needs --self-test and/or --model with --test")
     print(json.dumps(storage.json_value(report), indent=2, sort_keys=True, allow_nan=False))
-    storage.write_manifest(
-        _manifest_path(args, None, "diagnose.manifest.json"),
-        command="diagnose",
-        args=_args_record(args),
-        inputs=[p for p in (args.model, args.test) if p],
-        seed=args.seed,
-    )
+    _write_manifest(args, inputs=(args.model, args.test))
     return 1 if failed else 0
 
 

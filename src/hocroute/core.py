@@ -18,8 +18,8 @@ if TYPE_CHECKING:  # LossSpec lives downstream; annotation only
 
 # Post-construction simplex tolerance; vectors are silently renormalized.
 SIMPLEX_ATOL = 1e-9
-# Constructor rejects vectors whose total mass is off by more than this
-# (matches the ingestion tolerance for externally produced probabilities).
+# The constructor and every file reader reject vectors whose total mass is off
+# by more than this: the one mass tolerance of the library.
 MASS_GUARD = 1e-6
 
 
@@ -81,7 +81,7 @@ def simplex_error(p: np.ndarray) -> InvalidInputError:
         return InvalidInputError("probabilities must be finite")
     if p.min() < -SIMPLEX_ATOL or p.max() > 1.0 + MASS_GUARD:
         return InvalidInputError(f"entries outside [0, 1]: {p.tolist()}")
-    return InvalidInputError(f"probabilities sum to {float(p.sum())!r}, beyond tolerance")
+    return InvalidInputError(f"probabilities sum to {float(p.sum())!r}, beyond tolerance {MASS_GUARD}")
 
 
 def normalize_simplex(p: np.ndarray) -> np.ndarray:

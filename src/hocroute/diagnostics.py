@@ -2,20 +2,20 @@
 
 Each check draws seeded random instances, compares an implementation
 against an independent brute-force evaluation or a proved bound, and
-reports the violation count. A failing check dumps (and shrinks) a
-counterexample; all checks are deterministic under a fixed seed.
+reports the violation count and the largest excess; the threshold-tree
+check also records its first counterexample. All checks are deterministic
+under a fixed seed.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
 
 import numpy as np
 
 from .calibrator import calibrate, wasserstein_1d
-from .core import ABSTAIN, PREDICT, RoutingConfig, action_priority
+from .core import ABSTAIN, PREDICT, LabelDistribution, RoutingConfig, action_priority
 from .losses import (
     BINARY_ONLY,
     LossSpec,
@@ -53,27 +53,6 @@ class CheckResult:
         }
 
 
-def shrink_counterexample(
-    bad: Sequence[float],
-    good: Sequence[float],
-    is_violation: Callable[[Sequence[float]], bool],
-    steps: int = 60,
-) -> tuple:
-    """Bisect the perturbation from a passing point toward a failing one,
-    returning the smallest still-failing tuple found."""
-    bad_arr = np.asarray(bad, dtype=float)
-    good_arr = np.asarray(good, dtype=float)
-    lo, hi = 0.0, 1.0  # fraction of the way from good to bad; hi always fails
-    for _ in range(steps):
-        mid = (lo + hi) / 2.0
-        candidate = good_arr + mid * (bad_arr - good_arr)
-        if is_violation(candidate):
-            hi = mid
-        else:
-            lo = mid
-    return tuple(good_arr + hi * (bad_arr - good_arr))
-
-
 def _random_simplex(rng: np.random.Generator, n: int, classes: int) -> np.ndarray:
     raw = rng.random((n, classes))
     return raw / raw.sum(axis=1, keepdims=True)
@@ -90,17 +69,12 @@ def _loss_specs() -> list[LossSpec]:
     ]
 
 
-def _excess_result(name: str, excess: np.ndarray, tuples: np.ndarray | None = None) -> CheckResult:
-    violations = int(np.sum(excess > SLACK))
-    worst = None
-    if violations and tuples is not None:
-        worst = tuple(tuples[int(np.argmax(excess))])
+def _excess_result(name: str, excess: np.ndarray) -> CheckResult:
     return CheckResult(
         name=name,
         trials=int(excess.size),
-        violations=violations,
+        violations=int(np.sum(excess > SLACK)),
         max_excess=float(excess.max()) if excess.size else 0.0,
-        worst=worst,
     )
 
 
@@ -128,16 +102,10 @@ def check_boundedness(spec: LossSpec, classes: int, trials: int, rng) -> CheckRe
     preds = _random_simplex(rng, trials, classes)
     labels = rng.integers(0, classes, size=trials)
     values = np.array(
-        [pointwise_loss(spec, int(y), _dist(p)) for y, p in zip(labels, preds)]
+        [pointwise_loss(spec, int(y), LabelDistribution(p)) for y, p in zip(labels, preds)]
     )
     excess = np.maximum(values - spec.bound, -values)
     return _excess_result(f"bounded[{spec.name},{classes}cls]", excess)
-
-
-def _dist(row: np.ndarray):
-    from .core import LabelDistribution
-
-    return LabelDistribution(row)
 
 
 def check_properness(spec: LossSpec, classes: int, trials: int, rng) -> CheckResult:

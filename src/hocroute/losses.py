@@ -78,27 +78,6 @@ class LossSpec:
             return f"{self.kind}(gamma={self.gamma:g})"
         return self.kind
 
-    def to_config(self) -> dict:
-        record: dict = {"kind": self.kind, "params": {}}
-        if self.kind == WEIGHTED_FP_FN:
-            record["params"] = {"c_fp": self.c_fp, "c_fn": self.c_fn}
-        elif self.kind == ASYMMETRIC_CLASS:
-            record["params"] = {"gamma": self.gamma}
-        if self.kind == CROSS_ENTROPY:
-            record["epsilon"] = self.epsilon
-        return record
-
-    @classmethod
-    def from_config(cls, record: dict) -> "LossSpec":
-        params = dict(record.get("params") or {})
-        kwargs = {}
-        for key in ("c_fp", "c_fn", "gamma"):
-            if key in params:
-                kwargs[key] = float(params[key])
-        if "epsilon" in record:
-            kwargs["epsilon"] = float(record["epsilon"])
-        return cls(kind=record["kind"], **kwargs)
-
 
 def _check_classes(spec: LossSpec, num_classes: int) -> None:
     if spec.kind in BINARY_ONLY and num_classes != 2:

@@ -41,8 +41,6 @@ DATASET_FORMAT = "snapshot-dataset"
 MODEL_FORMAT = "hoc-router-model"
 FORMAT_VERSION = 1
 
-PROB_SUM_TOL = 1e-6
-
 
 def header_path(dataset_path: str | Path) -> Path:
     return Path(str(dataset_path) + ".header.json")
@@ -126,9 +124,6 @@ def _distribution(record: dict, field: str, num_classes: int, lineno: int) -> La
     probs = _vector(record, field, lineno)
     if probs.size != num_classes:
         raise _record_error(lineno, field, f"expected {num_classes} entries")
-    total = probs.sum()
-    if abs(total - 1.0) > PROB_SUM_TOL:
-        raise _record_error(lineno, field, f"sums to {float(total)!r}, beyond tolerance {PROB_SUM_TOL}")
     try:
         return LabelDistribution(probs)
     except InvalidInputError as err:
@@ -139,14 +134,16 @@ def _check_fields(
     record, num_classes: int, lineno: int, required: tuple[str, ...]
 ) -> tuple[LabelDistribution, np.ndarray | None]:
     """The field check every reader applies to a decoded record: an object
-    holding ``required``, ``weak_probs`` a valid distribution over
-    ``num_classes``, and ``features``, when present, a list of finite numbers.
-    Returns the prediction and the features."""
+    holding ``required``, ``id`` a string or a (non-bool) integer, ``weak_probs``
+    a valid distribution over ``num_classes``, and ``features``, when present,
+    a list of finite numbers. Returns the prediction and the features."""
     if not isinstance(record, dict):
         raise _record_error(lineno, "-", "record is not a JSON object")
     for field in required:
         if field not in record:
             raise _record_error(lineno, field, "missing")
+    if type(record["id"]) not in (str, int):
+        raise _record_error(lineno, "id", "must be a string or an integer")
     weak = _distribution(record, "weak_probs", num_classes, lineno)
     if record.get("features") is None:
         return weak, None
@@ -184,11 +181,7 @@ def _check_line(line: str, num_classes: int, lineno: int, min_features: int = 0,
 def _distributions(values: list, num_classes: int) -> np.ndarray:
     """``_distribution`` over a column: one normalized row per value."""
     probs = np.array(values, dtype=float)
-    if (
-        probs.shape != (len(values), num_classes)
-        or not (abs(probs.sum(axis=1) - 1.0) <= PROB_SUM_TOL).all()
-        or not simplex_ok(probs).all()
-    ):
+    if probs.shape != (len(values), num_classes) or not simplex_ok(probs).all():
         raise ValueError("not probability vectors")
     return normalize_simplex(probs)
 
@@ -229,7 +222,10 @@ def _read_columns(lines: Sequence, first_lineno: int, num_classes: int, min_feat
         records = _decode_lines([line for line in lines if line.strip()])
         if not records:
             return None
-        ids = [str(record["id"]) for record in records]
+        ids = [record["id"] for record in records]
+        if not {str, int}.issuperset(map(type, ids)):
+            raise TypeError("ids must be strings or integers")
+        ids = list(map(str, ids))
         probs = _distributions([record["weak_probs"] for record in records], num_classes)
         values, lengths = _flat_rows([record.get("features") for record in records])
         features = np.array(values, dtype=float)

@@ -90,6 +90,8 @@ def fit_weak_predictor(
         raise InvalidInputError("need matching nonempty train_x / train_y")
     if not np.isin(y, (0, 1)).all():
         raise InvalidInputError("weak predictor supports binary labels only")
+    if bins < 1:
+        raise InvalidInputError(f"weak predictor needs bins >= 1, got {bins}")
     edges = _rank_edges(x, bins)
     idx = np.searchsorted(edges, x, side="right")
     cells = edges.size + 1

@@ -343,6 +343,10 @@ MALFORMED = [
     ("{not json", "-"),
     ("[" * 100_000, "-"),
     ({"weak_probs": [0.5, 0.5]}, "id"),
+    ({"id": None, "weak_probs": [0.5, 0.5]}, "id"),
+    ({"id": True, "weak_probs": [0.5, 0.5]}, "id"),
+    ({"id": 1.5, "weak_probs": [0.5, 0.5]}, "id"),
+    ({"id": {}, "weak_probs": [0.5, 0.5]}, "id"),
     ({"id": "x"}, "weak_probs"),
     ({"id": "x", "weak_probs": "ab"}, "weak_probs"),
     ({"id": "x", "weak_probs": [0.5, [0.5]]}, "weak_probs"),
@@ -571,6 +575,35 @@ def test_route_stream_and_manifest_are_strict_json(workspace, tmp_path):
     assert _strict_json(manifest.read_text())["args"]["alpha"] == ["inf"]
 
 
+def test_every_command_writes_its_manifest(workspace, tmp_path, monkeypatch):
+    """Where each command puts its manifest, and the command, seed, inputs and
+    outputs it records there."""
+    root, data_dir, _ = workspace
+    monkeypatch.chdir(tmp_path)
+    cal, test, model, gen = str(data_dir / "calibration.jsonl"), str(data_dir / "test.jsonl"), "m.json", "gen"
+    Path("q.jsonl").write_text("".join(_line(g) + "\n" for g in GOOD))
+    runs = [
+        (["generate-synthetic", "--train", "200", "--cal", "100", "--test", "100", "--k", "5", "--seed", "3",
+          "--out-dir", gen], "gen/manifest.json", 3, [], ["gen/calibration.jsonl", "gen/test.jsonl"]),
+        (["calibrate", "--in", cal, "--out", model], "m.json.manifest.json", None, [cal], [model]),
+        (["route", "--model", model, "--in", "q.jsonl", "--out", "d.jsonl"],
+         "d.jsonl.manifest.json", None, [model, "q.jsonl"], ["d.jsonl"]),
+        (["route", "--model", model, "--in", "q.jsonl"], "route.manifest.json", None, [model, "q.jsonl"], []),
+        (["curve", "--model", model, "--test", test, "--seed", "5", "--out", "c.csv"],
+         "c.csv.manifest.json", 5, [model, test], ["c.csv"]),
+        (["sweep", "--model", model, "--test", test, "--beta", "0.1:0.2:0.1", "--out", "s.csv"],
+         "s.csv.manifest.json", None, [model, test], ["s.csv"]),
+        (["diagnose", "--model", model, "--test", test, "--seed", "2"], "diagnose.manifest.json", 2, [model, test], []),
+        (["diagnose", "--self-test", "--trials", "2000", "--manifest", "x.json"], "x.json", 0, [], []),
+    ]
+    for argv, path, seed, inputs, outputs in runs:
+        assert cli_dispatch(argv) == 0, argv
+        manifest = json.loads(Path(path).read_text())
+        assert (manifest["command"], manifest["seed"]) == (argv[0], seed), argv
+        assert sorted(manifest["inputs"]) == sorted(inputs), argv
+        assert manifest["outputs"] == outputs, argv
+
+
 @pytest.mark.parametrize(
     "command, flags, named",
     [
@@ -582,6 +615,8 @@ def test_route_stream_and_manifest_are_strict_json(workspace, tmp_path):
         ("curve", ["--policies", "random", "--seed", "-1"], "--seed"),
         ("diagnose", ["--self-test", "--trials", "-1"], "--trials"),
         ("calibrate", ["--partition", "feature:3:-1"], "feature_index"),
+        ("generate-synthetic", ["--weak-bins", "0"], "bins"),
+        ("generate-synthetic", ["--weak-bins", "-4"], "bins"),
     ],
 )
 def test_bad_numeric_parameter_fails_as_invalid_input(command, flags, named, workspace, tmp_path, capsys):

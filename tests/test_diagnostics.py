@@ -1,5 +1,4 @@
 import numpy as np
-import pytest
 
 from hocroute.diagnostics import (
     CheckResult,
@@ -7,7 +6,6 @@ from hocroute.diagnostics import (
     check_simulated_cost_gap,
     check_tree_equivalence,
     run_lemma_checks,
-    shrink_counterexample,
 )
 
 
@@ -44,22 +42,3 @@ class TestLemmaChecks:
         assert result.passed
         # the duality bound should not be vacuous: gaps come close to it
         assert result.max_excess > -1.0
-
-
-class TestShrinking:
-    def test_bisection_shrinks_toward_boundary(self):
-        # violation region: x >= 1 on a 1-D segment
-        def is_violation(t):
-            return t[0] >= 1.0
-
-        shrunk = shrink_counterexample([5.0], [0.0], is_violation, steps=50)
-        assert is_violation(shrunk)
-        assert shrunk[0] == pytest.approx(1.0, abs=1e-9)
-
-    def test_multidimensional_shrink(self):
-        def is_violation(t):
-            return t[0] + t[1] > 2.0
-
-        shrunk = shrink_counterexample([4.0, 4.0], [0.0, 0.0], is_violation, steps=60)
-        assert is_violation(shrunk)
-        assert shrunk[0] + shrunk[1] == pytest.approx(2.0, abs=1e-9)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hocroute.calibrator import TaggedMixture, calibrate, estimate_decomposition
-from hocroute.core import InvalidInputError
+from hocroute.core import MASS_GUARD, InvalidInputError, LabelDistribution
 from hocroute.evaluation import cost_sweep, multi_loss_report
 from hocroute.losses import LossSpec
 from hocroute.partition import assign_many, fit
@@ -17,6 +17,7 @@ from hocroute.storage import (
     header_path,
     ingest,
     load_model,
+    parse_queries,
     parse_query,
     read_header,
     read_scores_csv,
@@ -135,6 +136,33 @@ class TestQueryParsing:
     def test_query_validation(self):
         with pytest.raises(InvalidInputError, match="weak_probs"):
             parse_query(json.dumps({"id": "q1", "weak_probs": [0.7, 0.2]}), 2, 3)
+
+
+@pytest.mark.parametrize("excess", [0.9 * MASS_GUARD, 1.1 * MASS_GUARD])
+def test_every_reader_applies_the_one_mass_tolerance(excess, tmp_path):
+    """A row whose mass is within MASS_GUARD of one is accepted, and one just
+    beyond it refused, alike by the constructor and every reader."""
+    row = [0.5, 0.5 + excess]
+    query = json.dumps({"id": "a", "weak_probs": row}) + "\n"
+    reads = {"LabelDistribution": lambda: LabelDistribution(np.array(row))}
+    reads["parse_query"] = lambda: parse_query(query, 2, 1)
+    reads["parse_queries"] = lambda: parse_queries([query], 2)
+    for field, record in (
+        ("weak_probs", {"id": "a", "weak_probs": row, "labels": [0]}),
+        ("p_star", {"id": "a", "weak_probs": [0.5, 0.5], "labels": [0], "p_star": row}),
+    ):
+        path = tmp_path / f"{field}.jsonl"
+        header_path(path).write_text(json.dumps({"format": "snapshot-dataset", "version": 1, "num_classes": 2}))
+        path.write_text(json.dumps(record) + "\n")
+        reads[f"ingest {field}"] = lambda path=path: ingest(path)
+    for name, read in reads.items():
+        if excess < MASS_GUARD:
+            read()
+        else:
+            field = "p_star" if name == "ingest p_star" else "weak_probs"
+            expected = "" if name == "LabelDistribution" else f"line 1: field '{field}': "
+            with pytest.raises(InvalidInputError, match=f"^{expected}probabilities sum to .*, beyond tolerance {MASS_GUARD}$"):
+                read()
 
 
 JSON_TEXTS = st.recursive(

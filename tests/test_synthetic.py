@@ -163,6 +163,9 @@ class TestWeakPredictor:
             fit_weak_predictor(np.array([]), np.array([]), bins=3)
         with pytest.raises(InvalidInputError):
             fit_weak_predictor(np.array([0.0]), np.array([2]), bins=3)
+        for bins in (0, -4):
+            with pytest.raises(InvalidInputError, match="bins >= 1"):
+                fit_weak_predictor(np.arange(10.0), np.zeros(10, dtype=int), bins=bins)
 
 
 class TestBlockedLabelDraws:
