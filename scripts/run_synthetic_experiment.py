@@ -10,15 +10,10 @@ more losses. CSV output renders directly with any plotting tool.
 import argparse
 from pathlib import Path
 
-from hocroute.baselines import (
-    bucket_optimal_scores,
-    pointwise_optimal_scores,
-    random_scores,
-    total_uncertainty_scores,
-)
+from hocroute.baselines import RANDOM
 from hocroute.calibrator import aggregate_wasserstein, calibrate
 from hocroute.cli import parse_loss
-from hocroute.evaluation import router_scores, routing_curve
+from hocroute.evaluation import CURVE_POLICIES, routing_curves
 from hocroute.partition import fit, partition_quality
 from hocroute.storage import write_curves_csv, write_manifest
 from hocroute.synthetic import KINDS, generate
@@ -55,14 +50,7 @@ def main() -> None:
     outputs = []
     for loss_flag in args.losses.split(","):
         loss = parse_loss(loss_flag.strip())
-        policies = [
-            router_scores(model, data.test, loss),
-            total_uncertainty_scores(data.test, loss, model),
-            bucket_optimal_scores(data.test, loss, model),
-            pointwise_optimal_scores(data.test, loss, model),
-            random_scores(data.test, seed=args.seed),
-        ]
-        curves = [routing_curve(p, data.test, loss, model) for p in policies]
+        curves = routing_curves(model, data.test, loss, CURVE_POLICIES + (RANDOM,), seed=args.seed)
         path = out_dir / f"curves_{loss.kind}.csv"
         write_curves_csv(path, curves)
         outputs.append(path)

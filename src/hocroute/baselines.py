@@ -60,35 +60,32 @@ def total_uncertainty_scores(
     return RankedPolicy(TOTAL_UNCERTAINTY, entropy_batch(loss, _deployed(as_batch(test), model, use_recalibrated)))
 
 
-def _reducible(test: SnapshotBatch, loss, model, truths=None, use_recalibrated=True, bins=None) -> np.ndarray:
-    gt = test.truth if truths is None else np.asarray(truths, dtype=float)
+def _reducible(test: SnapshotBatch, loss, model, use_recalibrated=True, bins=None) -> np.ndarray:
     deployed = _deployed(test, model, use_recalibrated, bins)
-    return expected_loss_batch(loss, gt, deployed) - entropy_batch(loss, gt)
+    return expected_loss_batch(loss, test.truth, deployed) - entropy_batch(loss, test.truth)
 
 
 def pointwise_optimal_scores(
     test: SnapshotBatch | Sequence[SnapshotExample],
     loss: LossSpec,
     model: CalibratedRouterModel | None = None,
-    truths: np.ndarray | None = None,
     use_recalibrated: bool = True,
 ) -> RankedPolicy:
     """Rank by the true per-point reducible loss (oracle baseline)."""
-    return RankedPolicy(POINTWISE_OPTIMAL, _reducible(as_batch(test), loss, model, truths, use_recalibrated))
+    return RankedPolicy(POINTWISE_OPTIMAL, _reducible(as_batch(test), loss, model, use_recalibrated))
 
 
 def bucket_optimal_scores(
     test: SnapshotBatch | Sequence[SnapshotExample],
     loss: LossSpec,
     model: CalibratedRouterModel,
-    truths: np.ndarray | None = None,
     use_recalibrated: bool = True,
 ) -> RankedPolicy:
     """Rank by the mean true reducible loss of each point's bin, measured on
     the test set itself: the best ordering that is constant per bin."""
     test = as_batch(test)
     bins, index = assign_rows(model.partition, test.probs, test.features)
-    reducible = _reducible(test, loss, model, truths, use_recalibrated, (bins, index))
+    reducible = _reducible(test, loss, model, use_recalibrated, (bins, index))
     bin_mean = np.bincount(index, weights=reducible) / np.bincount(index)
     return RankedPolicy(BUCKET_OPTIMAL, bin_mean[index])
 

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import baselines, evaluation, storage
+from . import evaluation, storage
 from .calibrator import aggregate_wasserstein, calibrate, wasserstein_error
 from .core import InvalidInputError, RoutingConfig, UnsupportedDiagnosticError, UnsupportedLossError
 from .diagnostics import check_entropy_lipschitz, check_loss_lipschitz, run_lemma_checks
@@ -263,30 +263,19 @@ def cmd_curve(args: argparse.Namespace) -> int:
     model = storage.load_model(args.model)
     test = storage.ingest(args.test)
     loss = parse_loss(args.loss)
-    use_recal = not args.raw_predictions
-    wanted = [p.strip() for p in args.policies.split(",") if p.strip()]
-    curves = []
-    for name in wanted:
-        if name == evaluation.HOC_ROUTER:
-            policy = evaluation.router_scores(model, test, loss)
-        elif name == baselines.TOTAL_UNCERTAINTY:
-            policy = baselines.total_uncertainty_scores(test, loss, model, use_recalibrated=use_recal)
-        elif name == baselines.BUCKET_OPTIMAL:
-            policy = baselines.bucket_optimal_scores(test, loss, model, use_recalibrated=use_recal)
-        elif name == baselines.POINTWISE_OPTIMAL:
-            policy = baselines.pointwise_optimal_scores(test, loss, model, use_recalibrated=use_recal)
-        elif name == baselines.RANDOM:
-            policy = baselines.random_scores(test, seed=args.seed)
-        else:
-            raise InvalidInputError(f"unknown policy {name!r}")
-        curves.append(evaluation.routing_curve(policy, test, loss, model, use_recalibrated=use_recal))
+    external: dict[str, dict[str, float]] = {}
     for label_path in args.scores:
         name, _, path = label_path.partition("=")
         if not path:
             raise InvalidInputError("external scores need NAME=PATH")
+        if name in external:
+            raise InvalidInputError(f"curve name {name!r} given twice")
         _require_files(path)
-        policy = baselines.external_scores(test, storage.read_scores_csv(path), name=name)
-        curves.append(evaluation.routing_curve(policy, test, loss, model, use_recalibrated=use_recal))
+        external[name] = storage.read_scores_csv(path)
+    policies = [p.strip() for p in args.policies.split(",") if p.strip()]
+    curves = evaluation.routing_curves(
+        model, test, loss, policies, external, args.seed, use_recalibrated=not args.raw_predictions
+    )
     storage.write_curves_csv(args.out, curves)
     _write_manifest(args, inputs=(args.model, args.test), outputs=(args.out,))
     print(f"wrote {len(curves)} curves -> {args.out}")
@@ -395,10 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--test", required=True)
     p.add_argument("--loss", default="brier")
-    p.add_argument(
-        "--policies",
-        default="hoc_router,total_uncertainty,bucket_optimal,pointwise_optimal",
-    )
+    p.add_argument("--policies", default=",".join(evaluation.CURVE_POLICIES))
     p.add_argument("--scores", action="append", default=[], metavar="NAME=PATH")
     p.add_argument("--raw-predictions", action="store_true")
     p.add_argument("--seed", type=int, default=0)

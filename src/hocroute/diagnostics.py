@@ -40,7 +40,8 @@ class CheckResult:
 
     @property
     def passed(self) -> bool:
-        return self.violations == 0
+        """No violation in at least one trial; a check that ran none proves nothing."""
+        return self.violations == 0 and self.trials > 0
 
     def to_record(self) -> dict:
         return {

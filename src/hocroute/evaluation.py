@@ -15,15 +15,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .baselines import (
-    RankedPolicy,
-    _deployed,
-    bucket_optimal_scores,
-    external_scores,
-    pointwise_optimal_scores,
-    random_scores,
-    total_uncertainty_scores,
-)
+from . import baselines
+from .baselines import RankedPolicy, _deployed
 from .calibrator import CalibratedRouterModel, estimate_decomposition
 from .core import (
     ABSTAIN,
@@ -42,6 +35,9 @@ from .partition import _bin_positions, assign_rows
 from .router import OracleSpec, _check_oracles, bin_costs, with_penalties
 
 HOC_ROUTER = "hoc_router"
+# The router and its three baselines: the curves drawn when none are named.
+CURVE_POLICIES = (HOC_ROUTER, baselines.TOTAL_UNCERTAINTY, baselines.BUCKET_OPTIMAL, baselines.POINTWISE_OPTIMAL)
+GRID_POINTS = 101  # routed fractions 0, 1/100, ..., 1
 
 THREE_WAY = "three_way"
 PREDICT_ROUTE = "predict_route"
@@ -95,10 +91,14 @@ def per_point_losses(
     return expected_loss_batch(loss, test.truth, deployed), entropy_batch(loss, test.truth)
 
 
-def _ordered_prefix(scores, ids, weak_losses, oracle_losses):
+def _mean_losses(scores, ids, weak_losses, oracle_losses, counts) -> np.ndarray:
+    """Mean loss when the top ``m`` points by score (ties by id) are routed,
+    for each ``m`` in ``counts``."""
+    n = len(ids)
     order = np.lexsort((ids, -scores))  # descending score, ties by id
-    gains = oracle_losses[order] - weak_losses[order]
-    return float(weak_losses.sum()), np.concatenate([[0.0], np.cumsum(gains)])
+    prefix = np.concatenate([[0.0], np.cumsum(oracle_losses[order] - weak_losses[order])])
+    total_weak = float(weak_losses.sum())
+    return np.array([(total_weak + prefix[m]) / n for m in counts])
 
 
 def curve_values_at(
@@ -110,18 +110,13 @@ def curve_values_at(
 ) -> np.ndarray:
     """Mean loss when the top scoring fraction of points is routed."""
     n = len(ids)
-    total_weak, prefix = _ordered_prefix(scores, ids, weak_losses, oracle_losses)
-    counts = [int(round(q * n)) for q in fractions]
-    return np.array([(total_weak + prefix[m]) / n for m in counts])
+    return _mean_losses(scores, ids, weak_losses, oracle_losses, [int(round(q * n)) for q in fractions])
 
 
-def _grid_curve(policy, ids, weak_losses, oracle_losses, loss_name, grid_points) -> RoutingCurve:
-    n = len(ids)
-    total_weak, prefix = _ordered_prefix(policy.scores, ids, weak_losses, oracle_losses)
-    steps = grid_points - 1
-    fractions = np.arange(grid_points) / steps
-    means = np.array([(total_weak + prefix[(i * n) // steps]) / n for i in range(grid_points)])
-    return RoutingCurve(policy=policy.name, loss=loss_name, fractions=fractions, mean_losses=means)
+def _grid_curve(policy, ids, weak_losses, oracle_losses, loss_name) -> RoutingCurve:
+    n, steps = len(ids), GRID_POINTS - 1
+    means = _mean_losses(policy.scores, ids, weak_losses, oracle_losses, [(i * n) // steps for i in range(GRID_POINTS)])
+    return RoutingCurve(policy.name, loss_name, np.arange(GRID_POINTS) / steps, means)
 
 
 def routing_curve(
@@ -130,7 +125,6 @@ def routing_curve(
     loss: LossSpec,
     model: CalibratedRouterModel | None = None,
     use_recalibrated: bool = True,
-    grid_points: int = 101,
 ) -> RoutingCurve:
     """Evaluate a priority ordering on an evenly spaced routed-fraction grid.
 
@@ -141,7 +135,45 @@ def routing_curve(
         raise InvalidInputError("policy scores do not cover the test set")
     test = as_batch(test)
     weak_losses, oracle_losses = per_point_losses(test, loss, model, use_recalibrated)
-    return _grid_curve(policy, np.array(test.ids), weak_losses, oracle_losses, loss.name, grid_points)
+    return _grid_curve(policy, np.array(test.ids), weak_losses, oracle_losses, loss.name)
+
+
+def routing_curves(
+    model: CalibratedRouterModel,
+    test: SnapshotBatch | Sequence[SnapshotExample],
+    loss: LossSpec,
+    policies: Sequence[str] = CURVE_POLICIES,
+    external: dict[str, dict[str, float]] | None = None,
+    seed: int = 0,
+    use_recalibrated: bool = True,
+) -> list[RoutingCurve]:
+    """The ``routing_curve`` of each named policy, then of each ``external``
+    table (id -> score), with the losses priced once for all of them.
+    ``seed`` seeds the ``random`` policy. An unknown name, a name given
+    twice and a request for no curves are refused."""
+    test = as_batch(test)
+    baseline_args = (test, loss, model, use_recalibrated)
+    scorers = {
+        HOC_ROUTER: lambda: router_scores(model, test, loss),
+        baselines.TOTAL_UNCERTAINTY: lambda: baselines.total_uncertainty_scores(*baseline_args),
+        baselines.BUCKET_OPTIMAL: lambda: baselines.bucket_optimal_scores(*baseline_args),
+        baselines.POINTWISE_OPTIMAL: lambda: baselines.pointwise_optimal_scores(*baseline_args),
+        baselines.RANDOM: lambda: baselines.random_scores(test, seed),
+    }
+    external = external or {}
+    names = [*policies, *external]
+    for i, name in enumerate(names):
+        if i < len(policies) and name not in scorers:
+            raise InvalidInputError(f"unknown policy {name!r}")
+        if name in names[:i]:
+            raise InvalidInputError(f"curve name {name!r} given twice")
+    if not names:
+        raise InvalidInputError("no curves requested")
+    weak_losses, oracle_losses = per_point_losses(test, loss, model, use_recalibrated)
+    ids = np.array(test.ids)
+    draw = lambda policy: _grid_curve(policy, ids, weak_losses, oracle_losses, loss.name)
+    curves = [draw(scorers[name]()) for name in policies]
+    return curves + [draw(baselines.external_scores(test, table, name)) for name, table in external.items()]
 
 
 def router_scores(model: CalibratedRouterModel, test: SnapshotBatch | Sequence[SnapshotExample], loss: LossSpec) -> RankedPolicy:
@@ -292,24 +324,12 @@ def multi_loss_report(
     """
     report: dict[str, list[RoutingCurve]] = {}
     test = as_batch(test)
-    ids = np.array(test.ids)
+    policies = CURVE_POLICIES if random_seed is None else (*CURVE_POLICIES, baselines.RANDOM)
     for loss in losses:
         try:
-            policies = [
-                router_scores(model, test, loss),
-                total_uncertainty_scores(test, loss, model, use_recalibrated),
-                bucket_optimal_scores(test, loss, model, use_recalibrated=use_recalibrated),
-                pointwise_optimal_scores(test, loss, model, use_recalibrated=use_recalibrated),
-            ]
+            report[loss.name] = routing_curves(
+                model, test, loss, policies, external, random_seed or 0, use_recalibrated
+            )
         except UnsupportedLossError as err:
             warnings.warn(f"skipping {loss.name}: {err}", stacklevel=2)
-            continue
-        if random_seed is not None:
-            policies.append(random_scores(test, seed=random_seed))
-        for name, table in (external or {}).items():
-            policies.append(external_scores(test, table, name=name))
-        weak_losses, oracle_losses = per_point_losses(test, loss, model, use_recalibrated)
-        report[loss.name] = [
-            _grid_curve(p, ids, weak_losses, oracle_losses, loss.name, 101) for p in policies
-        ]
     return report

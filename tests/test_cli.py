@@ -14,14 +14,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hocroute import cli
+from hocroute.baselines import random_scores, total_uncertainty_scores
 from hocroute.calibrator import calibrate
 from hocroute.cli import MAX_GRID_POINTS, cli_dispatch, parse_grid, parse_loss, parse_partition
 from hocroute.core import InvalidInputError, RoutingConfig
+from hocroute.evaluation import router_scores, routing_curve
 from hocroute.partition import fit
 from hocroute.router import Router
-from hocroute.storage import header_path, ingest, load_model, parse_queries, parse_query, save_model, sha256_file
+from hocroute.storage import (
+    header_path,
+    ingest,
+    load_model,
+    parse_queries,
+    parse_query,
+    save_model,
+    sha256_file,
+    write_curves_csv,
+    write_dataset,
+)
 
-from conftest import simplex_arrays
+from conftest import make_example, simplex_arrays
 
 
 class TestArgumentParsing:
@@ -207,6 +219,15 @@ class TestPipeline:
         rows = out.read_text().splitlines()
         assert rows[0] == "policy,loss,fraction,mean_loss"
         assert len(rows) == 1 + 3 * 101
+        # byte-equal to the curves drawn one policy at a time
+        model, test, brier = load_model(model_path), ingest(data_dir / "test.jsonl"), parse_loss("brier")
+        policies = [
+            router_scores(model, test, brier),
+            total_uncertainty_scores(test, brier, model),
+            random_scores(test, seed=0),
+        ]
+        write_curves_csv(tmp_path / "reference.csv", [routing_curve(p, test, brier, model) for p in policies])
+        assert out.read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
     def test_curve_with_external_scores(self, workspace, tmp_path):
         root, data_dir, model_path = workspace
@@ -272,6 +293,66 @@ class TestPipeline:
         assert rc == 0
         report = json.loads(capsys.readouterr().out)
         assert all(entry["passed"] for entry in report["self_test"])
+
+    def test_diagnose_self_test_without_trials_fails(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert cli_dispatch(["diagnose", "--self-test", "--trials", "0"]) == 1
+        report = json.loads(capsys.readouterr().out)["self_test"]
+        empty = [entry for entry in report if entry["trials"] == 0]
+        assert len(empty) == len(report) - 1  # the simulated-cost check does not take --trials
+        assert not any(entry["passed"] for entry in empty)
+
+
+def _curve_error(workspace, tmp_path, capsys, *flags, test=None, model=None) -> dict:
+    """The one JSON error line of a ``curve`` run that must exit 1 and write nothing."""
+    root, data_dir, model_path = workspace
+    test, model = test or data_dir / "test.jsonl", model or model_path
+    out = tmp_path / "refused.csv"
+    assert cli_dispatch(["curve", "--model", str(model), "--test", str(test), "--out", str(out), *flags]) == 1
+    err_lines = capsys.readouterr().err.splitlines()
+    assert len(err_lines) == 1 and not out.exists()
+    return json.loads(err_lines[0])
+
+
+@pytest.fixture(scope="module")
+def scores_csv(workspace):
+    root, data_dir, _ = workspace
+    path = root / "scores.csv"
+    path.write_text("".join(f"{eid},{i % 7}\n" for i, eid in enumerate(ingest(data_dir / "test.jsonl").ids)))
+    return path
+
+
+class TestCurveRequests:
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--policies", "hoc_router,hoc_router"],
+            ["--policies", "hoc_router", "--scores", "hoc_router={scores}"],
+            ["--policies", "random", "--scores", "x={scores}", "--scores", "x={scores}"],
+            ["--policies", "hoc_router,hoc_router", "--scores", "hoc_router={scores}", "--scores", "hoc_router={scores}"],
+        ],
+        ids=["policy-twice", "policy-and-scores", "scores-twice", "both-twice"],
+    )
+    def test_a_curve_name_given_twice_is_refused(self, flags, workspace, scores_csv, tmp_path, capsys):
+        name = "x" if "x={scores}" in flags else "hoc_router"
+        error = _curve_error(workspace, tmp_path, capsys, *(f.format(scores=scores_csv) for f in flags))
+        assert error == {"error": "InvalidInputError", "message": f"curve name {name!r} given twice"}
+
+    def test_no_curves_is_refused(self, workspace, tmp_path, capsys):
+        error = _curve_error(workspace, tmp_path, capsys, "--policies", "")
+        assert error == {"error": "InvalidInputError", "message": "no curves requested"}
+
+    def test_an_unknown_policy_is_refused(self, workspace, tmp_path, capsys):
+        error = _curve_error(workspace, tmp_path, capsys, "--policies", "hoc_router,nope")
+        assert error == {"error": "InvalidInputError", "message": "unknown policy 'nope'"}
+
+    def test_a_binary_only_loss_on_three_classes_is_refused(self, workspace, tmp_path, capsys):
+        data = [make_example(f"e{i}", [0.2, 0.3, 0.5], [i % 3, (i + 1) % 3]) for i in range(30)]
+        write_dataset(tmp_path / "three.jsonl", data)
+        save_model(tmp_path / "three.model.json", calibrate(fit("topclass", data, buckets=2), data))
+        three = {"test": tmp_path / "three.jsonl", "model": tmp_path / "three.model.json"}
+        error = _curve_error(workspace, tmp_path, capsys, "--loss", "three_part", **three)
+        assert error["error"] == "UnsupportedLossError" and "three_part" in error["message"]
 
 
 class TestErrorHandling:

@@ -28,6 +28,8 @@ class TestLemmaChecks:
     def test_records_serialize(self):
         record = CheckResult(name="x", trials=10, violations=0, max_excess=-0.5).to_record()
         assert record["passed"] is True
+        # a check that ran no trials proved nothing
+        assert CheckResult(name="x", trials=0, violations=0, max_excess=0.0).to_record()["passed"] is False
 
     def test_tree_check_skips_exact_ties(self):
         result = check_tree_equivalence(trials=5_000, rng=np.random.default_rng(0))

@@ -8,7 +8,14 @@ import math
 import numpy as np
 import pytest
 
-from hocroute.baselines import bucket_optimal_scores
+from hocroute.baselines import (
+    RANDOM,
+    bucket_optimal_scores,
+    external_scores,
+    pointwise_optimal_scores,
+    random_scores,
+    total_uncertainty_scores,
+)
 from hocroute.calibrator import (
     aggregate_wasserstein,
     calibrate,
@@ -23,7 +30,14 @@ from hocroute.core import (
     RoutingDecision,
     ground_truth,
 )
-from hocroute.evaluation import bucket_optimal_point_costs, policy_point_costs, router_scores
+from hocroute.evaluation import (
+    CURVE_POLICIES,
+    bucket_optimal_point_costs,
+    policy_point_costs,
+    router_scores,
+    routing_curve,
+    routing_curves,
+)
 from hocroute.losses import LossSpec, entropy_batch, expected_loss_batch
 from hocroute.partition import OVERFLOW_BIN, assign_many, fit, fitted_bins, partition_quality
 from hocroute.router import OracleSpec, decide
@@ -61,8 +75,8 @@ def ref_deployed(test, model, use_recalibrated):
     return ref_deployed_matrix(model, test)
 
 
-def ref_bucket_optimal_scores(test, loss, model, truths=None, use_recalibrated=True):
-    gt = np.stack([ground_truth(e).probs for e in test]) if truths is None else np.asarray(truths, dtype=float)
+def ref_bucket_optimal_scores(test, loss, model, use_recalibrated=True):
+    gt = np.stack([ground_truth(e).probs for e in test])
     reducible = expected_loss_batch(loss, gt, ref_deployed(test, model, use_recalibrated)) - entropy_batch(loss, gt)
     bins = assign_many(model.partition, test)
     sums, counts = {}, {}
@@ -257,9 +271,29 @@ def test_bucket_optimal_scores_equal_reference(case, use_recalibrated):
     _, model, _, test, _ = case
     got = bucket_optimal_scores(test, BRIER, model, use_recalibrated=use_recalibrated).scores
     assert np.array_equal(got, ref_bucket_optimal_scores(test, BRIER, model, use_recalibrated=use_recalibrated))
-    truths = np.stack([e.snapshot_mean.probs for e in test])
-    got = bucket_optimal_scores(test, BRIER, model, truths=truths, use_recalibrated=use_recalibrated).scores
-    assert np.array_equal(got, ref_bucket_optimal_scores(test, BRIER, model, truths, use_recalibrated))
+
+
+@pytest.mark.parametrize("loss", [BRIER, LossSpec("crossentropy")], ids=["brier", "crossentropy"])
+@pytest.mark.parametrize("use_recalibrated", [True, False])
+def test_routing_curves_equal_one_routing_curve_per_policy(case, use_recalibrated, loss):
+    """The one curve path prices the losses once; every curve must still equal
+    the one ``routing_curve`` draws for that policy alone."""
+    _, model, _, test, _ = case
+    table = {e.id: float((i * 37) % 11) for i, e in enumerate(test)}  # ties break by id
+    reference = [
+        router_scores(model, test, loss),
+        total_uncertainty_scores(test, loss, model, use_recalibrated),
+        bucket_optimal_scores(test, loss, model, use_recalibrated=use_recalibrated),
+        pointwise_optimal_scores(test, loss, model, use_recalibrated=use_recalibrated),
+        random_scores(test, seed=5),
+        external_scores(test, table, name="ext"),
+    ]
+    expected = [routing_curve(p, test, loss, model, use_recalibrated) for p in reference]
+    got = routing_curves(model, test, loss, CURVE_POLICIES + (RANDOM,), {"ext": table}, 5, use_recalibrated)
+    assert [c.policy for c in got] == [*CURVE_POLICIES, RANDOM, "ext"] == [c.policy for c in expected]
+    for g, e in zip(got, expected):
+        assert g.loss == e.loss == loss.name
+        assert np.array_equal(g.fractions, e.fractions) and np.array_equal(g.mean_losses, e.mean_losses)
 
 
 def test_router_scores_equal_reference(case):
