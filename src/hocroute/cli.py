@@ -6,6 +6,7 @@ import argparse
 import json
 import math
 import sys
+from contextlib import ExitStack
 from itertools import islice
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -205,12 +206,6 @@ def cmd_route(args: argparse.Namespace) -> int:
     )
     oracles = [parse_oracle(o) for o in args.oracle] if args.oracle else None
     router = Router(model, config, oracles)
-    # A byte that is not UTF-8 is read as a lone surrogate, so it fails on its
-    # own line below, after the decisions of the lines before it are written.
-    in_stream = open(args.input, encoding="utf-8", errors="surrogateescape") if args.input else sys.stdin
-    if in_stream is sys.stdin and hasattr(in_stream, "reconfigure"):
-        in_stream.reconfigure(errors="surrogateescape")
-    out_stream = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
     suffixes: dict[str, str] = {}  # bin id -> serialized decision, made at the bin's first query
 
     def route_lines(lines: list[str], first_lineno: int) -> None:
@@ -236,8 +231,16 @@ def cmd_route(args: argparse.Namespace) -> int:
             )
         )
 
-    chunk_lines = 1 if in_stream.isatty() else ROUTE_CHUNK_LINES
-    try:
+    with ExitStack() as opened:  # an --out that cannot be opened still closes --in
+        # A byte that is not UTF-8 is read as a lone surrogate, so it fails on its
+        # own line below, after the decisions of the lines before it are written.
+        in_stream = sys.stdin
+        if args.input:
+            in_stream = opened.enter_context(open(args.input, encoding="utf-8", errors="surrogateescape"))
+        elif hasattr(in_stream, "reconfigure"):
+            in_stream.reconfigure(errors="surrogateescape")
+        out_stream = opened.enter_context(open(args.out, "w", encoding="utf-8")) if args.out else sys.stdout
+        chunk_lines = 1 if in_stream.isatty() else ROUTE_CHUNK_LINES
         lineno = 1
         while lines := list(islice(in_stream, chunk_lines)):
             try:
@@ -248,11 +251,6 @@ def cmd_route(args: argparse.Namespace) -> int:
                     route_lines([line], lineno + offset)
                 raise
             lineno += len(lines)
-    finally:
-        if args.input:
-            in_stream.close()
-        if args.out:
-            out_stream.close()
     _write_manifest(args, inputs=(args.model, args.input), outputs=(args.out,))
     return 0
 

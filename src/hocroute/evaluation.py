@@ -19,20 +19,16 @@ from . import baselines
 from .baselines import RankedPolicy, _deployed
 from .calibrator import CalibratedRouterModel, estimate_decomposition
 from .core import (
-    ABSTAIN,
-    PREDICT,
     InvalidInputError,
     RoutingConfig,
-    RoutingDecision,
     SnapshotBatch,
     SnapshotExample,
     UnsupportedLossError,
     as_batch,
-    route_action,
 )
 from .losses import LossSpec, entropy_batch, expected_loss_batch
 from .partition import _bin_positions, assign_rows
-from .router import OracleSpec, _check_oracles, bin_costs, with_penalties
+from .router import OracleSpec, _check_oracles, bin_costs
 
 HOC_ROUTER = "hoc_router"
 # The router and its three baselines: the curves drawn when none are named.
@@ -190,40 +186,38 @@ def router_scores(model: CalibratedRouterModel, test: SnapshotBatch | Sequence[S
 # ---------------------------------------------------------------------------
 
 
-@dataclass(eq=False)
-class _EvalArrays:
-    positions: dict[str, np.ndarray]  # bin id -> indices of its test points
-    predict_cost: np.ndarray  # (n,) true loss of the deployed prediction
-    oracle_cost: np.ndarray  # (oracles, n) true oracle loss, before penalties
-
-
-def _eval_arrays(model, test: SnapshotBatch, loss, oracles, use_recalibrated) -> _EvalArrays:
+def _point_costs(model, test: SnapshotBatch, loss, oracles, use_recalibrated) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """The distinct bins of the test points, each point's index into them,
+    and each point's true cost of every action before penalties: one column
+    for predict, one per oracle, and a zero column for abstain."""
     bins, index = assign_rows(model.partition, test.probs, test.features)
     deployed = _deployed(test, model, use_recalibrated, (bins, index))
-    predict_cost = expected_loss_batch(loss, test.truth, deployed)
-    oracle_cost = np.stack([o.point_costs(loss, test.truth) for o in oracles])
-    return _EvalArrays(_bin_positions(bins, index), predict_cost, oracle_cost)
+    columns = [expected_loss_batch(loss, test.truth, deployed), *(o.point_costs(loss, test.truth) for o in oracles)]
+    return bins, index, np.column_stack([*columns, np.zeros(len(test))])
 
 
-def _realized(arrays: _EvalArrays, action_by_bin: dict[str, str], config: RoutingConfig) -> np.ndarray:
-    """Per-point realized cost of a per-bin action map, charged at the true
+def _priced(model, bins: list[str], loss, oracles) -> np.ndarray:
+    """Each bin's estimated action costs from its stored mixture, one row per
+    bin and the columns of ``_point_costs``, before penalties."""
+    return np.array([[*bin_costs(model, b, loss, oracles).values(), 0.0] for b in bins])
+
+
+def _penalties(config: RoutingConfig) -> np.ndarray:
+    return np.array([0.0, *config.route_penalties, config.abstain_penalty])
+
+
+def _choose(costs: np.ndarray, config: RoutingConfig) -> np.ndarray:
+    """Each row's cheapest action column under the penalties of ``config``.
+    The columns are in ``action_priority`` order and ``argmin`` takes the
+    first minimum, so exact ties resolve as ``RoutingDecision.from_costs``."""
+    return np.argmin(costs + _penalties(config), axis=1)
+
+
+def _realized(points: np.ndarray, index: np.ndarray, choice: np.ndarray, config: RoutingConfig) -> np.ndarray:
+    """Per-point realized cost of a per-bin action choice, charged at the true
     penalties of ``config``."""
-    out = np.empty(arrays.predict_cost.shape[0])
-    for b, idxs in arrays.positions.items():
-        action = action_by_bin[b]
-        if action == PREDICT:
-            out[idxs] = arrays.predict_cost[idxs]
-        elif action == ABSTAIN:
-            out[idxs] = config.abstain_penalty
-        else:
-            i = int(action.split(":", 1)[1])
-            out[idxs] = arrays.oracle_cost[i][idxs] + config.route_penalties[i]
-    return out
-
-
-def _decide_bins(priced: dict[str, dict[str, float]], config: RoutingConfig) -> dict[str, str]:
-    """The argmin action of every priced bin under the penalties of ``config``."""
-    return {b: RoutingDecision.from_costs(with_penalties(c, config)).action for b, c in priced.items()}
+    action = choice[index]
+    return points[np.arange(len(index)), action] + _penalties(config)[action]
 
 
 def policy_point_costs(
@@ -242,10 +236,9 @@ def policy_point_costs(
     two-way policies.
     """
     oracles = _check_oracles(config, oracles)
-    arrays = _eval_arrays(model, as_batch(test), config.loss, oracles, use_recalibrated)
+    bins, index, points = _point_costs(model, as_batch(test), config.loss, oracles, use_recalibrated)
     cfg = decide_config or config
-    actions = _decide_bins({b: bin_costs(model, b, cfg.loss, oracles) for b in sorted(arrays.positions)}, cfg)
-    return _realized(arrays, actions, config)
+    return _realized(points, index, _choose(_priced(model, bins, cfg.loss, oracles), cfg), config)
 
 
 def bucket_optimal_point_costs(
@@ -258,12 +251,11 @@ def bucket_optimal_point_costs(
     """Realized per-point cost of the best constant action per bin, measured
     on the test set itself (oracle baseline)."""
     oracles = _check_oracles(config, oracles)
-    arrays = _eval_arrays(model, as_batch(test), config.loss, oracles, use_recalibrated)
-    measured: dict[str, dict[str, float]] = {}
-    for b, idxs in arrays.positions.items():
-        measured[b] = {PREDICT: float(arrays.predict_cost[idxs].mean())}
-        measured[b].update((route_action(i), float(cost[idxs].mean())) for i, cost in enumerate(arrays.oracle_cost))
-    return _realized(arrays, _decide_bins(measured, config), config)
+    bins, index, points = _point_costs(model, as_batch(test), config.loss, oracles, use_recalibrated)
+    positions, columns = _bin_positions(bins, index), np.ascontiguousarray(points.T)
+    # 1-D means over each bin's rows in ascending order, as a per-bin loop sums them
+    measured = np.array([[column[positions[b]].mean() for column in columns] for b in bins])
+    return _realized(points, index, _choose(measured, config), config)
 
 
 def cost_sweep(
@@ -282,9 +274,8 @@ def cost_sweep(
         raise InvalidInputError("empty beta grid")
     probe = RoutingConfig(loss=loss, route_penalties=(alpha,), abstain_penalty=float(betas[0]))
     oracles = _check_oracles(probe, oracles)
-    arrays = _eval_arrays(model, as_batch(test), loss, oracles, use_recalibrated)
-
-    priced = {b: bin_costs(model, b, loss, oracles) for b in sorted(arrays.positions)}  # once: no penalty in it
+    bins, index, points = _point_costs(model, as_batch(test), loss, oracles, use_recalibrated)
+    priced = _priced(model, bins, loss, oracles)  # once: no penalty in it
     pr_cfg = RoutingConfig(loss=loss, route_penalties=(alpha,), abstain_penalty=math.inf)
     rows: list[SweepRow] = []
     max_gap = -math.inf
@@ -292,13 +283,12 @@ def cost_sweep(
         true_cfg = RoutingConfig(loss=loss, route_penalties=(alpha,), abstain_penalty=float(beta))
         pa_cfg = RoutingConfig(loss=loss, route_penalties=(math.inf,), abstain_penalty=float(beta))
         configs = {THREE_WAY: true_cfg, PREDICT_ROUTE: pr_cfg, PREDICT_ABSTAIN: pa_cfg}
-        chosen = {policy: _decide_bins(priced, cfg) for policy, cfg in configs.items()}
-        for b, costs in priced.items():
-            est = with_penalties(costs, true_cfg)
-            gap = est[chosen[THREE_WAY][b]] - min(est[chosen[PREDICT_ROUTE][b]], est[chosen[PREDICT_ABSTAIN][b]])
-            max_gap = max(max_gap, gap)
-        for policy, actions in chosen.items():
-            mean_cost = float(_realized(arrays, actions, true_cfg).mean())
+        chosen = {policy: _choose(priced, cfg) for policy, cfg in configs.items()}
+        est = {policy: (priced + _penalties(true_cfg))[np.arange(len(bins)), c] for policy, c in chosen.items()}
+        gap = est[THREE_WAY] - np.minimum(est[PREDICT_ROUTE], est[PREDICT_ABSTAIN])
+        max_gap = max(max_gap, float(np.fmax.reduce(gap)))  # fmax skips inf - inf, a bin where all cost inf
+        for policy, choice in chosen.items():
+            mean_cost = float(_realized(points, index, choice, true_cfg).mean())
             rows.append(SweepRow(alpha=alpha, beta=float(beta), policy=policy, mean_cost=mean_cost))
     return CostSweep(alpha=alpha, betas=betas, rows=rows, max_estimated_gap=float(max_gap))
 

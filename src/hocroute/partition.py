@@ -75,21 +75,27 @@ class PartitionSpec:
 
     @classmethod
     def from_record(cls, record: dict) -> "PartitionSpec":
-        """The inverse of ``to_record``. Edges that ``fit`` could not have
-        produced (not finite, not strictly increasing) and unknown kinds fail
-        with ``InvalidInputError``."""
+        """The inverse of ``to_record``. Fields that ``fit`` could not have
+        produced (edges not finite or not strictly increasing, ``buckets`` or
+        ``feature_index`` not a JSON integer in range, ``level_keys`` not a
+        list of strings) and unknown kinds fail with ``InvalidInputError``."""
+        buckets, feature_index = record["buckets"], record.get("feature_index", 0)
+        level_keys = record.get("level_keys", [])
+        for name, value, low in (("buckets", buckets, 1), ("feature_index", feature_index, 0)):
+            if type(value) is not int or value < low:  # a bool is not a JSON integer
+                raise InvalidInputError(f"{name!r} must be an integer >= {low}, not {value!r}")
+        if not isinstance(level_keys, list) or not all(isinstance(k, str) for k in level_keys):
+            raise InvalidInputError("'level_keys' must be a list of strings")
         spec = cls(
             kind=record["kind"],
-            buckets=int(record["buckets"]),
-            feature_index=int(record.get("feature_index", 0)),
+            buckets=buckets,
+            feature_index=feature_index,
             class_edges={int(c): np.asarray(e, dtype=float) for c, e in record.get("class_edges", {}).items()},
             edges=None if record.get("edges") is None else np.asarray(record["edges"], dtype=float),
-            level_keys=frozenset(record.get("level_keys", [])),
+            level_keys=frozenset(level_keys),
         )
         if spec.kind not in KINDS:
             raise InvalidInputError(f"unknown partition kind {spec.kind!r}")
-        if spec.feature_index < 0:
-            raise InvalidInputError("feature_index must be >= 0")
         for edges in [*spec.class_edges.values(), *([] if spec.edges is None else [spec.edges])]:
             if edges.ndim != 1 or not np.isfinite(edges).all() or (np.diff(edges) <= 0).any():
                 raise InvalidInputError("bucket edges must be finite and strictly increasing")

@@ -1,3 +1,4 @@
+import gc
 import io
 import json
 import math
@@ -5,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -549,6 +551,21 @@ def test_route_names_query_lacking_partition_feature(workspace, tmp_path, capsys
     message = json.loads(capsys.readouterr().err)["message"]
     assert message == "line 2: field 'features': missing"
     assert len(out.read_text().splitlines()) == 1
+
+
+def test_route_closes_its_input_when_the_output_cannot_be_opened(workspace, tmp_path, capsys):
+    root, data_dir, model_path = workspace
+    queries = tmp_path / "q.jsonl"
+    queries.write_text(_line(GOOD[0]) + "\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = tmp_path / "missing-dir" / "d.jsonl"
+        rc = cli_dispatch(["route", "--model", str(model_path), "--in", str(queries), "--out", str(out)])
+        gc.collect()
+    assert rc == 1
+    err_lines = capsys.readouterr().err.splitlines()
+    assert len(err_lines) == 1 and json.loads(err_lines[0])["error"] == "FileNotFoundError"
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
 def test_route_answers_a_terminal_line_by_line(workspace, monkeypatch):

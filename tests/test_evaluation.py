@@ -175,6 +175,31 @@ class TestPolicyCosts:
         costs = bucket_optimal_point_costs(model, data, cfg, use_recalibrated=False)
         assert costs.tolist() == [0.0, 0.5]
 
+    def test_policy_breaks_oracle_ties_toward_the_lower_index(self, fitted):
+        # two identical oracles tie in every bin at decision time; only the
+        # second is charged a penalty, so a routed point shows which one won
+        model, test = fitted
+        oracles = [OracleSpec(), OracleSpec()]
+        decide = RoutingConfig(loss=brier, route_penalties=(0.0, 0.0), abstain_penalty=math.inf)
+        charged = RoutingConfig(loss=brier, route_penalties=(0.0, 1.0), abstain_penalty=math.inf)
+        costs = policy_point_costs(model, test, charged, oracles, decide_config=decide)
+        weak, oracle = per_point_losses(test, brier, model)
+        routed = costs != weak
+        assert routed.any()
+        assert costs[routed].tolist() == oracle[routed].tolist()
+
+    def test_bucket_optimal_breaks_oracle_ties_toward_the_lower_index(self):
+        # one bin where both oracles cost 0.5 on average with their penalties,
+        # point by point [0.25, 0.75] through the first and [0.0, 1.0] through the second
+        data = [
+            make_example("a", [0.9, 0.1], [1], p_star=[0.0, 1.0]),
+            make_example("b", [0.9, 0.1], [0], p_star=[0.5, 0.5]),
+        ]
+        model = calibrate(fit("topclass", data, buckets=1), data)
+        cfg = RoutingConfig(loss=brier, route_penalties=(0.25, 0.0), abstain_penalty=math.inf)
+        costs = bucket_optimal_point_costs(model, data, cfg, [OracleSpec(), OracleSpec(kind="aggregated")], False)
+        assert costs.tolist() == [0.25, 0.75]
+
 
 class TestMultiLossReport:
     def test_one_model_serves_every_loss(self, fitted):

@@ -377,6 +377,28 @@ class TestModelFile:
         with pytest.raises(InvalidInputError, match=f"^{re.escape(str(path))}: field '{field}': {detail}"):
             load_model(path)
 
+    @pytest.mark.parametrize(
+        "key, value, detail",
+        [
+            ("buckets", "7", "'buckets' must be an integer >= 1, not '7'"),
+            ("buckets", -3, "'buckets' must be an integer >= 1, not -3"),
+            ("buckets", 0, "'buckets' must be an integer >= 1, not 0"),
+            ("buckets", 2.7, "'buckets' must be an integer >= 1, not 2.7"),
+            ("buckets", True, "'buckets' must be an integer >= 1, not True"),
+            ("feature_index", True, "'feature_index' must be an integer >= 0, not True"),
+            ("feature_index", 0.9, "'feature_index' must be an integer >= 0, not 0.9"),
+            ("feature_index", -1, "'feature_index' must be an integer >= 0, not -1"),
+            ("level_keys", "abc", "'level_keys' must be a list of strings"),
+            ("level_keys", [0.5], "'level_keys' must be a list of strings"),
+        ],
+    )
+    def test_malformed_partition_fields_named(self, tmp_path, valid_payload_v2, key, value, detail):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(self.corrupt(valid_payload_v2, lambda p: p["partition"].__setitem__(key, value))))
+        expected = f"{path}: field 'partition': {detail}"
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(expected)}$"):
+            load_model(path)
+
     def test_round_trip_keeps_bit_patterns(self, tmp_path, small_run):
         data = small_run.calibration[:200]
         model = calibrate(fit("topclass", data, buckets=3), data, recalibrate=False)

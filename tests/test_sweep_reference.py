@@ -17,22 +17,15 @@ from hocroute.core import (
     RoutingConfig,
     RoutingDecision,
     UnsupportedLossError,
-    as_batch,
     route_action,
 )
-from hocroute.evaluation import (
-    PREDICT_ABSTAIN,
-    PREDICT_ROUTE,
-    THREE_WAY,
-    _eval_arrays,
-    _realized,
-    cost_sweep,
-)
+from hocroute.evaluation import PREDICT_ABSTAIN, PREDICT_ROUTE, THREE_WAY, cost_sweep
 from hocroute.losses import LossSpec
 from hocroute.partition import fit
 from hocroute.router import OracleSpec, bin_costs, simulated_costs, with_penalties
 
 from conftest import make_example
+from test_grouping_reference import ref_eval_arrays, ref_realized
 
 # ---------------------------------------------------------------------------
 # Frozen per-beta implementation
@@ -52,8 +45,8 @@ def ref_simulated_costs(model, bin_id, config, oracles):
 def ref_cost_sweep(model, test, loss, alpha, betas, oracles, use_recalibrated=True):
     betas = np.asarray(list(betas), dtype=float)
     RoutingConfig(loss=loss, route_penalties=(alpha,), abstain_penalty=float(betas[0]))
-    arrays = _eval_arrays(model, as_batch(test), loss, oracles, use_recalibrated)
-    unique_bins = sorted(arrays.positions)
+    arrays = ref_eval_arrays(model, test, loss, oracles, use_recalibrated)
+    unique_bins = sorted(arrays[0])
 
     def decide_bins(config):
         return {
@@ -77,7 +70,7 @@ def ref_cost_sweep(model, test, loss, alpha, betas, oracles, use_recalibrated=Tr
             gap = est[chosen[THREE_WAY][b]] - min(est[chosen[PREDICT_ROUTE][b]], est[chosen[PREDICT_ABSTAIN][b]])
             max_gap = max(max_gap, gap)
         for policy, actions in chosen.items():
-            mean_cost = float(_realized(arrays, actions, true_cfg).mean())
+            mean_cost = float(ref_realized(arrays, actions, true_cfg).mean())
             rows.append((alpha, float(beta), policy, mean_cost))
     return rows, float(max_gap)
 
@@ -123,7 +116,7 @@ def model_case(request, data):
 def _betas(model, test, loss, alpha, oracle):
     """0, inf, a coarse grid, and betas equal to some bin's estimated predict
     cost and route cost, so the three-way argmin meets exact ties."""
-    bins = sorted(_eval_arrays(model, as_batch(test), loss, [oracle], True).positions)
+    bins = sorted(ref_eval_arrays(model, test, loss, [oracle], True)[0])
     irreducible, reducible = estimate_decomposition(model, bins[0], loss)
     ties = [irreducible + reducible]
     if math.isfinite(alpha):
@@ -183,7 +176,7 @@ def test_cost_sweep_prices_each_bin_once(model_case, monkeypatch, num_betas):
 
     monkeypatch.setattr(router_module, "estimate_decomposition", counted_decomposition)
     monkeypatch.setattr(OracleSpec, "mean_cost", counted_mean_cost)
-    bins = _eval_arrays(model, as_batch(test), loss, [oracle], True).positions
+    bins = ref_eval_arrays(model, test, loss, [oracle], True)[0]
     cost_sweep(model, test, loss, 0.05, np.linspace(0.0, 1.0, num_betas), oracles=[oracle])
     assert calls == {"decomposition": len(bins), "oracle": len(bins)}
 
