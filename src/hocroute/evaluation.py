@@ -235,9 +235,9 @@ def policy_point_costs(
     restricted ``decide_config`` (some penalties infinite) evaluates the
     two-way policies.
     """
-    oracles = _check_oracles(config, oracles)
-    bins, index, points = _point_costs(model, as_batch(test), config.loss, oracles, use_recalibrated)
     cfg = decide_config or config
+    oracles = _check_oracles(cfg, _check_oracles(config, oracles))  # decisions price the charged oracles
+    bins, index, points = _point_costs(model, as_batch(test), config.loss, oracles, use_recalibrated)
     return _realized(points, index, _choose(_priced(model, bins, cfg.loss, oracles), cfg), config)
 
 

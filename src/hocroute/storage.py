@@ -1,14 +1,15 @@
 """File formats: snapshot datasets, model files, score tables, reports, manifests.
 
 Datasets are JSONL (one record per example) with a small JSON header
-sidecar carrying the class count. Model files are versioned JSON: one table
-of the distinct probability rows, which each mixture lists by index; floats
-survive the round trip bit-exactly. Every CLI run records a manifest with
-its arguments, seeds, and input hashes so it can be reproduced.
+sidecar carrying the class count. Model files are versioned JSON: one packed
+table of the distinct probability rows, which each mixture lists by index;
+floats survive the round trip bit-exactly. Every CLI run records a manifest
+with its arguments, seeds, and input hashes so it can be reproduced.
 """
 
 from __future__ import annotations
 
+import base64
 import csv
 import hashlib
 import io
@@ -380,6 +381,18 @@ def _row_matrix(values, name: str, num_classes: int) -> np.ndarray:
     return rows
 
 
+def _packed_rows(text, num_classes: int) -> np.ndarray:
+    """A version-3 row table: base64 text of its bytes, row-major, with
+    ``num_classes`` little-endian float64 numbers per row."""
+    try:
+        packed = base64.b64decode(text, validate=True) if isinstance(text, str) else b""
+    except ValueError:  # not base64, or not ASCII
+        packed = b""
+    if not packed or len(packed) % (8 * num_classes):
+        raise InvalidInputError(f"must be base64 of one or more rows of {num_classes} little-endian float64 numbers")
+    return np.frombuffer(packed, "<f8").reshape(-1, num_classes)
+
+
 def _row_indices(values, size: int, name: str) -> np.ndarray:
     """``values`` as a nonempty flat list of indices into a table of ``size`` rows."""
     if not isinstance(values, list) or not values or set(map(type, values)) != {int}:
@@ -413,18 +426,18 @@ def _mixture(record, rows: np.ndarray | None, num_classes: int, name: str = "") 
 
 
 def save_model(path: str | Path, model: CalibratedRouterModel) -> None:
-    """Write ``model`` as a version-2 file: ``rows`` holds the distinct rows
+    """Write ``model`` as a version-3 file: ``rows`` packs the distinct rows
     of all mixtures, and each mixture's ``preds`` and ``means`` index them."""
     bins = sorted(model.mixtures.items())
     rows, codes = _row_table([m for _, m in bins] + [model.global_mixture])
     records = [{"preds": preds, "means": means} for preds, means in zip(codes[::2], codes[1::2])]
     payload = {
         "format": MODEL_FORMAT,
-        "version": 2,
+        "version": 3,
         "num_classes": model.num_classes,
         "recalibrated": model.recalibrated,
         "partition": model.partition.to_record(),
-        "rows": rows.tolist(),
+        "rows": base64.b64encode(rows.astype("<f8").tobytes()).decode("ascii"),
         "bins": {b: record for (b, _), record in zip(bins, records)},
         "global": records[-1],
         "centroids": {b: c.probs.tolist() for b, c in sorted(model.centroids.items())},
@@ -460,7 +473,7 @@ def _centroid(value, num_classes: int, name: str) -> LabelDistribution:
 
 
 def load_model(path: str | Path) -> CalibratedRouterModel:
-    """A model written by ``save_model``, in format version 1 or 2. A file
+    """A model written by ``save_model``, in format version 1, 2 or 3. A file
     that is not valid JSON, or lacks a field, or whose rows are not
     probability vectors over ``num_classes`` classes, or whose mixtures index
     rows that do not exist, or that names a bin its partition cannot
@@ -475,7 +488,7 @@ def load_model(path: str | Path) -> CalibratedRouterModel:
     if not isinstance(payload, dict) or payload.get("format") != MODEL_FORMAT:
         raise InvalidInputError(f"{path}: not a {MODEL_FORMAT} file")
     version = payload.get("version")
-    if version not in (1, 2):
+    if version not in (1, 2, 3):
         raise InvalidInputError(f"{path}: unsupported version {version}")
 
     def field(name: str, read):
@@ -490,7 +503,8 @@ def load_model(path: str | Path) -> CalibratedRouterModel:
 
     num_classes = field("num_classes", _num_classes)
     partition = field("partition", PartitionSpec.from_record)
-    rows = field("rows", lambda values: _row_matrix(values, "", num_classes)) if version == 2 else None
+    unpack = (lambda text: _packed_rows(text, num_classes)) if version == 3 else (lambda values: values)
+    rows = field("rows", lambda value: _row_matrix(unpack(value), "", num_classes)) if version != 1 else None
     return CalibratedRouterModel(
         partition=partition,
         mixtures=field(

@@ -1,3 +1,5 @@
+import base64
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
@@ -25,6 +27,16 @@ def make_example(eid, weak, labels, features=None, p_star=None):
         features=features,
         p_star=None if p_star is None else LabelDistribution(p_star),
     )
+
+
+def packed_rows(rows) -> str:
+    """Rows of numbers as a version-3 model file's ``rows`` text."""
+    return base64.b64encode(np.asarray(rows, dtype="<f8").tobytes()).decode("ascii")
+
+
+def unpacked_rows(payload: dict) -> list[list[float]]:
+    """A version-3 model payload's ``rows``, as the lists of numbers of version 2."""
+    return np.frombuffer(base64.b64decode(payload["rows"]), "<f8").reshape(-1, payload["num_classes"]).tolist()
 
 
 @pytest.fixture(scope="session")

@@ -155,6 +155,13 @@ class TestPolicyCosts:
         )
         assert np.all(np.isfinite(pa))
 
+    def test_decide_config_must_price_the_same_oracles(self, fitted):
+        model, test = fitted
+        cfg = RoutingConfig(loss=brier, route_penalties=(0.05,), abstain_penalty=0.2)
+        decide = RoutingConfig(loss=brier, route_penalties=(0.0, 0.0), abstain_penalty=math.inf)
+        with pytest.raises(InvalidInputError, match="^1 oracles for 2 routing penalties$"):
+            policy_point_costs(model, test, cfg, decide_config=decide)
+
     def test_bucket_optimal_lower_bounds_router_on_test(self, fitted):
         model, test = fitted
         cfg = RoutingConfig(loss=brier, route_penalties=(0.05,), abstain_penalty=math.inf)

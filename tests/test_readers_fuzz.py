@@ -25,6 +25,8 @@ from hocroute.storage import (
     write_dataset,
 )
 
+from conftest import unpacked_rows
+
 FUZZ = settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
 json_values = st.recursive(
@@ -113,7 +115,18 @@ def model_texts(workspace, small_run):
         path = workspace / f"{kind}.json"
         save_model(path, calibrate(fit(kind, cal, buckets=buckets), cal, recalibrate=kind == "topclass"))
         texts.append(path.read_text())
-    return texts + [_as_version_1(texts[0])]
+    texts += [_as_version_2(texts[0]), _as_version_1(_as_version_2(texts[0]))]
+    for i, text in enumerate(texts):  # every seed is a valid model before it is mutated
+        path = workspace / f"seed-{i}.json"
+        path.write_text(text)
+        load_model(path)
+    return texts
+
+
+def _as_version_2(text: str) -> str:
+    """A version-3 model file written out as version 2: ``rows`` as lists of numbers."""
+    payload = json.loads(text)
+    return json.dumps({**payload, "version": 2, "rows": unpacked_rows(payload)})
 
 
 def _as_version_1(text: str) -> str:

@@ -28,8 +28,23 @@ from hocroute.storage import (
     write_manifest,
     write_sweep_csv,
 )
+
+from conftest import packed_rows, unpacked_rows
+
 brier = LossSpec("brier")
-V1, V2 = "valid_payload", "valid_payload_v2"  # model payload fixtures, format versions 1 and 2
+V1, V2, V3 = "valid_payload", "valid_payload_v2", "valid_payload_v3"  # model payload fixtures by format version
+PACKED = "must be base64 of one or more rows of 2 little-endian float64 numbers$"  # a bad version-3 'rows' text
+
+
+def repacked(damage):
+    """``damage`` applied to a version-3 payload's rows as lists, packed again."""
+
+    def apply(payload):
+        rows = unpacked_rows(payload)
+        damage(rows)
+        payload["rows"] = packed_rows(rows)
+
+    return apply
 
 
 def model_arrays(model) -> dict[str, bytes]:
@@ -306,10 +321,14 @@ class TestModelFile:
         }
 
     @pytest.fixture(scope="class")
-    def valid_payload_v2(self, payload_model, tmp_path_factory):
-        path = tmp_path_factory.mktemp("v2") / "model.json"
+    def valid_payload_v3(self, payload_model, tmp_path_factory):
+        path = tmp_path_factory.mktemp("v3") / "model.json"
         save_model(path, payload_model)
         return json.loads(path.read_text())
+
+    @pytest.fixture(scope="class")
+    def valid_payload_v2(self, valid_payload_v3):
+        return {**valid_payload_v3, "version": 2, "rows": unpacked_rows(valid_payload_v3)}
 
     def corrupt(self, payload, damage):
         payload = json.loads(json.dumps(payload))
@@ -369,6 +388,22 @@ class TestModelFile:
                 lambda p: p["bins"]["c0:b0"]["preds"].pop(), "bins", V2,
                 r"bin 'c0:b0': \d+ 'preds' rows for \d+ 'means' rows", id="v2-preds-means-misaligned",
             ),
+            pytest.param(lambda p: p.__setitem__("rows", unpacked_rows(p)), "rows", V3, PACKED, id="v3-rows-not-text"),
+            pytest.param(lambda p: p.__setitem__("rows", "*" + p["rows"][1:]), "rows", V3, PACKED, id="v3-not-base64"),
+            pytest.param(lambda p: p.__setitem__("rows", "\u00e9" + p["rows"][1:]), "rows", V3, PACKED, id="v3-not-ascii"),
+            pytest.param(
+                lambda p: p.__setitem__("rows", packed_rows(np.ravel(unpacked_rows(p))[:-1])), "rows", V3, PACKED,
+                id="v3-not-whole-rows",
+            ),
+            pytest.param(lambda p: p.__setitem__("rows", ""), "rows", V3, PACKED, id="v3-empty"),
+            pytest.param(
+                repacked(lambda rows: rows.__setitem__(1, [0.7, 0.7])), "rows", V3, "row 1 is not a probability vector",
+                id="v3-row-off-simplex",
+            ),
+            pytest.param(
+                repacked(lambda rows: rows.__setitem__(0, [np.nan, 1.0])), "rows", V3,
+                "row 0 is not a probability vector", id="v3-nan-row",
+            ),
         ],
     )
     def test_corrupt_model_fields_named(self, tmp_path, request, damage, field, payload, detail):
@@ -404,23 +439,26 @@ class TestModelFile:
         model = calibrate(fit("topclass", data, buckets=3), data, recalibrate=False)
         mixture = model.mixtures["c0:b0"]
         preds = mixture.preds.copy()
-        preds[:2] = [[1.0, -0.0], [1.0, 0.0]]
+        preds[:3] = [[1.0, -0.0], [1.0, 0.0], [1.0, 5e-324]]
         model.mixtures["c0:b0"] = TaggedMixture(preds=preds, means=mixture.means)
         first, second = tmp_path / "model.json", tmp_path / "model2.json"
         save_model(first, model)
-        rows = json.loads(first.read_text())["rows"]
-        assert {"[1.0, -0.0]", "[1.0, 0.0]"} <= {json.dumps(r) for r in rows}  # distinct bit patterns, equal values
+        rows = unpacked_rows(json.loads(first.read_text()))
+        # distinct bit patterns, equal values, and a subnormal
+        assert {"[1.0, -0.0]", "[1.0, 0.0]", "[1.0, 5e-324]"} <= {json.dumps(r) for r in rows}
         loaded = load_model(first)
         assert model_arrays(loaded) == model_arrays(model)
         save_model(second, loaded)
         assert first.read_bytes() == second.read_bytes()
 
-    def test_version_1_file_loads_as_version_2(self, tmp_path, valid_payload, payload_model):
-        v1, v2 = tmp_path / "v1.json", tmp_path / "v2.json"
+    def test_version_1_file_loads_as_version_2(self, tmp_path, valid_payload, valid_payload_v2, payload_model):
+        v1, v2, v3 = tmp_path / "v1.json", tmp_path / "v2.json", tmp_path / "v3.json"
         v1.write_text(json.dumps(valid_payload))
-        save_model(v2, payload_model)
-        assert json.loads(v2.read_text())["version"] == 2
-        assert model_arrays(load_model(v1)) == model_arrays(load_model(v2)) == model_arrays(payload_model)
+        v2.write_text(json.dumps(valid_payload_v2))
+        save_model(v3, payload_model)
+        assert json.loads(v3.read_text())["version"] == 3
+        arrays = [model_arrays(load_model(path)) for path in (v1, v2, v3)]
+        assert arrays[0] == arrays[1] == arrays[2] == model_arrays(payload_model)
 
     def test_valid_payload_loads_and_bad_json_is_refused(self, tmp_path, valid_payload):
         path = tmp_path / "model.json"
