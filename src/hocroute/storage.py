@@ -1,9 +1,10 @@
 """File formats: snapshot datasets, model files, score tables, reports, manifests.
 
-Datasets are JSONL (one record per example) with a small JSON header
-sidecar carrying the class count. Model files are versioned JSON: one packed
-table of the distinct probability rows, which each mixture lists by index;
-floats survive the round trip bit-exactly. Every CLI run records a manifest
+Datasets are JSONL (one record per example, its labels as per-class counts)
+with a small JSON header sidecar carrying the format version and the class
+count. Model files are versioned JSON: one packed table of the distinct
+probability rows, which each mixture lists by index; floats survive the
+round trip bit-exactly. Every CLI run records a manifest
 with its arguments, seeds, and input hashes so it can be reproduced.
 """
 
@@ -40,7 +41,6 @@ from .partition import PartitionSpec, fitted_bins
 
 DATASET_FORMAT = "snapshot-dataset"
 MODEL_FORMAT = "hoc-router-model"
-FORMAT_VERSION = 1
 
 
 def header_path(dataset_path: str | Path) -> Path:
@@ -70,12 +70,12 @@ def write_dataset(
     examples: SnapshotBatch | Sequence[SnapshotExample],
     class_names: Sequence[str] | None = None,
 ) -> None:
-    """Write a dataset and its header sidecar, one record per row; a row's
-    labels are written grouped by class."""
+    """Write a version-2 dataset and its header sidecar, one record per row;
+    a row's labels are written as its per-class ``label_counts``."""
     if not examples:
         raise InvalidInputError("refusing to write an empty dataset")
     batch = as_batch(examples)
-    header = {"format": DATASET_FORMAT, "version": FORMAT_VERSION, "num_classes": batch.num_classes}
+    header = {"format": DATASET_FORMAT, "version": 2, "num_classes": batch.num_classes}
     if class_names is not None:
         header["class_names"] = list(class_names)
     header_path(path).write_text(json.dumps(header, indent=2) + "\n", encoding="utf-8")
@@ -89,8 +89,7 @@ def write_dataset(
             for eid, probs, counts, row_features, p_star in zip(
                 batch.ids[rows], batch.probs[rows].tolist(), batch.counts[rows].tolist(), features, p_stars
             ):
-                labels = list(chain.from_iterable([c] * n for c, n in enumerate(counts)))
-                record: dict = {"id": eid, "weak_probs": probs, "labels": labels}
+                record: dict = {"id": eid, "weak_probs": probs, "label_counts": counts}
                 row_features = [v for v in row_features or () if not math.isnan(v)]
                 if row_features:
                     record["features"] = row_features
@@ -154,27 +153,39 @@ def _check_fields(
     return weak, features
 
 
-def _check_line(line: str, num_classes: int, lineno: int, min_features: int = 0, dataset: bool = False) -> None:
+def _check_line(line: str, num_classes: int, lineno: int, min_features: int = 0, version: int | None = None) -> None:
     """Raise for the first field of a line that breaks a rule of
     ``_read_columns``: ``_check_fields``, at least ``min_features`` features
-    and, in a dataset record, ``labels`` a nonempty flat list of class indices
-    and ``p_star``, when present, a valid distribution."""
+    and, in a record of a dataset of format ``version``, its labels (version
+    1: ``labels`` a nonempty flat list of class indices; version 2:
+    ``label_counts`` a list of ``num_classes`` integers >= 0 whose total is
+    positive and fits in int64, and no ``labels``) and ``p_star``, when
+    present, a valid distribution."""
     record = _decode(line, lineno)
-    required = ("id", "weak_probs", "labels") if dataset else ("id", "weak_probs")
-    _, features = _check_fields(record, num_classes, lineno, required)
+    labels_field = {None: (), 1: ("labels",), 2: ("label_counts",)}[version]
+    _, features = _check_fields(record, num_classes, lineno, ("id", "weak_probs", *labels_field))
     if features is None and min_features:
         raise _record_error(lineno, "features", "missing")
     if features is not None and features.size < min_features:
         raise _record_error(lineno, "features", f"expected at least {min_features} entries")
-    if not dataset:
+    if version is None:
         return
-    labels = record["labels"]
-    if not isinstance(labels, list) or not labels:
-        raise _record_error(lineno, "labels", "must be a nonempty list")
-    if set(map(type, labels)) != {int}:
-        raise _record_error(lineno, "labels", "must be a flat list of integers")
-    if min(labels) < 0 or max(labels) >= num_classes:
-        raise _record_error(lineno, "labels", f"class index out of range for {num_classes} classes")
+    if version == 1:
+        labels = record["labels"]
+        if not isinstance(labels, list) or not labels:
+            raise _record_error(lineno, "labels", "must be a nonempty list")
+        if set(map(type, labels)) != {int}:
+            raise _record_error(lineno, "labels", "must be a flat list of integers")
+        if min(labels) < 0 or max(labels) >= num_classes:
+            raise _record_error(lineno, "labels", f"class index out of range for {num_classes} classes")
+    else:
+        counts = record["label_counts"]
+        if "labels" in record:
+            raise _record_error(lineno, "label_counts", "given together with 'labels'")
+        if not isinstance(counts, list) or [type(c) for c in counts] != [int] * num_classes:
+            raise _record_error(lineno, "label_counts", f"must be a list of {num_classes} integers")
+        if min(counts) < 0 or not 0 < sum(counts) <= np.iinfo(np.int64).max:
+            raise _record_error(lineno, "label_counts", "counts must be >= 0 with a total >= 1 that fits in int64")
     if record.get("p_star") is not None:
         _distribution(record, "p_star", num_classes, lineno)
 
@@ -211,14 +222,17 @@ def _decode_lines(lines: list[str]) -> list:
     return [json.loads(line) for line in lines]
 
 
-def _read_columns(lines: Sequence, first_lineno: int, num_classes: int, min_features: int = 0, dataset: bool = False):
+def _read_columns(
+    lines: Sequence, first_lineno: int, num_classes: int, min_features: int = 0, version: int | None = None
+):
     """The columns of the nonblank ``lines`` (the first is line ``first_lineno``),
     checked once with the rules of ``_check_line`` and the arithmetic of
     ``_check_fields``: the ids, the normalized ``weak_probs``, every feature
-    in one flat array with each record's count and, for a dataset, per-class
-    label counts and ``p_star`` rows (NaN where a record has none); None when
-    all are blank. When some line breaks a rule, the lines are read again one
-    at a time by ``_check_line``, so the error names the first bad line and field."""
+    in one flat array with each record's count and, for a dataset of format
+    ``version``, per-class label counts (int64) and ``p_star`` rows (NaN where
+    a record has none); None when all are blank. When some line breaks a
+    rule, the lines are read again one at a time by ``_check_line``, so the
+    error names the first bad line and field."""
     try:
         records = _decode_lines([line for line in lines if line.strip()])
         if not records:
@@ -232,16 +246,27 @@ def _read_columns(lines: Sequence, first_lineno: int, num_classes: int, min_feat
         features = np.array(values, dtype=float)
         if features.ndim != 1 or not np.isfinite(features).all() or lengths.min() < min_features:
             raise ValueError("features must be lists of finite numbers")
-        if not dataset:
+        if version is None:
             return ids, probs, features, lengths
-        labels, sizes = _flat_rows([record["labels"] for record in records])
-        if not sizes.all() or set(map(type, labels)) != {int}:
-            raise TypeError("labels must be nonempty lists of integers")
-        classes = np.fromiter(labels, dtype=np.intp, count=len(labels))
-        if classes.min() < 0 or classes.max() >= num_classes:
-            raise ValueError("class index out of range")
-        cells = np.repeat(np.arange(len(records)) * num_classes, sizes) + classes
-        counts = np.bincount(cells, minlength=len(records) * num_classes).reshape(-1, num_classes)
+        if version == 1:
+            labels, sizes = _flat_rows([record["labels"] for record in records])
+            if not sizes.all() or list(map(type, labels)).count(int) != len(labels):
+                raise TypeError("labels must be nonempty lists of integers")
+            classes = np.fromiter(labels, dtype=np.intp, count=len(labels))
+            if classes.min() < 0 or classes.max() >= num_classes:
+                raise ValueError("class index out of range")
+            cells = np.repeat(np.arange(len(records)) * num_classes, sizes) + classes
+            counts = np.bincount(cells, minlength=len(records) * num_classes).reshape(-1, num_classes)
+        else:
+            values, sizes = _flat_rows([record["label_counts"] for record in records])
+            if (sizes != num_classes).any() or list(map(type, values)).count(int) != len(values):
+                raise TypeError("label_counts must be lists of num_classes integers")
+            if any("labels" in record for record in records):
+                raise ValueError("label_counts given together with labels")
+            counts = np.fromiter(values, dtype=np.int64, count=len(values)).reshape(-1, num_classes)
+            totals = counts.cumsum(axis=1)  # with no count negative, a partial sum past int64 wraps below 0
+            if counts.min() < 0 or totals.min() < 0 or not totals[:, -1].all():
+                raise ValueError("label counts must be >= 0 with a positive total that fits in int64")
         p_star = np.full((len(records), num_classes), np.nan)
         present = [i for i, record in enumerate(records) if record.get("p_star") is not None]
         if present:
@@ -250,7 +275,7 @@ def _read_columns(lines: Sequence, first_lineno: int, num_classes: int, min_feat
     except (ValueError, TypeError, KeyError, OverflowError, RecursionError):
         for lineno, line in enumerate(lines, first_lineno):
             if line.strip():
-                _check_line(line, num_classes, lineno, min_features, dataset)
+                _check_line(line, num_classes, lineno, min_features, version)
         raise AssertionError("the column check refused lines that the per-line check accepts") from None
 
 
@@ -260,7 +285,21 @@ def _num_classes(value) -> int:
     return value
 
 
+def _version(record: dict, accepted: tuple[int, ...], source: Path) -> int:
+    """``record``'s ``version``, which must be a JSON integer (not a bool or
+    a float) in ``accepted``; otherwise ``InvalidInputError`` names ``source``
+    and the field."""
+    version = record.get("version")
+    if type(version) is not int or version not in accepted:
+        found = "missing" if "version" not in record else f"unsupported version {json.dumps(version)}"
+        readable = ", ".join(map(str, accepted))
+        raise InvalidInputError(f"{source}: field 'version': {found} (this reader takes {readable})")
+    return version
+
+
 def read_header(path: str | Path) -> dict:
+    """The header sidecar of the dataset at ``path``: format version 1 or 2
+    and ``num_classes``, checked."""
     hp = header_path(path)
     if not hp.exists():
         raise InvalidInputError(f"missing dataset header sidecar {hp}")
@@ -270,6 +309,7 @@ def read_header(path: str | Path) -> dict:
         raise InvalidInputError(f"{hp}: invalid JSON ({err})") from None
     if not isinstance(header, dict) or header.get("format") != DATASET_FORMAT:
         raise InvalidInputError(f"{hp}: not a {DATASET_FORMAT} header")
+    _version(header, (1, 2), hp)
     if "num_classes" not in header:
         raise InvalidInputError(f"{hp}: header lacks num_classes")
     try:
@@ -280,19 +320,21 @@ def read_header(path: str | Path) -> dict:
 
 
 def ingest(path: str | Path) -> SnapshotBatch:
-    """The records of a dataset file, in file order, as one batch. Lines are
-    decoded and checked ``INGEST_CHUNK_LINES`` at a time; a malformed record
-    fails with its line number and the offending field."""
+    """The records of a dataset file of format version 1 or 2, in file order,
+    as one batch. Lines are decoded and checked ``INGEST_CHUNK_LINES`` at a
+    time; a malformed record fails with its line number and the offending
+    field."""
     path = Path(path)
     if not path.exists():
         raise InvalidInputError(f"dataset file {path} does not exist")
-    num_classes = int(read_header(path)["num_classes"])
+    header = read_header(path)
+    num_classes, version = header["num_classes"], header["version"]
     chunks = []
     try:
         with open(path, encoding="utf-8") as fh:
             lineno = 1
             while lines := list(islice(fh, INGEST_CHUNK_LINES)):
-                columns = _read_columns(lines, lineno, num_classes, dataset=True)
+                columns = _read_columns(lines, lineno, num_classes, version=version)
                 lineno += len(lines)
                 if columns is not None:
                     chunks.append(columns)
@@ -487,9 +529,7 @@ def load_model(path: str | Path) -> CalibratedRouterModel:
         raise InvalidInputError(f"{path}: field '-': invalid JSON ({err})") from None
     if not isinstance(payload, dict) or payload.get("format") != MODEL_FORMAT:
         raise InvalidInputError(f"{path}: not a {MODEL_FORMAT} file")
-    version = payload.get("version")
-    if version not in (1, 2, 3):
-        raise InvalidInputError(f"{path}: unsupported version {version}")
+    version = _version(payload, (1, 2, 3), path)
 
     def field(name: str, read):
         if name not in payload:

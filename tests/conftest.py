@@ -1,10 +1,12 @@
 import base64
+import json
 
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
 from hocroute.core import LabelDistribution, SnapshotExample
+from hocroute.storage import header_path
 from hocroute.synthetic import SINUSOIDAL, generate
 
 
@@ -37,6 +39,30 @@ def packed_rows(rows) -> str:
 def unpacked_rows(payload: dict) -> list[list[float]]:
     """A version-3 model payload's ``rows``, as the lists of numbers of version 2."""
     return np.frombuffer(base64.b64decode(payload["rows"]), "<f8").reshape(-1, payload["num_classes"]).tolist()
+
+
+def batch_columns(batch) -> dict:
+    """Every column of a ``SnapshotBatch`` as its dtype and bytes (None for an absent one)."""
+    names = ("probs", "counts", "features", "p_star", "means", "truth")
+    columns = {name: getattr(batch, name) for name in names}
+    return {"ids": batch.ids} | {k: None if c is None else (c.dtype, c.tobytes()) for k, c in columns.items()}
+
+
+def version_1_line(line: str) -> str:
+    """A version-2 dataset line as version 1: its ``label_counts`` spelled out
+    as ``labels``, class indices grouped by class."""
+    record = json.loads(line)
+    counts = record.pop("label_counts")
+    return json.dumps({**record, "labels": [c for c, n in enumerate(counts) for _ in range(n)]}) + "\n"
+
+
+def write_version_1(source, target):
+    """A version-1 copy at ``target`` of the version-2 dataset ``source``."""
+    header = json.loads(header_path(source).read_text())
+    header_path(target).write_text(json.dumps({**header, "version": 1}))
+    with open(source) as lines:
+        target.write_text("".join(map(version_1_line, lines)))
+    return target
 
 
 @pytest.fixture(scope="session")

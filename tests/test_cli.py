@@ -35,7 +35,7 @@ from hocroute.storage import (
     write_dataset,
 )
 
-from conftest import make_example, simplex_arrays
+from conftest import make_example, simplex_arrays, write_version_1
 
 
 class TestArgumentParsing:
@@ -136,6 +136,31 @@ class TestPipeline:
         )
         assert rc == 0
         assert again.read_bytes() == model_path.read_bytes()
+
+    def test_version_1_copies_give_the_same_model_curves_and_sweep(self, workspace, tmp_path):
+        root, data_dir, model_path = workspace
+        assert json.loads(header_path(data_dir / "test.jsonl").read_text())["version"] == 2
+        for name in ("calibration.jsonl", "test.jsonl"):
+            write_version_1(data_dir / name, tmp_path / name)
+        model_v1 = tmp_path / "model.json"
+        rc = cli_dispatch(
+            [
+                "calibrate", "--in", str(tmp_path / "calibration.jsonl"), "--partition", "topclass:10",
+                "--recalibrate", "--out", str(model_v1),
+            ]
+        )
+        assert rc == 0
+        assert model_v1.read_bytes() == model_path.read_bytes()
+        outputs = []
+        curves, sweep = tmp_path / "curves.csv", tmp_path / "sweep.csv"
+        for test in (data_dir / "test.jsonl", tmp_path / "test.jsonl"):
+            assert cli_dispatch(["curve", "--model", str(model_path), "--test", str(test), "--out", str(curves)]) == 0
+            rc = cli_dispatch(
+                ["sweep", "--model", str(model_path), "--test", str(test), "--beta", "0.1:0.8:0.05", "--out", str(sweep)]
+            )
+            assert rc == 0
+            outputs.append((curves.read_bytes(), sweep.read_bytes()))
+        assert outputs[0] == outputs[1]
 
     def test_route_streams_decisions(self, workspace, tmp_path, capsys, monkeypatch):
         root, data_dir, model_path = workspace
@@ -454,10 +479,14 @@ class TestMalformedLines:
         with pytest.raises(InvalidInputError, match=rf"^line 4: field '{re.escape(field)}': "):
             parse_query(_line(case), 2, 4)
 
-    def test_ingest(self, case, field, tmp_path):
+    @pytest.mark.parametrize(
+        "version, labels",
+        [pytest.param(1, {"labels": [0]}, id="v1"), pytest.param(2, {"label_counts": [1, 0]}, id="v2")],
+    )
+    def test_ingest(self, case, field, version, labels, tmp_path):
         path = tmp_path / "bad.jsonl"
-        header_path(path).write_text(json.dumps({"format": "snapshot-dataset", "version": 1, "num_classes": 2}))
-        lines = [_line(g, labels=[0]) for g in GOOD[:2]] + [_line(case, labels=[0])]
+        header_path(path).write_text(json.dumps({"format": "snapshot-dataset", "version": version, "num_classes": 2}))
+        lines = [_line(g, **labels) for g in GOOD[:2]] + [_line(case, **labels)]
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(InvalidInputError, match=rf"^line 3: field '{re.escape(field)}': "):
             ingest(path)

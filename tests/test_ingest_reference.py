@@ -1,7 +1,8 @@
 """``ingest``, which checks a dataset as columns, against a frozen copy of the
 per-record reader it replaced. The batch's columns must equal the reference
 records stacked row by row, byte for byte, and must not depend on how many
-lines are decoded together."""
+lines are decoded together, or on whether the labels are written as a list
+(version 1) or as per-class counts (version 2)."""
 
 import json
 from unittest import mock
@@ -14,7 +15,7 @@ from hocroute import storage
 from hocroute.core import InvalidInputError, SnapshotExample, ground_truth
 from hocroute.storage import _check_fields, _decode, _distribution, _record_error, header_path, ingest, read_header
 
-from conftest import simplex_arrays
+from conftest import batch_columns, simplex_arrays
 
 # ---------------------------------------------------------------------------
 # Frozen per-record reader
@@ -92,12 +93,6 @@ def _padded(rows, width):
     return out
 
 
-def _columns(batch):
-    """Every column of ``batch`` as bytes (None for an absent one)."""
-    names = ("probs", "counts", "features", "p_star", "means", "truth")
-    return {name: None if getattr(batch, name) is None else getattr(batch, name).tobytes() for name in names}
-
-
 @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=datasets())
 def test_ingest_columns_equal_reference(tmp_path, data):
@@ -128,7 +123,16 @@ def test_ingest_columns_equal_reference(tmp_path, data):
         assert view.snapshot_mean.probs.tobytes() == e.snapshot_mean.probs.tobytes()
         assert sorted(view.labels.tolist()) == sorted(e.labels.tolist())
 
-    expected = _columns(batch)
+    expected = batch_columns(batch)
     for chunk in (1, 7):
         with mock.patch.object(storage, "INGEST_CHUNK_LINES", chunk):
-            assert _columns(ingest(path)) == expected
+            assert batch_columns(ingest(path)) == expected
+
+    # the same records in version 2, as label counts, read to the same columns
+    v2 = tmp_path / "data_v2.jsonl"
+    header_path(v2).write_text(json.dumps({"format": "snapshot-dataset", "version": 2, "num_classes": classes}))
+    records = [json.loads(line) for line in lines if line.strip()]
+    for record in records:
+        record["label_counts"] = np.bincount(record.pop("labels"), minlength=classes).tolist()
+    v2.write_text("".join(json.dumps(record) + "\n" for record in records))
+    assert batch_columns(ingest(v2)) == expected

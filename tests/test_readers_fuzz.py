@@ -5,6 +5,7 @@ no other exception escapes."""
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -25,7 +26,7 @@ from hocroute.storage import (
     write_dataset,
 )
 
-from conftest import unpacked_rows
+from conftest import unpacked_rows, write_version_1
 
 FUZZ = settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
@@ -39,6 +40,9 @@ json_values = st.recursive(
     lambda children: st.lists(children, max_size=4) | st.dictionaries(st.text(max_size=4), children, max_size=3),
     max_leaves=8,
 )
+# A format ``version`` field: the ones a reader takes, and JSON values that
+# equal them in Python or read alike as text.
+VERSIONS = st.sampled_from([1, 2, 3, 4, 0, -1, True, False, 1.0, 2.0, 3.0, "1", "2", "3", None])
 JSON_CHARS = st.sampled_from(list('{}[]",:.-+eE0123456789 tfnulNaIy\\')) | st.characters()
 
 
@@ -101,10 +105,13 @@ def workspace(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
-def dataset_lines(workspace, small_run):
-    path = workspace / "valid.jsonl"
-    write_dataset(path, small_run.test[:4])
-    return header_path(path).read_text(), path.read_text().splitlines()
+def datasets(workspace, small_run):
+    """A version-2 dataset of four records and its version-1 copy, each as
+    (header text, lines)."""
+    v2 = workspace / "valid.jsonl"
+    write_dataset(v2, small_run.test[:4])
+    v1 = write_version_1(v2, workspace / "valid_v1.jsonl")
+    return [(header_path(path).read_text(), path.read_text().splitlines()) for path in (v2, v1)]
 
 
 @pytest.fixture(scope="module")
@@ -141,14 +148,17 @@ def _as_version_1(text: str) -> str:
 
 @FUZZ
 @given(data=st.data())
-def test_ingest_raises_only_invalid_input(workspace, dataset_lines, data):
-    header, lines = dataset_lines
+def test_ingest_raises_only_invalid_input(workspace, datasets, data):
+    header, lines = data.draw(st.sampled_from(datasets))
     lines = list(lines)
-    if data.draw(st.booleans()):
+    target = data.draw(st.sampled_from(["line", "header", "version"]))
+    if target == "line":
         i = data.draw(st.integers(0, len(lines) - 1))
         lines[i] = mutate(data, lines[i])
-    else:
+    elif target == "header":
         header = mutate(data, header)
+    else:
+        header = json.dumps({**json.loads(header), "version": data.draw(VERSIONS)})
     path = workspace / "fuzzed.jsonl"
     # surrogatepass: a lone surrogate drawn by the text mutation becomes bytes that are not UTF-8
     header_path(path).write_bytes(header.encode("utf-8", "surrogatepass"))
@@ -158,16 +168,20 @@ def test_ingest_raises_only_invalid_input(workspace, dataset_lines, data):
         raw = raw[:i] + b"\xff" + raw[i:]
     path.write_bytes(raw)
     try:
-        examples = ingest(path)
+        batch = ingest(path)
     except InvalidInputError:
         return
-    assert examples and all(e.num_classes == examples[0].num_classes for e in examples)
+    # columns only: a row view spells out its label counts, which may be huge
+    assert len(batch) and batch.counts.shape == batch.probs.shape and batch.counts.dtype == np.int64
+    assert (batch.counts >= 0).all() and batch.counts.sum(axis=1).all()
+    version = json.loads(header)["version"]
+    assert type(version) is int and version in (1, 2)
 
 
 @FUZZ
 @given(data=st.data())
-def test_query_readers_raise_only_invalid_input(dataset_lines, data):
-    _, lines = dataset_lines
+def test_query_readers_raise_only_invalid_input(datasets, data):
+    _, lines = datasets[0]
     lines = list(lines)
     i = data.draw(st.integers(0, len(lines) - 1))
     lines[i] = mutate(data, lines[i])
@@ -188,7 +202,10 @@ def test_query_readers_raise_only_invalid_input(dataset_lines, data):
 @FUZZ
 @given(data=st.data())
 def test_load_model_raises_only_invalid_input(workspace, model_texts, data):
-    text = mutate(data, data.draw(st.sampled_from(model_texts)))
+    text = data.draw(st.sampled_from(model_texts))
+    if data.draw(st.integers(0, 4)) == 0:
+        text = json.dumps({**json.loads(text), "version": data.draw(VERSIONS)})
+    text = mutate(data, text)
     path = workspace / "fuzzed.json"
     path.write_bytes(text.encode("utf-8", "surrogatepass"))
     try:

@@ -29,7 +29,7 @@ from hocroute.storage import (
     write_sweep_csv,
 )
 
-from conftest import packed_rows, unpacked_rows
+from conftest import batch_columns, packed_rows, unpacked_rows, version_1_line, write_version_1
 
 brier = LossSpec("brier")
 V1, V2, V3 = "valid_payload", "valid_payload_v2", "valid_payload_v3"  # model payload fixtures by format version
@@ -141,6 +141,104 @@ class TestIngestValidation:
     def test_missing_file(self, tmp_path):
         with pytest.raises(InvalidInputError, match="does not exist"):
             ingest(tmp_path / "nope.jsonl")
+
+
+MISSING = object()  # a ``version`` field left out
+BAD_VERSIONS = [True, 3.0, "3", 4, 2.0, "2", None, MISSING]
+
+
+def with_version(record: dict, version) -> dict:
+    """``record`` with ``version`` as its version, or with none for MISSING."""
+    record = {k: v for k, v in record.items() if k != "version"}
+    return record if version is MISSING else {**record, "version": version}
+
+
+def version_error(source, version, accepted: str) -> str:
+    """A regular expression for the whole message refusing ``version`` in ``source``."""
+    found = "missing" if version is MISSING else f"unsupported version {json.dumps(version)}"
+    message = f"{source}: field 'version': {found} (this reader takes {accepted})"
+    return f"^{re.escape(message)}$"
+
+
+class TestDatasetVersion2:
+    """Version 2 stores a row's labels as ``label_counts``; version 1 files,
+    which list the labels, read to the same arrays."""
+
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory, small_run):
+        root = tmp_path_factory.mktemp("v2")
+        v2 = root / "v2.jsonl"
+        write_dataset(v2, small_run.test[:300])
+        return v2, write_version_1(v2, root / "v1.jsonl")
+
+    def test_written_as_counts(self, files):
+        v2, _ = files
+        assert json.loads(header_path(v2).read_text())["version"] == 2
+        record = json.loads(v2.read_text().splitlines()[0])
+        assert "labels" not in record and type(record["label_counts"][0]) is int
+
+    def test_version_1_and_2_read_to_equal_arrays(self, files, tmp_path):
+        v2, v1 = files
+        from_v1 = ingest(v1)
+        assert batch_columns(ingest(v2)) == batch_columns(from_v1)
+        again = tmp_path / "again.jsonl"  # version 1 -> version 2 -> ingest
+        write_dataset(again, from_v1)
+        assert again.read_bytes() == v2.read_bytes()
+        assert batch_columns(ingest(again)) == batch_columns(from_v1)
+
+    def test_extreme_counts_are_read(self, tmp_path):
+        path = tmp_path / "extreme.jsonl"
+        header_path(path).write_text(json.dumps({"format": "snapshot-dataset", "version": 2, "num_classes": 2}))
+        records = [{"id": "a", "weak_probs": [0.5, 0.5], "label_counts": c} for c in ([0, 5], [2**63 - 2, 1])]
+        path.write_text("".join(json.dumps(r) + "\n" for r in records))
+        batch = ingest(path)
+        assert batch.counts.tolist() == [[0, 5], [2**63 - 2, 1]]
+        assert batch.means[0].tolist() == [0.0, 1.0]
+
+    @pytest.mark.parametrize("lineno", [1, 100, 257])
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            pytest.param({"label_counts": [-1, 3]}, id="negative"),
+            pytest.param({"label_counts": [1.0, 2]}, id="float"),
+            pytest.param({"label_counts": [True, 2]}, id="bool"),
+            pytest.param({"label_counts": [1, 2, 3]}, id="wrong-length"),
+            pytest.param({"label_counts": [0, 0]}, id="all-zero"),
+            pytest.param({"label_counts": [2**63, 0]}, id="count-beyond-int64"),
+            pytest.param({"label_counts": [2**62, 2**62]}, id="total-beyond-int64"),
+            pytest.param({"label_counts": 3}, id="not-a-list"),
+            pytest.param({"label_counts": None}, id="null"),
+            pytest.param({"labels": [0, 1]}, id="with-labels"),
+        ],
+    )
+    def test_bad_label_counts_named(self, files, tmp_path, damage, lineno):
+        v2, _ = files
+        lines = v2.read_text().splitlines(keepends=True)
+        lines[lineno - 1] = json.dumps({**json.loads(lines[lineno - 1]), **damage}) + "\n"
+        path = tmp_path / "bad.jsonl"
+        header_path(path).write_text(header_path(v2).read_text())
+        path.write_text("".join(lines))
+        with pytest.raises(InvalidInputError, match=f"^line {lineno}: field 'label_counts': "):
+            ingest(path)
+
+    def test_version_1_line_in_a_version_2_file_is_refused(self, files, tmp_path):
+        v2, _ = files
+        lines = v2.read_text().splitlines(keepends=True)
+        lines[4] = version_1_line(lines[4])
+        path = tmp_path / "mixed.jsonl"
+        header_path(path).write_text(header_path(v2).read_text())
+        path.write_text("".join(lines))
+        with pytest.raises(InvalidInputError, match="^line 5: field 'label_counts': missing$"):
+            ingest(path)
+
+    @pytest.mark.parametrize("version", BAD_VERSIONS)
+    def test_header_version_checked(self, files, tmp_path, version):
+        _, v1 = files
+        path = tmp_path / "data.jsonl"
+        path.write_text(v1.read_text())
+        header_path(path).write_text(json.dumps(with_version(json.loads(header_path(v1).read_text()), version)))
+        with pytest.raises(InvalidInputError, match=version_error(header_path(path), version, "1, 2")):
+            ingest(path)
 
 
 class TestQueryParsing:
@@ -291,6 +389,13 @@ class TestModelFile:
         sample = small_run.test[:100]
         assert assign_many(model.partition, sample) == assign_many(loaded.partition, sample)
         assert estimate_decomposition(model, "c0:b0", brier) == estimate_decomposition(loaded, "c0:b0", brier)
+
+    @pytest.mark.parametrize("version", BAD_VERSIONS)
+    def test_version_checked(self, tmp_path, valid_payload_v3, version):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(with_version(valid_payload_v3, version)))
+        with pytest.raises(InvalidInputError, match=version_error(path, version, "1, 2, 3")):
+            load_model(path)
 
     def test_version_guard(self, tmp_path):
         path = tmp_path / "model.json"
