@@ -143,36 +143,54 @@ def snapshot_mean(labels: Sequence[int] | np.ndarray, num_classes: int) -> Label
     return LabelDistribution(counts / arr.size)
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, init=False)
 class SnapshotExample:
     """One calibration or evaluation record.
 
     Carries the weak model's prediction and ``k`` independently sampled
-    labels; ``snapshot_mean`` is always derived from the labels. ``p_star``
-    is the exact conditional distribution and only present for synthetic
-    data where it is known.
+    labels, given as class indices (``labels``) or as per-class counts
+    (``label_counts``) and kept as counts: ``snapshot_mean`` is derived from
+    them, and ``labels`` spells them out, grouped by class, only when read.
+    ``p_star`` is the exact conditional distribution and only present for
+    synthetic data where it is known.
     """
 
     id: str
     weak_pred: LabelDistribution
-    labels: np.ndarray
-    features: np.ndarray | None = None
-    p_star: LabelDistribution | None = None
-    snapshot_mean: LabelDistribution = field(init=False)
+    label_counts: np.ndarray
+    features: np.ndarray | None
+    p_star: LabelDistribution | None
+    snapshot_mean: LabelDistribution
 
-    def __post_init__(self) -> None:
-        labels = np.asarray(self.labels)
-        if labels.size and not np.issubdtype(labels.dtype, np.integer):
-            raise InvalidInputError(f"example {self.id}: labels must be integers")
-        self.labels = labels.astype(np.int32, copy=False)
-        try:
-            self.snapshot_mean = snapshot_mean(self.labels, self.weak_pred.num_classes)
-        except InvalidInputError as err:
-            raise InvalidInputError(f"example {self.id}: {err}") from None
-        if self.features is not None:
-            self.features = np.asarray(self.features, dtype=float)
-        if self.p_star is not None and self.p_star.num_classes != self.weak_pred.num_classes:
-            raise InvalidInputError(f"example {self.id}: p_star class count mismatch")
+    def __init__(self, id, weak_pred, labels=None, features=None, p_star=None, *, label_counts=None) -> None:
+        num_classes = weak_pred.num_classes
+        if (labels is None) == (label_counts is None):
+            raise InvalidInputError(f"example {id}: give either labels or label_counts")
+        if labels is not None:
+            labels = np.asarray(labels)
+            if labels.size and not np.issubdtype(labels.dtype, np.integer):
+                raise InvalidInputError(f"example {id}: labels must be integers")
+            try:
+                snapshot_mean(labels, num_classes)
+            except InvalidInputError as err:
+                raise InvalidInputError(f"example {id}: {err}") from None
+            label_counts = np.bincount(labels.astype(np.intp), minlength=num_classes)
+        counts = np.asarray(label_counts)
+        if np.issubdtype(counts.dtype, np.integer):
+            counts = counts.astype(np.int64, copy=False)  # a uint64 count past int64 turns negative
+        if not (counts.shape == (num_classes,) and counts.dtype == np.int64 and (counts >= 0).all()):
+            raise InvalidInputError(f"example {id}: label_counts must be {num_classes} integers >= 0")
+        if not counts.sum():
+            raise InvalidInputError(f"example {id}: snapshot needs at least one label")
+        if p_star is not None and p_star.num_classes != num_classes:
+            raise InvalidInputError(f"example {id}: p_star class count mismatch")
+        self.id, self.weak_pred, self.label_counts, self.p_star = id, weak_pred, counts, p_star
+        self.features = None if features is None else np.asarray(features, dtype=float)
+        self.snapshot_mean = LabelDistribution(counts / counts.sum())
+
+    @property
+    def labels(self) -> np.ndarray:
+        return np.repeat(np.arange(self.num_classes, dtype=np.int32), self.label_counts)
 
     @property
     def num_classes(self) -> int:
@@ -180,7 +198,7 @@ class SnapshotExample:
 
     @property
     def k(self) -> int:
-        return int(self.labels.size)
+        return int(self.label_counts.sum())
 
 
 def ground_truth(example: SnapshotExample) -> LabelDistribution:
@@ -208,8 +226,8 @@ class SnapshotBatch:
     (``counts / k``) and ``truth`` (``p_star`` where present, the mean
     otherwise) are derived at construction with ``LabelDistribution``'s
     arithmetic, so a row's values do not depend on the batch it is in.
-    ``batch[i]`` is row ``i`` as a ``SnapshotExample``, its labels grouped by
-    class; a slice is a batch.
+    ``batch[i]`` is row ``i`` as a ``SnapshotExample`` holding the row's label
+    counts; a slice is a batch.
     """
 
     ids: list[str]
@@ -269,7 +287,7 @@ class SnapshotBatch:
         return cls(
             ids=[e.id for e in examples],
             probs=np.stack([e.weak_pred.probs for e in examples]),
-            counts=np.stack([np.bincount(e.labels, minlength=num_classes) for e in examples]),
+            counts=np.stack([e.label_counts for e in examples]),
             features=nan_padded(np.concatenate(features), np.array([f.size for f in features])),
             p_star=np.stack([np.full(num_classes, np.nan) if e.p_star is None else e.p_star.probs for e in examples]),
         )
@@ -294,7 +312,7 @@ class SnapshotBatch:
         return SnapshotExample(
             id=self.ids[i],
             weak_pred=LabelDistribution(self.probs[i]),
-            labels=np.repeat(np.arange(self.num_classes), self.counts[i]),
+            label_counts=self.counts[i],
             features=features if features.size else None,
             p_star=LabelDistribution(self.p_star[i]) if has_p_star else None,
         )

@@ -14,6 +14,7 @@ from hocroute.core import (
     LabelDistribution,
     RoutingConfig,
     RoutingDecision,
+    SnapshotExample,
     action_priority,
     ground_truth,
     route_action,
@@ -107,6 +108,36 @@ class TestSnapshotExample:
             make_example("x", [0.6, 0.4], [0, 2])
         with pytest.raises(InvalidInputError):
             make_example("x", [0.6, 0.4], [])
+
+    def test_counts_give_the_same_record_as_labels(self):
+        weak = LabelDistribution([0.2, 0.3, 0.5])
+        from_labels = SnapshotExample("x", weak, labels=[2, 0, 2])
+        from_counts = SnapshotExample("x", weak, label_counts=[1, 0, 2])
+        for e in (from_labels, from_counts):
+            assert e.label_counts.tolist() == [1, 0, 2] and e.k == 3
+            assert e.labels.tolist() == [0, 2, 2]  # spelled out grouped by class
+        assert from_labels.snapshot_mean.probs.tobytes() == from_counts.snapshot_mean.probs.tobytes()
+
+    def test_huge_counts_are_not_spelled_out(self):
+        e = SnapshotExample("x", LabelDistribution([0.5, 0.5]), label_counts=np.array([2**62, 1]))
+        assert e.k == 2**62 + 1 and e.snapshot_mean.probs[0] == 1.0
+
+    @pytest.mark.parametrize(
+        "labelling",
+        [
+            {"label_counts": [-1, 2]},
+            {"label_counts": [1.0, 2.0]},
+            {"label_counts": [True, False]},
+            {"label_counts": [1, 2, 3]},
+            {"label_counts": [0, 0]},
+            {"label_counts": np.array([2**63, 1], dtype=np.uint64)},
+            {"labels": [0], "label_counts": [1, 0]},
+            {},
+        ],
+    )
+    def test_label_counts_validation(self, labelling):
+        with pytest.raises(InvalidInputError):
+            SnapshotExample("x", LabelDistribution([0.6, 0.4]), **labelling)
 
     def test_ground_truth_prefers_exact(self):
         e = make_example("x", [0.6, 0.4], [0], p_star=[0.9, 0.1])

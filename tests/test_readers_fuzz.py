@@ -5,7 +5,6 @@ no other exception escapes."""
 import json
 import math
 
-import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -168,12 +167,10 @@ def test_ingest_raises_only_invalid_input(workspace, datasets, data):
         raw = raw[:i] + b"\xff" + raw[i:]
     path.write_bytes(raw)
     try:
-        batch = ingest(path)
+        examples = ingest(path)
     except InvalidInputError:
         return
-    # columns only: a row view spells out its label counts, which may be huge
-    assert len(batch) and batch.counts.shape == batch.probs.shape and batch.counts.dtype == np.int64
-    assert (batch.counts >= 0).all() and batch.counts.sum(axis=1).all()
+    assert examples and all(e.num_classes == examples[0].num_classes for e in examples)
     version = json.loads(header)["version"]
     assert type(version) is int and version in (1, 2)
 

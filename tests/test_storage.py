@@ -194,6 +194,9 @@ class TestDatasetVersion2:
         batch = ingest(path)
         assert batch.counts.tolist() == [[0, 5], [2**63 - 2, 1]]
         assert batch.means[0].tolist() == [0.0, 1.0]
+        # a row view keeps the counts: it does not spell out 2**63 - 1 labels
+        assert [e.k for e in batch] == [5, 2**63 - 1]
+        assert batch[1].snapshot_mean.probs.tobytes() == batch.means[1].tobytes()
 
     @pytest.mark.parametrize("lineno", [1, 100, 257])
     @pytest.mark.parametrize(
