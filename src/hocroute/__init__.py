@@ -31,7 +31,7 @@ from .calibrator import (
     estimate_decomposition,
     wasserstein_error,
 )
-from .router import OracleSpec, Router, decide, pointwise_optimal, simulated_costs, tree_decide
+from .router import OracleSpec, Router, decide, simulated_costs, tree_decide
 from .baselines import (
     RankedPolicy,
     bucket_optimal_scores,
@@ -81,7 +81,6 @@ __all__ = [
     "multi_loss_report",
     "partition_quality",
     "pointwise_loss",
-    "pointwise_optimal",
     "pointwise_optimal_scores",
     "route_action",
     "routing_curve",

@@ -296,14 +296,17 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_diagnose(args: argparse.Namespace) -> int:
     _require_non_negative(seed=args.seed, trials=args.trials)
+    for given, missing in (("model", "test"), ("test", "model")):
+        if getattr(args, given) and not getattr(args, missing):
+            raise InvalidInputError(f"diagnose --{given} needs --{missing}")
+    _require_files(args.model, args.test)
     report: dict = {}
     failed = False
     if args.self_test:
         results = [r.to_record() for r in run_lemma_checks(seed=args.seed, trials=args.trials)]
         failed = any(not r["passed"] for r in results)
         report["self_test"] = results
-    if args.model and args.test:
-        _require_files(args.model, args.test)
+    if args.model:
         model = storage.load_model(args.model)
         test = storage.ingest(args.test)
         loss = parse_loss(args.loss)

@@ -360,6 +360,11 @@ class RoutingConfig:
     def actions(self) -> list[str]:
         return [PREDICT] + [route_action(i) for i in range(self.num_oracles)] + [ABSTAIN]
 
+    @property
+    def penalties(self) -> np.ndarray:
+        """The penalty of each action, in ``actions()`` order."""
+        return np.array([0.0, *self.route_penalties, self.abstain_penalty])
+
 
 @dataclass(frozen=True, eq=False)
 class RoutingDecision:
@@ -371,9 +376,3 @@ class RoutingDecision:
     def __post_init__(self) -> None:
         if self.action not in self.est_costs:
             raise InvalidInputError(f"action {self.action!r} missing from est_costs")
-
-    @classmethod
-    def from_costs(cls, est_costs: dict[str, float]) -> "RoutingDecision":
-        """Pick the cost-minimizing action; exact ties resolve by priority."""
-        best = min(est_costs, key=lambda a: (est_costs[a], action_priority(a)))
-        return cls(action=best, est_costs={a: float(c) for a, c in est_costs.items()})

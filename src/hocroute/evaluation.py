@@ -28,7 +28,7 @@ from .core import (
 )
 from .losses import LossSpec, entropy_batch, expected_loss_batch
 from .partition import _bin_positions, assign_rows
-from .router import OracleSpec, _check_oracles, bin_costs
+from .router import OracleSpec, _check_oracles, bin_costs, choose
 
 HOC_ROUTER = "hoc_router"
 # The router and its three baselines: the curves drawn when none are named.
@@ -196,28 +196,11 @@ def _point_costs(model, test: SnapshotBatch, loss, oracles, use_recalibrated) ->
     return bins, index, np.column_stack([*columns, np.zeros(len(test))])
 
 
-def _priced(model, bins: list[str], loss, oracles) -> np.ndarray:
-    """Each bin's estimated action costs from its stored mixture, one row per
-    bin and the columns of ``_point_costs``, before penalties."""
-    return np.array([[*bin_costs(model, b, loss, oracles).values(), 0.0] for b in bins])
-
-
-def _penalties(config: RoutingConfig) -> np.ndarray:
-    return np.array([0.0, *config.route_penalties, config.abstain_penalty])
-
-
-def _choose(costs: np.ndarray, config: RoutingConfig) -> np.ndarray:
-    """Each row's cheapest action column under the penalties of ``config``.
-    The columns are in ``action_priority`` order and ``argmin`` takes the
-    first minimum, so exact ties resolve as ``RoutingDecision.from_costs``."""
-    return np.argmin(costs + _penalties(config), axis=1)
-
-
 def _realized(points: np.ndarray, index: np.ndarray, choice: np.ndarray, config: RoutingConfig) -> np.ndarray:
     """Per-point realized cost of a per-bin action choice, charged at the true
     penalties of ``config``."""
     action = choice[index]
-    return points[np.arange(len(index)), action] + _penalties(config)[action]
+    return points[np.arange(len(index)), action] + config.penalties[action]
 
 
 def policy_point_costs(
@@ -238,7 +221,7 @@ def policy_point_costs(
     cfg = decide_config or config
     oracles = _check_oracles(cfg, _check_oracles(config, oracles))  # decisions price the charged oracles
     bins, index, points = _point_costs(model, as_batch(test), config.loss, oracles, use_recalibrated)
-    return _realized(points, index, _choose(_priced(model, bins, cfg.loss, oracles), cfg), config)
+    return _realized(points, index, choose(bin_costs(model, bins, cfg.loss, oracles), cfg), config)
 
 
 def bucket_optimal_point_costs(
@@ -255,7 +238,7 @@ def bucket_optimal_point_costs(
     positions, columns = _bin_positions(bins, index), np.ascontiguousarray(points.T)
     # 1-D means over each bin's rows in ascending order, as a per-bin loop sums them
     measured = np.array([[column[positions[b]].mean() for column in columns] for b in bins])
-    return _realized(points, index, _choose(measured, config), config)
+    return _realized(points, index, choose(measured, config), config)
 
 
 def cost_sweep(
@@ -275,7 +258,7 @@ def cost_sweep(
     probe = RoutingConfig(loss=loss, route_penalties=(alpha,), abstain_penalty=float(betas[0]))
     oracles = _check_oracles(probe, oracles)
     bins, index, points = _point_costs(model, as_batch(test), loss, oracles, use_recalibrated)
-    priced = _priced(model, bins, loss, oracles)  # once: no penalty in it
+    priced = bin_costs(model, bins, loss, oracles)  # once: no penalty in it
     pr_cfg = RoutingConfig(loss=loss, route_penalties=(alpha,), abstain_penalty=math.inf)
     rows: list[SweepRow] = []
     max_gap = -math.inf
@@ -283,8 +266,8 @@ def cost_sweep(
         true_cfg = RoutingConfig(loss=loss, route_penalties=(alpha,), abstain_penalty=float(beta))
         pa_cfg = RoutingConfig(loss=loss, route_penalties=(math.inf,), abstain_penalty=float(beta))
         configs = {THREE_WAY: true_cfg, PREDICT_ROUTE: pr_cfg, PREDICT_ABSTAIN: pa_cfg}
-        chosen = {policy: _choose(priced, cfg) for policy, cfg in configs.items()}
-        est = {policy: (priced + _penalties(true_cfg))[np.arange(len(bins)), c] for policy, c in chosen.items()}
+        chosen = {policy: choose(priced, cfg) for policy, cfg in configs.items()}
+        est = {policy: (priced + true_cfg.penalties)[np.arange(len(bins)), c] for policy, c in chosen.items()}
         gap = est[THREE_WAY] - np.minimum(est[PREDICT_ROUTE], est[PREDICT_ABSTAIN])
         max_gap = max(max_gap, float(np.fmax.reduce(gap)))  # fmax skips inf - inf, a bin where all cost inf
         for policy, choice in chosen.items():

@@ -16,17 +16,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import (
-    ABSTAIN,
-    PREDICT,
-    InvalidInputError,
-    LabelDistribution,
-    RoutingConfig,
-    RoutingDecision,
-    route_action,
-)
+from .core import ABSTAIN, PREDICT, InvalidInputError, RoutingConfig, RoutingDecision, route_action
 from .calibrator import CalibratedRouterModel, estimate_decomposition
-from .losses import LossSpec, entropy_batch, expected_loss, expected_loss_batch
+from .losses import LossSpec, entropy_batch, expected_loss_batch
 from .partition import assign
 
 BAYES = "bayes"
@@ -83,8 +75,10 @@ class OracleSpec:
             raise InvalidInputError(f"unknown oracle kind {self.kind!r}")
         if self.aggregation not in (MEAN, MAJORITY):
             raise InvalidInputError(f"unknown aggregation {self.aggregation!r}")
-        if self.num_annotators < 1:
-            raise InvalidInputError("need at least one annotator")
+        for name, low in (("num_annotators", 1), ("mc_draws", 1), ("mc_seed", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+                raise InvalidInputError(f"{name} must be an integer >= {low}, got {value!r}")
 
     def point_costs(self, loss: LossSpec, truths: np.ndarray) -> np.ndarray:
         """Expected oracle loss at each row of ``truths``."""
@@ -97,9 +91,6 @@ class OracleSpec:
 
     def mean_cost(self, loss: LossSpec, truths: np.ndarray) -> float:
         return float(np.mean(self.point_costs(loss, truths)))
-
-    def cost(self, loss: LossSpec, truth: LabelDistribution) -> float:
-        return float(self.point_costs(loss, truth.probs[None, :])[0])
 
     def _aggregated_prediction(self, count_positive: int) -> np.ndarray:
         k = self.num_annotators
@@ -175,31 +166,26 @@ def _check_oracles(config: RoutingConfig, oracles: Sequence[OracleSpec] | None) 
     return list(oracles)
 
 
-def bin_costs(model: CalibratedRouterModel, bin_id: str, loss: LossSpec, oracles: Sequence[OracleSpec]) -> dict[str, float]:
-    """Estimated cost of predicting and of each oracle from the bin's stored
-    mixture, before any penalty, so one pricing serves every penalty."""
-    irreducible, reducible = estimate_decomposition(model, bin_id, loss)
-    means = model.mixture(bin_id).means
-    return {PREDICT: irreducible + reducible} | {
-        route_action(i): oracle.mean_cost(loss, means) for i, oracle in enumerate(oracles)
-    }
+def bin_costs(
+    model: CalibratedRouterModel, bins: Sequence[str], loss: LossSpec, oracles: Sequence[OracleSpec]
+) -> np.ndarray:
+    """Estimated cost of every action in each bin from its stored mixture, one
+    row per bin in ``RoutingConfig.actions()`` order, before any penalty:
+    predict, each oracle, and 0 for abstain. One pricing serves every penalty."""
+    rows = []
+    for b in bins:
+        irreducible, reducible = estimate_decomposition(model, b, loss)
+        means = model.mixture(b).means
+        rows.append([irreducible + reducible, *(oracle.mean_cost(loss, means) for oracle in oracles), 0.0])
+    return np.array(rows).reshape(len(rows), len(oracles) + 2)
 
 
-def with_penalties(costs: dict[str, float], config: RoutingConfig) -> dict[str, float]:
-    """Penalty-free action costs charged the penalties of ``config``."""
-    routes = {route_action(i): costs[route_action(i)] + alpha for i, alpha in enumerate(config.route_penalties)}
-    return {PREDICT: costs[PREDICT], **routes, ABSTAIN: config.abstain_penalty}
-
-
-def simulated_costs(
-    model: CalibratedRouterModel,
-    bin_id: str,
-    config: RoutingConfig,
-    oracles: Sequence[OracleSpec] | None = None,
-) -> dict[str, float]:
-    """Estimated cost of every action from the bin's stored mixture."""
-    oracles = _check_oracles(config, oracles)
-    return with_penalties(bin_costs(model, bin_id, config.loss, oracles), config)
+def choose(costs: np.ndarray, config: RoutingConfig) -> np.ndarray:
+    """The cheapest action of each row of penalty-free ``costs`` (columns in
+    ``config.actions()`` order) once the penalties of ``config`` are added.
+    ``argmin`` takes the first minimum, so a column's position is its tie
+    priority: predict, then oracles by index, then abstain."""
+    return np.argmin(costs + config.penalties, axis=-1)
 
 
 def decide(
@@ -209,7 +195,19 @@ def decide(
     oracles: Sequence[OracleSpec] | None = None,
 ) -> RoutingDecision:
     """Cost-minimizing action for a bin; constant across the bin's points."""
-    return RoutingDecision.from_costs(simulated_costs(model, bin_id, config, oracles))
+    costs = bin_costs(model, [bin_id], config.loss, _check_oracles(config, oracles))[0]
+    actions, est_costs = config.actions(), (costs + config.penalties).tolist()
+    return RoutingDecision(actions[choose(costs, config)], dict(zip(actions, est_costs)))
+
+
+def simulated_costs(
+    model: CalibratedRouterModel,
+    bin_id: str,
+    config: RoutingConfig,
+    oracles: Sequence[OracleSpec] | None = None,
+) -> dict[str, float]:
+    """Estimated cost of every action from the bin's stored mixture."""
+    return decide(model, bin_id, config, oracles).est_costs
 
 
 class Router:
@@ -260,26 +258,3 @@ def tree_decide(
     if irreducible + reducible >= abstain_penalty:
         return ABSTAIN
     return PREDICT
-
-
-def true_costs(
-    truth: LabelDistribution,
-    deployed: LabelDistribution,
-    config: RoutingConfig,
-    oracles: Sequence[OracleSpec] | None = None,
-) -> dict[str, float]:
-    """Realized cost of every action when the exact conditional is known."""
-    oracles = _check_oracles(config, oracles)
-    costs = {PREDICT: expected_loss(config.loss, truth, deployed)}
-    costs.update((route_action(i), oracle.cost(config.loss, truth)) for i, oracle in enumerate(oracles))
-    return with_penalties(costs, config)
-
-
-def pointwise_optimal(
-    truth: LabelDistribution,
-    weak: LabelDistribution,
-    config: RoutingConfig,
-    oracles: Sequence[OracleSpec] | None = None,
-) -> RoutingDecision:
-    """The cost-minimizing action with full knowledge of the conditional."""
-    return RoutingDecision.from_costs(true_costs(truth, weak, config, oracles))

@@ -566,8 +566,9 @@ def load_model(path: str | Path) -> CalibratedRouterModel:
 
 def read_scores_csv(path: str | Path) -> dict[str, float]:
     """External priority scores: a CSV of (id, score) rows, header optional.
-    A file that is not UTF-8 text, or a row without an id and a finite
-    numeric score, fails with ``InvalidInputError`` naming the file and line."""
+    A file that is not UTF-8 text, a row without an id and a finite numeric
+    score, or an id given twice fails with ``InvalidInputError`` naming the
+    file and line."""
     raw = Path(path).read_bytes()
     try:
         text = raw.decode("utf-8")
@@ -580,9 +581,13 @@ def read_scores_csv(path: str | Path) -> dict[str, float]:
         for row in reader:
             if not row or (row[0] == "id" and not table):
                 continue
+            if row[0] in table:
+                raise InvalidInputError(f"{path}: line {reader.line_num}: id {row[0]!r} given twice")
             table[row[0]] = float(row[1]) if len(row) > 1 else math.nan
             if not math.isfinite(table[row[0]]):
                 raise ValueError("score is not finite")
+    except InvalidInputError:
+        raise
     except (ValueError, csv.Error):  # csv.Error: a field beyond csv.field_size_limit
         raise InvalidInputError(f"{path}: line {reader.line_num}: score rows need (id, finite score)") from None
     if not table:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from hocroute.core import LabelDistribution, SnapshotExample
+from hocroute.core import LabelDistribution, SnapshotExample, action_priority
 from hocroute.storage import header_path
 from hocroute.synthetic import SINUSOIDAL, generate
 
@@ -29,6 +29,13 @@ def make_example(eid, weak, labels, features=None, p_star=None):
         features=features,
         p_star=None if p_star is None else LabelDistribution(p_star),
     )
+
+
+def ref_from_costs(est_costs: dict[str, float]) -> str:
+    """The decision rule as a ``min`` over named actions, kept frozen: the
+    cheapest action, exact ties resolved by ``action_priority`` (predict,
+    then oracles by index, then abstain)."""
+    return min(est_costs, key=lambda a: (est_costs[a], action_priority(a)))
 
 
 def packed_rows(rows) -> str:

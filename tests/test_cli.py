@@ -321,6 +321,28 @@ class TestPipeline:
         report = json.loads(capsys.readouterr().out)
         assert all(entry["passed"] for entry in report["self_test"])
 
+    @pytest.mark.parametrize(
+        "given,missing", [("model", "test"), ("test", "model"), ("model", None), ("test", None)]
+    )
+    def test_diagnose_refuses_a_lone_or_missing_input_before_the_self_test(
+        self, given, missing, workspace, tmp_path, capsys, monkeypatch
+    ):
+        root, data_dir, model_path = workspace
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cli, "run_lemma_checks", mock.Mock(side_effect=AssertionError("self-test ran")))
+        paths = {"model": str(model_path), "test": str(data_dir / "test.jsonl")}
+        if missing is None:  # both given, one of them not on disk
+            paths[given] = str(tmp_path / "absent.json")
+            message = f"input file(s) not found: {paths[given]}"
+        else:
+            del paths[missing]
+            message = f"diagnose --{given} needs --{missing}"
+        argv = ["diagnose", "--self-test", *(arg for flag, path in paths.items() for arg in (f"--{flag}", path))]
+        assert cli_dispatch(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert json.loads(err) == {"error": "InvalidInputError", "message": message}
+
     def test_diagnose_self_test_without_trials_fails(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
         assert cli_dispatch(["diagnose", "--self-test", "--trials", "0"]) == 1

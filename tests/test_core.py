@@ -22,8 +22,9 @@ from hocroute.core import (
     snapshot_mean,
 )
 from hocroute.losses import LossSpec
+from hocroute.router import choose
 
-from conftest import make_example, simplex_arrays
+from conftest import make_example, ref_from_costs, simplex_arrays
 
 
 class TestLabelDistribution:
@@ -161,19 +162,31 @@ class TestRoutingConfig:
         assert math.isinf(cfg.abstain_penalty)
         assert cfg.actions() == [PREDICT, "route:0", "route:1", ABSTAIN]
 
+    def test_penalties_follow_actions(self):
+        cfg = RoutingConfig(loss=LossSpec("brier"), route_penalties=(0.25, math.inf), abstain_penalty=0.5)
+        assert cfg.penalties.tolist() == [0.0, 0.25, math.inf, 0.5]
+        assert len(cfg.penalties) == len(cfg.actions())
+
+
+def _chosen(est_costs: dict[str, float]) -> str:
+    """``choose`` on one penalty-free row whose oracle costs are charged as
+    routing penalties and abstain as the abstention penalty, checked
+    against the frozen ``min`` over named actions."""
+    routes = [c for a, c in est_costs.items() if a.startswith("route:")]
+    config = RoutingConfig(loss=LossSpec("brier"), route_penalties=routes, abstain_penalty=est_costs[ABSTAIN])
+    action = config.actions()[choose(np.array([est_costs[PREDICT], *[0.0] * len(routes), 0.0]), config)]
+    assert action == ref_from_costs(est_costs)
+    return action
+
 
 class TestRoutingDecision:
     def test_argmin(self):
-        d = RoutingDecision.from_costs({PREDICT: 0.3, route_action(0): 0.25, ABSTAIN: 0.3})
-        assert d.action == "route:0"
+        assert _chosen({PREDICT: 0.3, route_action(0): 0.25, ABSTAIN: 0.3}) == "route:0"
 
     def test_tie_break_priority(self):
-        d = RoutingDecision.from_costs({PREDICT: 0.3, route_action(0): 0.3, ABSTAIN: 0.3})
-        assert d.action == PREDICT
-        d = RoutingDecision.from_costs({PREDICT: 0.4, route_action(0): 0.3, route_action(1): 0.3, ABSTAIN: 0.3})
-        assert d.action == "route:0"
-        d = RoutingDecision.from_costs({PREDICT: 0.4, route_action(0): 0.35, ABSTAIN: 0.3})
-        assert d.action == ABSTAIN
+        assert _chosen({PREDICT: 0.3, route_action(0): 0.3, ABSTAIN: 0.3}) == PREDICT
+        assert _chosen({PREDICT: 0.4, route_action(0): 0.3, route_action(1): 0.3, ABSTAIN: 0.3}) == "route:0"
+        assert _chosen({PREDICT: 0.4, route_action(0): 0.35, ABSTAIN: 0.3}) == ABSTAIN
 
     def test_action_must_be_priced(self):
         with pytest.raises(InvalidInputError):

@@ -27,8 +27,8 @@ from hocroute.core import (
     ABSTAIN,
     PREDICT,
     RoutingConfig,
-    RoutingDecision,
     ground_truth,
+    route_action,
 )
 from hocroute.evaluation import (
     CURVE_POLICIES,
@@ -40,9 +40,9 @@ from hocroute.evaluation import (
 )
 from hocroute.losses import LossSpec, entropy_batch, expected_loss_batch
 from hocroute.partition import OVERFLOW_BIN, assign_many, fit, fitted_bins, partition_quality
-from hocroute.router import OracleSpec, decide
+from hocroute.router import OracleSpec
 
-from conftest import make_example
+from conftest import make_example, ref_from_costs
 
 BRIER = LossSpec("brier")
 
@@ -151,6 +151,18 @@ def ref_eval_arrays(model, test, loss, oracles, use_recalibrated):
     return positions, predict_cost, oracle_cost
 
 
+def ref_simulated_costs(model, bin_id, config, oracles):
+    """A bin's estimated cost of every action, penalties included, priced
+    from its stored mixture one action at a time."""
+    mixture = model.mixture(bin_id)
+    irreducible, reducible = estimate_decomposition(model, bin_id, config.loss)
+    costs = {PREDICT: irreducible + reducible}
+    for i, (oracle, alpha) in enumerate(zip(oracles, config.route_penalties)):
+        costs[route_action(i)] = oracle.mean_cost(config.loss, mixture.means) + alpha
+    costs[ABSTAIN] = config.abstain_penalty
+    return costs
+
+
 def ref_realized(arrays, action_by_bin, config):
     positions, predict_cost, oracle_cost = arrays
     out = np.empty(predict_cost.shape[0])
@@ -168,7 +180,8 @@ def ref_realized(arrays, action_by_bin, config):
 
 def ref_policy_point_costs(model, test, config, oracles, decide_config=None, use_recalibrated=True):
     arrays = ref_eval_arrays(model, test, config.loss, oracles, use_recalibrated)
-    actions = {b: decide(model, b, decide_config or config, oracles).action for b in sorted(arrays[0])}
+    cfg = decide_config or config
+    actions = {b: ref_from_costs(ref_simulated_costs(model, b, cfg, oracles)) for b in sorted(arrays[0])}
     return ref_realized(arrays, actions, config)
 
 
@@ -180,7 +193,7 @@ def ref_bucket_optimal_point_costs(model, test, config, oracles, use_recalibrate
         costs = {PREDICT: float(predict_cost[idxs].mean()), ABSTAIN: config.abstain_penalty}
         for i, alpha in enumerate(config.route_penalties):
             costs[f"route:{i}"] = float(oracle_cost[i][idxs].mean()) + alpha
-        actions[b] = RoutingDecision.from_costs(costs).action
+        actions[b] = ref_from_costs(costs)
     return ref_realized(arrays, actions, config)
 
 

@@ -13,8 +13,6 @@ from hocroute.core import (
     InvalidInputError,
     LabelDistribution,
     RoutingConfig,
-    RoutingDecision,
-    action_priority,
     simplex_ok,
 )
 from hocroute.losses import LossSpec, expected_loss, expected_loss_batch
@@ -24,14 +22,15 @@ from hocroute.router import (
     Router,
     _annotator_uniforms,
     _sorted_annotator_uniforms,
+    bin_costs,
+    choose,
     decide,
-    pointwise_optimal,
     simulated_costs,
     tree_decide,
-    true_costs,
 )
 
-from conftest import simplexes
+from conftest import ref_from_costs, simplexes
+from test_grouping_reference import ref_simulated_costs
 
 d = LabelDistribution
 brier = LossSpec("brier")
@@ -97,9 +96,61 @@ class TestSimulatedCosts:
         cfg = RoutingConfig(loss=brier, route_penalties=(0.3, 0.0), abstain_penalty=0.9)
         decision = decide(model, "c0:b0", cfg, oracles=[OracleSpec(), cheap_noisy])
         assert set(decision.est_costs) == {PREDICT, "route:0", "route:1", ABSTAIN}
-        assert decision.action == min(
-            decision.est_costs, key=lambda a: (decision.est_costs[a], action_priority(a))
-        )
+        assert decision.action == ref_from_costs(decision.est_costs)
+
+
+ORACLE_POOL = (
+    OracleSpec(),
+    OracleSpec(kind="aggregated", num_annotators=1, aggregation="mean"),
+    OracleSpec(kind="aggregated", num_annotators=3, aggregation="majority"),
+)
+PENALTIES = st.sampled_from([0.0, 0.05, 0.1, math.inf])
+
+
+class TestOneRule:
+    """Every decision is the ``argmin`` of ``choose`` over action columns; it
+    must pick what the frozen ``min`` over named actions picks, exact ties
+    included."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        irreducible=st.sampled_from([0.3, 0.4, 0.5]),
+        reducible=st.sampled_from([0.0, 0.025, 0.05]),  # with these, the bin's prediction is on the simplex
+        picks=st.lists(st.integers(0, len(ORACLE_POOL) - 1), min_size=1, max_size=3),
+        alphas=st.lists(PENALTIES, min_size=3, max_size=3),
+        beta=PENALTIES | st.integers(0, 3),  # an integer: beta ties that action's cost
+        loss=st.sampled_from(["brier", "crossentropy"]),
+    )
+    def test_decide_matches_frozen_min(self, irreducible, reducible, picks, alphas, beta, loss):
+        model = model_with_decomposition(irreducible, reducible)
+        oracles = [ORACLE_POOL[i] for i in picks]
+        routes = tuple(alphas[: len(oracles)])
+        if isinstance(beta, int):
+            free = RoutingConfig(loss=LossSpec(loss), route_penalties=routes, abstain_penalty=0.0)
+            beta = list(ref_simulated_costs(model, "c0:b0", free, oracles).values())[min(beta, len(oracles))]
+        cfg = RoutingConfig(loss=LossSpec(loss), route_penalties=routes, abstain_penalty=beta)
+        decision = decide(model, "c0:b0", cfg, oracles)
+        expected = ref_simulated_costs(model, "c0:b0", cfg, oracles)
+        assert decision.est_costs == expected
+        assert decision.action == ref_from_costs(expected)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        rows=st.lists(st.lists(st.sampled_from([0.0, 0.5, 1.0, 1.5]), min_size=4, max_size=4), min_size=1, max_size=6),
+        oracles=st.integers(1, 3),
+        alphas=st.lists(st.sampled_from([0.0, 0.5, math.inf]), min_size=3, max_size=3),
+        beta=st.sampled_from([0.0, 0.5, 1.0, math.inf]),
+    )
+    def test_choose_matches_frozen_min_on_every_row(self, rows, oracles, alphas, beta):
+        cfg = RoutingConfig(loss=brier, route_penalties=tuple(alphas[:oracles]), abstain_penalty=beta)
+        costs = np.column_stack([np.array(rows)[:, : oracles + 1], np.zeros(len(rows))])
+        actions = cfg.actions()
+        expected = [ref_from_costs(dict(zip(actions, (row + cfg.penalties).tolist()))) for row in costs]
+        assert [actions[c] for c in choose(costs, cfg)] == expected
+
+    def test_bin_costs_of_no_bins(self):
+        model = model_with_decomposition(0.2, 0.1)
+        assert bin_costs(model, [], brier, [OracleSpec(), OracleSpec()]).shape == (0, 4)
 
 
 class TestTreeDecide:
@@ -122,9 +173,9 @@ class TestTreeDecide:
         # the tree keeps >= thresholds: at reducible == alpha it routes, while
         # the cost argmin's tie-break prefers predict; ties are excluded from
         # the equivalence checks
-        assert tree_decide(0.1, 0.25, 0.25, math.inf) == "route:0"
-        costs = {PREDICT: 0.35, "route:0": 0.35, ABSTAIN: math.inf}
-        assert RoutingDecision.from_costs(costs).action == PREDICT
+        assert tree_decide(0.125, 0.25, 0.25, math.inf) == "route:0"
+        cfg = RoutingConfig(loss=brier, route_penalties=(0.25,))
+        assert choose(np.array([0.125 + 0.25, 0.125, 0.0]), cfg) == 0  # 0.375 both ways: predict
 
     @settings(max_examples=500, deadline=None)
     @given(
@@ -136,38 +187,13 @@ class TestTreeDecide:
         if min(margins) <= 1e-12:
             return
         costs = {PREDICT: il + rl, "route:0": il + alpha, ABSTAIN: beta}
-        expected = min(costs, key=lambda a: (costs[a], action_priority(a)))
-        assert tree_decide(il, rl, alpha, beta) == expected
+        assert tree_decide(il, rl, alpha, beta) == ref_from_costs(costs)
 
     def test_exact_rational_boundaries(self):
         # strict-inequality edges probed with exactly representable inputs
         assert tree_decide(0.25, 0.5, 0.25, 0.5) == ABSTAIN  # il == beta - alpha
         assert tree_decide(0.25, 0.25, 0.5, 0.5) == ABSTAIN  # il + rl == beta
         assert tree_decide(0.25, 0.249, 0.5, 0.5) == PREDICT
-
-
-class TestPointwiseOptimal:
-    def test_equal_predictions_never_route(self):
-        cfg = RoutingConfig(loss=brier, route_penalties=(0.01,), abstain_penalty=5.0)
-        p = d([0.7, 0.3])
-        assert pointwise_optimal(p, p, cfg).action == PREDICT
-
-    def test_opposed_one_hots_route(self):
-        cfg = RoutingConfig(loss=brier, route_penalties=(0.1,))
-        decision = pointwise_optimal(d([1.0, 0.0]), d([0.0, 1.0]), cfg)
-        assert decision.action == "route:0"
-        assert decision.est_costs[PREDICT] == pytest.approx(2.0, abs=1e-12)
-
-    def test_free_abstention_dominates_uniform(self):
-        cfg = RoutingConfig(loss=brier, route_penalties=(0.1,), abstain_penalty=0.0)
-        assert pointwise_optimal(d([0.5, 0.5]), d([0.5, 0.5]), cfg).action == ABSTAIN
-
-    def test_costs_match_direct_formula(self):
-        cfg = RoutingConfig(loss=brier, route_penalties=(0.07,), abstain_penalty=0.9)
-        truth, weak = d([0.8, 0.2]), d([0.6, 0.4])
-        costs = true_costs(truth, weak, cfg)
-        assert costs[PREDICT] == pytest.approx(expected_loss(brier, truth, weak), abs=1e-12)
-        assert costs["route:0"] == pytest.approx(expected_loss(brier, truth, truth) + 0.07, abs=1e-12)
 
 
 class TestAggregatedOracles:
@@ -181,7 +207,7 @@ class TestAggregatedOracles:
             vote = 1 if sum(labels) * 2 > 3 else 0
             pred = d([1.0 - vote, float(vote)])
             expected += prob * expected_loss(brier, truth, pred)
-        assert spec.cost(brier, truth) == pytest.approx(expected, abs=1e-12)
+        assert spec.point_costs(brier, truth.probs[None])[0] == pytest.approx(expected, abs=1e-12)
 
     def test_binary_mean_matches_exhaustive_enumeration(self):
         spec = OracleSpec(kind="aggregated", num_annotators=4, aggregation="mean")
@@ -191,7 +217,7 @@ class TestAggregatedOracles:
             prob = np.prod([truth.probs[y] for y in labels])
             mean = sum(labels) / 4.0
             expected += prob * expected_loss(brier, truth, d([1.0 - mean, mean]))
-        assert spec.cost(brier, truth) == pytest.approx(expected, abs=1e-12)
+        assert spec.point_costs(brier, truth.probs[None])[0] == pytest.approx(expected, abs=1e-12)
 
     def test_majority_tie_goes_to_lowest_class(self):
         spec = OracleSpec(kind="aggregated", num_annotators=2, aggregation="majority")
@@ -202,7 +228,9 @@ class TestAggregatedOracles:
         truth = d([0.35, 0.65])
         for annotators in (400, 2000):  # past ~1030 the pmf's binomial coefficients overflow a float
             crowd = OracleSpec(kind="aggregated", num_annotators=annotators, aggregation="mean")
-            assert crowd.cost(brier, truth) == pytest.approx(bayes.cost(brier, truth), abs=0.01)
+            assert crowd.point_costs(brier, truth.probs[None])[0] == pytest.approx(
+                bayes.point_costs(brier, truth.probs[None])[0], abs=0.01
+            )
 
     @pytest.mark.parametrize("aggregation", ["majority", "mean"])
     @settings(max_examples=15, deadline=None)
@@ -214,12 +242,12 @@ class TestAggregatedOracles:
         perm = list(range(len(truths)))
         order.shuffle(perm)
         assert spec.point_costs(brier, rows[perm]).tolist() == costs[perm].tolist()
-        assert [spec.cost(brier, t) for t in truths] == costs.tolist()
+        assert [spec.point_costs(brier, t.probs[None])[0] for t in truths] == costs.tolist()
 
     def test_multiclass_monte_carlo_is_seeded(self):
         spec = OracleSpec(kind="aggregated", num_annotators=5, aggregation="majority", mc_seed=9)
         truth = d([0.2, 0.3, 0.5])
-        assert spec.cost(brier, truth) == spec.cost(brier, truth)
+        assert spec.point_costs(brier, truth.probs[None])[0] == spec.point_costs(brier, truth.probs[None])[0]
         # MC estimate should sit near the exhaustive expectation
         expected = 0.0
         for labels in itertools.product((0, 1, 2), repeat=5):
@@ -229,7 +257,7 @@ class TestAggregatedOracles:
             one_hot = np.zeros(3)
             one_hot[vote] = 1.0
             expected += prob * expected_loss(brier, truth, d(one_hot))
-        assert spec.cost(brier, truth) == pytest.approx(expected, abs=0.05)
+        assert spec.point_costs(brier, truth.probs[None])[0] == pytest.approx(expected, abs=0.05)
 
     def test_validation(self):
         with pytest.raises(InvalidInputError):
@@ -238,6 +266,27 @@ class TestAggregatedOracles:
             OracleSpec(kind="aggregated", aggregation="mode")
         with pytest.raises(InvalidInputError):
             OracleSpec(kind="aggregated", num_annotators=0)
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("num_annotators", 2.5),
+            ("num_annotators", True),
+            ("num_annotators", "3"),
+            ("mc_draws", 0),
+            ("mc_draws", -3),
+            ("mc_draws", 10.0),
+            ("mc_seed", -1),
+            ("mc_seed", None),
+        ],
+    )
+    def test_counts_and_seed_must_be_integers_in_range(self, field, value):
+        with pytest.raises(InvalidInputError, match=f"^{field} must be an integer >= "):
+            OracleSpec(kind="aggregated", aggregation="majority", **{field: value})
+
+    def test_smallest_counts_and_seed_are_accepted(self):
+        spec = OracleSpec(kind="aggregated", num_annotators=1, mc_draws=1, mc_seed=np.int64(0))
+        assert np.isfinite(spec.point_costs(brier, np.array([[0.2, 0.3, 0.5]]))).all()
 
 
 def reference_mc_costs(spec: OracleSpec, loss: LossSpec, truths: np.ndarray) -> np.ndarray:

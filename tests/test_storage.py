@@ -643,6 +643,13 @@ class TestReports:
         with pytest.raises(InvalidInputError, match=rf"^{re.escape(str(path))}: line {line}: "):
             read_scores_csv(path)
 
+    @pytest.mark.parametrize("header, line", [("", 3), ("id,score\n", 4)])
+    def test_an_id_given_twice_is_refused(self, header, line, tmp_path):
+        path = tmp_path / "scores.csv"
+        path.write_text(header + "a,1\nb,2\na,3\n")
+        with pytest.raises(InvalidInputError, match=rf"^{re.escape(str(path))}: line {line}: id 'a' given twice$"):
+            read_scores_csv(path)
+
     def test_manifest_hashes_inputs(self, tmp_path):
         data = tmp_path / "in.txt"
         data.write_text("hello")

@@ -10,36 +10,18 @@ import pytest
 
 import hocroute.router as router_module
 from hocroute.calibrator import calibrate, estimate_decomposition
-from hocroute.core import (
-    ABSTAIN,
-    PREDICT,
-    InvalidInputError,
-    RoutingConfig,
-    RoutingDecision,
-    UnsupportedLossError,
-    route_action,
-)
+from hocroute.core import InvalidInputError, RoutingConfig, UnsupportedLossError
 from hocroute.evaluation import PREDICT_ABSTAIN, PREDICT_ROUTE, THREE_WAY, cost_sweep
 from hocroute.losses import LossSpec
 from hocroute.partition import fit
-from hocroute.router import OracleSpec, bin_costs, simulated_costs, with_penalties
+from hocroute.router import OracleSpec, bin_costs, simulated_costs
 
-from conftest import make_example
-from test_grouping_reference import ref_eval_arrays, ref_realized
+from conftest import make_example, ref_from_costs
+from test_grouping_reference import ref_eval_arrays, ref_realized, ref_simulated_costs
 
 # ---------------------------------------------------------------------------
 # Frozen per-beta implementation
 # ---------------------------------------------------------------------------
-
-
-def ref_simulated_costs(model, bin_id, config, oracles):
-    mixture = model.mixture(bin_id)
-    irreducible, reducible = estimate_decomposition(model, bin_id, config.loss)
-    costs = {PREDICT: irreducible + reducible}
-    for i, (oracle, alpha) in enumerate(zip(oracles, config.route_penalties)):
-        costs[route_action(i)] = oracle.mean_cost(config.loss, mixture.means) + alpha
-    costs[ABSTAIN] = config.abstain_penalty
-    return costs
 
 
 def ref_cost_sweep(model, test, loss, alpha, betas, oracles, use_recalibrated=True):
@@ -50,7 +32,7 @@ def ref_cost_sweep(model, test, loss, alpha, betas, oracles, use_recalibrated=Tr
 
     def decide_bins(config):
         return {
-            b: RoutingDecision.from_costs(ref_simulated_costs(model, b, config, oracles)).action
+            b: ref_from_costs(ref_simulated_costs(model, b, config, oracles))
             for b in unique_bins
         }
 
@@ -193,6 +175,8 @@ def test_simulated_costs_is_bin_costs_plus_penalties(model_case, alphas, beta):
         for b in [*model.mixtures, "unseen-bin"]:
             expected = ref_simulated_costs(model, b, config, oracles)
             got = simulated_costs(model, b, config, oracles)
-            assert got == expected
-            assert with_penalties(bin_costs(model, b, config.loss, oracles), config) == expected
-            assert list(got) == config.actions()
+            assert list(got) == list(expected) == config.actions()
+            assert all(type(c) is float for c in got.values())
+            assert np.array(list(got.values())).tobytes() == np.array(list(expected.values())).tobytes()
+            priced = bin_costs(model, [b], config.loss, oracles)[0] + config.penalties
+            assert priced.tobytes() == np.array(list(expected.values())).tobytes()
