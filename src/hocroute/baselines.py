@@ -37,31 +37,23 @@ class RankedPolicy:
             raise InvalidInputError("policy scores must be finite")
 
 
-def _deployed(
-    test: SnapshotBatch,
-    model: CalibratedRouterModel | None,
-    use_recalibrated: bool = True,
-    bins: tuple[list[str], np.ndarray] | None = None,
-) -> np.ndarray:
-    """The model's deployed predictions, or the raw weak ones without a model
-    or with ``use_recalibrated`` off."""
-    if model is None or not use_recalibrated:
-        return test.probs
-    return model.deployed_matrix(test, bins)
+def _deployed(test: SnapshotBatch, model: CalibratedRouterModel | None, bins=None) -> np.ndarray:
+    """The model's deployed predictions (``bins`` as ``deployed_matrix`` takes
+    it), or the raw weak ones without a model."""
+    return test.probs if model is None else model.deployed_matrix(test, bins)
 
 
 def total_uncertainty_scores(
     test: SnapshotBatch | Sequence[SnapshotExample],
     loss: LossSpec,
     model: CalibratedRouterModel | None = None,
-    use_recalibrated: bool = True,
 ) -> RankedPolicy:
     """Rank by the deployed prediction's own entropy under the target loss."""
-    return RankedPolicy(TOTAL_UNCERTAINTY, entropy_batch(loss, _deployed(as_batch(test), model, use_recalibrated)))
+    return RankedPolicy(TOTAL_UNCERTAINTY, entropy_batch(loss, _deployed(as_batch(test), model)))
 
 
-def _reducible(test: SnapshotBatch, loss, model, use_recalibrated=True, bins=None) -> np.ndarray:
-    deployed = _deployed(test, model, use_recalibrated, bins)
+def _reducible(test: SnapshotBatch, loss, model, bins=None) -> np.ndarray:
+    deployed = _deployed(test, model, bins)
     return expected_loss_batch(loss, test.truth, deployed) - entropy_batch(loss, test.truth)
 
 
@@ -69,23 +61,21 @@ def pointwise_optimal_scores(
     test: SnapshotBatch | Sequence[SnapshotExample],
     loss: LossSpec,
     model: CalibratedRouterModel | None = None,
-    use_recalibrated: bool = True,
 ) -> RankedPolicy:
     """Rank by the true per-point reducible loss (oracle baseline)."""
-    return RankedPolicy(POINTWISE_OPTIMAL, _reducible(as_batch(test), loss, model, use_recalibrated))
+    return RankedPolicy(POINTWISE_OPTIMAL, _reducible(as_batch(test), loss, model))
 
 
 def bucket_optimal_scores(
     test: SnapshotBatch | Sequence[SnapshotExample],
     loss: LossSpec,
     model: CalibratedRouterModel,
-    use_recalibrated: bool = True,
 ) -> RankedPolicy:
     """Rank by the mean true reducible loss of each point's bin, measured on
     the test set itself: the best ordering that is constant per bin."""
     test = as_batch(test)
     bins, index = assign_rows(model.partition, test.probs, test.features)
-    reducible = _reducible(test, loss, model, use_recalibrated, (bins, index))
+    reducible = _reducible(test, loss, model, (bins, index))
     bin_mean = np.bincount(index, weights=reducible) / np.bincount(index)
     return RankedPolicy(BUCKET_OPTIMAL, bin_mean[index])
 

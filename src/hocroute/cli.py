@@ -7,6 +7,7 @@ import json
 import math
 import sys
 from contextlib import ExitStack
+from dataclasses import replace
 from itertools import islice
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -259,21 +260,21 @@ def cmd_curve(args: argparse.Namespace) -> int:
     _require_non_negative(seed=args.seed)
     _require_files(args.model, args.test)
     model = storage.load_model(args.model)
+    if args.raw_predictions:  # serve the raw weak predictions; the estimates still read the mixtures
+        model = replace(model, recalibrated=False)
     test = storage.ingest(args.test)
     loss = parse_loss(args.loss)
     external: dict[str, dict[str, float]] = {}
     for label_path in args.scores:
         name, _, path = label_path.partition("=")
-        if not path:
+        if not name or not path:
             raise InvalidInputError("external scores need NAME=PATH")
         if name in external:
             raise InvalidInputError(f"curve name {name!r} given twice")
         _require_files(path)
         external[name] = storage.read_scores_csv(path)
     policies = [p.strip() for p in args.policies.split(",") if p.strip()]
-    curves = evaluation.routing_curves(
-        model, test, loss, policies, external, args.seed, use_recalibrated=not args.raw_predictions
-    )
+    curves = evaluation.routing_curves(model, test, loss, policies, external, args.seed)
     storage.write_curves_csv(args.out, curves)
     _write_manifest(args, inputs=(args.model, args.test), outputs=(args.out,))
     print(f"wrote {len(curves)} curves -> {args.out}")
@@ -284,10 +285,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     _require_files(args.model, args.test)
     loss, betas = parse_loss(args.loss), parse_grid(args.beta)
     model = storage.load_model(args.model)
+    if args.raw_predictions:  # serve the raw weak predictions; the estimates still read the mixtures
+        model = replace(model, recalibrated=False)
     test = storage.ingest(args.test)
-    sweep = evaluation.cost_sweep(
-        model, test, loss, alpha=args.alpha, betas=betas, use_recalibrated=not args.raw_predictions
-    )
+    sweep = evaluation.cost_sweep(model, test, loss, alpha=args.alpha, betas=betas)
     storage.write_sweep_csv(args.out, sweep)
     _write_manifest(args, inputs=(args.model, args.test), outputs=(args.out,))
     print(f"wrote {len(sweep.rows)} sweep rows -> {args.out}")

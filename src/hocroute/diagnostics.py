@@ -128,7 +128,7 @@ def brute_force_action(
     return min(costs, key=lambda a: (costs[a], action_priority(a)))
 
 
-def check_tree_equivalence(trials: int, rng, tie_gap: float = 1e-12) -> CheckResult:
+def check_tree_equivalence(trials: int, rng) -> CheckResult:
     """The threshold tree matches brute-force cost minimization away from ties."""
     il = rng.random(trials) * 2.0
     rl = rng.random(trials) * 2.0
@@ -140,7 +140,7 @@ def check_tree_equivalence(trials: int, rng, tie_gap: float = 1e-12) -> CheckRes
     for values in zip(il, rl, alpha, beta):
         i, r, a, b = (float(v) for v in values)
         margins = (abs(r - a), abs(i + r - b), abs(i + a - b))
-        if min(margins) <= tie_gap:  # exact ties are resolved by priority, not thresholds
+        if min(margins) <= 1e-12:  # exact ties are resolved by priority, not thresholds
             skipped += 1
             continue
         if tree_decide(i, r, a, b) != brute_force_action(i, r, a, b):

@@ -78,12 +78,11 @@ def per_point_losses(
     test: SnapshotBatch | Sequence[SnapshotExample],
     loss: LossSpec,
     model: CalibratedRouterModel | None = None,
-    use_recalibrated: bool = True,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(weak loss, oracle loss) per test point against the ground-truth
     source: the exact conditional when attached, the snapshot mean otherwise."""
     test = as_batch(test)
-    deployed = _deployed(test, model, use_recalibrated)
+    deployed = _deployed(test, model)
     return expected_loss_batch(loss, test.truth, deployed), entropy_batch(loss, test.truth)
 
 
@@ -104,7 +103,9 @@ def curve_values_at(
     oracle_losses: np.ndarray,
     fractions: Sequence[float],
 ) -> np.ndarray:
-    """Mean loss when the top scoring fraction of points is routed."""
+    """Mean loss when the top scoring fraction of points is routed, for fractions in [0, 1]."""
+    if not all(0.0 <= q <= 1.0 for q in fractions):
+        raise InvalidInputError(f"routed fractions must lie in [0, 1], got {list(fractions)}")
     n = len(ids)
     return _mean_losses(scores, ids, weak_losses, oracle_losses, [int(round(q * n)) for q in fractions])
 
@@ -120,7 +121,6 @@ def routing_curve(
     test: SnapshotBatch | Sequence[SnapshotExample],
     loss: LossSpec,
     model: CalibratedRouterModel | None = None,
-    use_recalibrated: bool = True,
 ) -> RoutingCurve:
     """Evaluate a priority ordering on an evenly spaced routed-fraction grid.
 
@@ -130,7 +130,7 @@ def routing_curve(
     if len(policy.scores) != len(test):
         raise InvalidInputError("policy scores do not cover the test set")
     test = as_batch(test)
-    weak_losses, oracle_losses = per_point_losses(test, loss, model, use_recalibrated)
+    weak_losses, oracle_losses = per_point_losses(test, loss, model)
     return _grid_curve(policy, np.array(test.ids), weak_losses, oracle_losses, loss.name)
 
 
@@ -141,14 +141,13 @@ def routing_curves(
     policies: Sequence[str] = CURVE_POLICIES,
     external: dict[str, dict[str, float]] | None = None,
     seed: int = 0,
-    use_recalibrated: bool = True,
 ) -> list[RoutingCurve]:
     """The ``routing_curve`` of each named policy, then of each ``external``
     table (id -> score), with the losses priced once for all of them.
     ``seed`` seeds the ``random`` policy. An unknown name, a name given
     twice and a request for no curves are refused."""
     test = as_batch(test)
-    baseline_args = (test, loss, model, use_recalibrated)
+    baseline_args = (test, loss, model)
     scorers = {
         HOC_ROUTER: lambda: router_scores(model, test, loss),
         baselines.TOTAL_UNCERTAINTY: lambda: baselines.total_uncertainty_scores(*baseline_args),
@@ -165,7 +164,7 @@ def routing_curves(
             raise InvalidInputError(f"curve name {name!r} given twice")
     if not names:
         raise InvalidInputError("no curves requested")
-    weak_losses, oracle_losses = per_point_losses(test, loss, model, use_recalibrated)
+    weak_losses, oracle_losses = per_point_losses(test, loss, model)
     ids = np.array(test.ids)
     draw = lambda policy: _grid_curve(policy, ids, weak_losses, oracle_losses, loss.name)
     curves = [draw(scorers[name]()) for name in policies]
@@ -186,12 +185,12 @@ def router_scores(model: CalibratedRouterModel, test: SnapshotBatch | Sequence[S
 # ---------------------------------------------------------------------------
 
 
-def _point_costs(model, test: SnapshotBatch, loss, oracles, use_recalibrated) -> tuple[list[str], np.ndarray, np.ndarray]:
+def _point_costs(model, test: SnapshotBatch, loss, oracles) -> tuple[list[str], np.ndarray, np.ndarray]:
     """The distinct bins of the test points, each point's index into them,
     and each point's true cost of every action before penalties: one column
     for predict, one per oracle, and a zero column for abstain."""
     bins, index = assign_rows(model.partition, test.probs, test.features)
-    deployed = _deployed(test, model, use_recalibrated, (bins, index))
+    deployed = _deployed(test, model, (bins, index))
     columns = [expected_loss_batch(loss, test.truth, deployed), *(o.point_costs(loss, test.truth) for o in oracles)]
     return bins, index, np.column_stack([*columns, np.zeros(len(test))])
 
@@ -209,7 +208,6 @@ def policy_point_costs(
     config: RoutingConfig,
     oracles: Sequence[OracleSpec] | None = None,
     decide_config: RoutingConfig | None = None,
-    use_recalibrated: bool = True,
 ) -> np.ndarray:
     """Realized per-point cost of the calibrated per-bin policy.
 
@@ -220,7 +218,7 @@ def policy_point_costs(
     """
     cfg = decide_config or config
     oracles = _check_oracles(cfg, _check_oracles(config, oracles))  # decisions price the charged oracles
-    bins, index, points = _point_costs(model, as_batch(test), config.loss, oracles, use_recalibrated)
+    bins, index, points = _point_costs(model, as_batch(test), config.loss, oracles)
     return _realized(points, index, choose(bin_costs(model, bins, cfg.loss, oracles), cfg), config)
 
 
@@ -229,12 +227,11 @@ def bucket_optimal_point_costs(
     test: SnapshotBatch | Sequence[SnapshotExample],
     config: RoutingConfig,
     oracles: Sequence[OracleSpec] | None = None,
-    use_recalibrated: bool = True,
 ) -> np.ndarray:
     """Realized per-point cost of the best constant action per bin, measured
     on the test set itself (oracle baseline)."""
     oracles = _check_oracles(config, oracles)
-    bins, index, points = _point_costs(model, as_batch(test), config.loss, oracles, use_recalibrated)
+    bins, index, points = _point_costs(model, as_batch(test), config.loss, oracles)
     positions, columns = _bin_positions(bins, index), np.ascontiguousarray(points.T)
     # 1-D means over each bin's rows in ascending order, as a per-bin loop sums them
     measured = np.array([[column[positions[b]].mean() for column in columns] for b in bins])
@@ -248,7 +245,6 @@ def cost_sweep(
     alpha: float,
     betas: Sequence[float],
     oracles: Sequence[OracleSpec] | None = None,
-    use_recalibrated: bool = True,
 ) -> CostSweep:
     """Sweep the abstention penalty at a fixed routing penalty, comparing the
     three-way policy against predict/route and predict/abstain."""
@@ -257,7 +253,7 @@ def cost_sweep(
         raise InvalidInputError("empty beta grid")
     probe = RoutingConfig(loss=loss, route_penalties=(alpha,), abstain_penalty=float(betas[0]))
     oracles = _check_oracles(probe, oracles)
-    bins, index, points = _point_costs(model, as_batch(test), loss, oracles, use_recalibrated)
+    bins, index, points = _point_costs(model, as_batch(test), loss, oracles)
     priced = bin_costs(model, bins, loss, oracles)  # once: no penalty in it
     pr_cfg = RoutingConfig(loss=loss, route_penalties=(alpha,), abstain_penalty=math.inf)
     rows: list[SweepRow] = []
@@ -287,7 +283,6 @@ def multi_loss_report(
     losses: Sequence[LossSpec],
     external: dict[str, dict[str, float]] | None = None,
     random_seed: int | None = None,
-    use_recalibrated: bool = True,
 ) -> dict[str, list[RoutingCurve]]:
     """Routing curves for every requested loss from one calibrated model.
 
@@ -300,9 +295,7 @@ def multi_loss_report(
     policies = CURVE_POLICIES if random_seed is None else (*CURVE_POLICIES, baselines.RANDOM)
     for loss in losses:
         try:
-            report[loss.name] = routing_curves(
-                model, test, loss, policies, external, random_seed or 0, use_recalibrated
-            )
+            report[loss.name] = routing_curves(model, test, loss, policies, external, random_seed or 0)
         except UnsupportedLossError as err:
             warnings.warn(f"skipping {loss.name}: {err}", stacklevel=2)
     return report

@@ -47,6 +47,14 @@ def _rank_edges(values: np.ndarray, buckets: int) -> np.ndarray:
     return np.asarray(edges, dtype=float)
 
 
+def _checked_ints(buckets, feature_index) -> tuple[int, int]:
+    """``buckets`` >= 1 and ``feature_index`` >= 0 as ints; a bool, a float or a value out of range is refused."""
+    for name, value, low in (("buckets", buckets, 1), ("feature_index", feature_index, 0)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+            raise InvalidInputError(f"{name!r} must be an integer >= {low}, not {value!r}")
+    return int(buckets), int(feature_index)
+
+
 @dataclass(eq=False)
 class PartitionSpec:
     """A fitted partition. Immutable after ``fit``; safe for concurrent assign."""
@@ -77,13 +85,10 @@ class PartitionSpec:
     def from_record(cls, record: dict) -> "PartitionSpec":
         """The inverse of ``to_record``. Fields that ``fit`` could not have
         produced (edges not finite or not strictly increasing, ``buckets`` or
-        ``feature_index`` not a JSON integer in range, ``level_keys`` not a
+        ``feature_index`` not an integer in range, ``level_keys`` not a
         list of strings) and unknown kinds fail with ``InvalidInputError``."""
-        buckets, feature_index = record["buckets"], record.get("feature_index", 0)
+        buckets, feature_index = _checked_ints(record["buckets"], record.get("feature_index", 0))
         level_keys = record.get("level_keys", [])
-        for name, value, low in (("buckets", buckets, 1), ("feature_index", feature_index, 0)):
-            if type(value) is not int or value < low:  # a bool is not a JSON integer
-                raise InvalidInputError(f"{name!r} must be an integer >= {low}, not {value!r}")
         if not isinstance(level_keys, list) or not all(isinstance(k, str) for k in level_keys):
             raise InvalidInputError("'level_keys' must be a list of strings")
         spec = cls(
@@ -113,10 +118,7 @@ def fit(
         raise InvalidInputError(f"unknown partition kind {kind!r}; choose from {KINDS}")
     if not calibration:
         raise InvalidInputError("calibration set is empty")
-    if buckets < 1:
-        raise InvalidInputError("need at least one bucket")
-    if feature_index < 0:
-        raise InvalidInputError("feature_index must be >= 0")
+    buckets, feature_index = _checked_ints(buckets, feature_index)
     data = as_batch(calibration)
 
     if kind == TOP_CLASS:

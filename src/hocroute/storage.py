@@ -65,19 +65,13 @@ def sha256_file(path: str | Path) -> str:
 INGEST_CHUNK_LINES = 256
 
 
-def write_dataset(
-    path: str | Path,
-    examples: SnapshotBatch | Sequence[SnapshotExample],
-    class_names: Sequence[str] | None = None,
-) -> None:
+def write_dataset(path: str | Path, examples: SnapshotBatch | Sequence[SnapshotExample]) -> None:
     """Write a version-2 dataset and its header sidecar, one record per row;
     a row's labels are written as its per-class ``label_counts``."""
     if not examples:
         raise InvalidInputError("refusing to write an empty dataset")
     batch = as_batch(examples)
     header = {"format": DATASET_FORMAT, "version": 2, "num_classes": batch.num_classes}
-    if class_names is not None:
-        header["class_names"] = list(class_names)
     header_path(path).write_text(json.dumps(header, indent=2) + "\n", encoding="utf-8")
     with open(path, "w", encoding="utf-8") as fh:
         for start in range(0, len(batch), INGEST_CHUNK_LINES):

@@ -20,9 +20,10 @@ from hocroute.baselines import random_scores, total_uncertainty_scores
 from hocroute.calibrator import calibrate
 from hocroute.cli import MAX_GRID_POINTS, cli_dispatch, parse_grid, parse_loss, parse_partition
 from hocroute.core import InvalidInputError, RoutingConfig
-from hocroute.evaluation import router_scores, routing_curve
+from hocroute.baselines import BUCKET_OPTIMAL, RankedPolicy, pointwise_optimal_scores
+from hocroute.evaluation import HOC_ROUTER, CostSweep, SweepRow, router_scores, routing_curve
 from hocroute.partition import fit
-from hocroute.router import Router
+from hocroute.router import OracleSpec, Router
 from hocroute.storage import (
     header_path,
     ingest,
@@ -33,9 +34,12 @@ from hocroute.storage import (
     sha256_file,
     write_curves_csv,
     write_dataset,
+    write_sweep_csv,
 )
 
 from conftest import make_example, simplex_arrays, write_version_1
+from test_grouping_reference import ref_bucket_optimal_scores, ref_router_scores
+from test_sweep_reference import ref_cost_sweep
 
 
 class TestArgumentParsing:
@@ -287,6 +291,37 @@ class TestPipeline:
         payload = json.loads(capsys.readouterr().err)
         assert payload == {"error": "InvalidInputError", "message": f"{scores}: line 1: score rows need (id, finite score)"}
 
+    def test_raw_predictions_serve_the_weak_predictions(self, workspace, tmp_path):
+        """``--raw-predictions`` evaluates the recalibrated model as if it served
+        the raw weak predictions: its curves and sweep equal the frozen
+        references with raw deployment and differ from the default outputs."""
+        root, data_dir, model_path = workspace
+        model, test, brier = load_model(model_path), ingest(data_dir / "test.jsonl"), parse_loss("brier")
+        assert model.recalibrated
+        inputs = ["--model", str(model_path), "--test", str(data_dir / "test.jsonl")]
+        outputs = {}
+        for raw in (False, True):
+            flags = [*inputs, *(["--raw-predictions"] if raw else []), "--out"]
+            curves, sweep = tmp_path / f"curves_{raw}.csv", tmp_path / f"sweep_{raw}.csv"
+            assert cli_dispatch(["curve", *flags, str(curves)]) == 0
+            assert cli_dispatch(["sweep", "--beta", "0.1:0.8:0.05", *flags, str(sweep)]) == 0
+            outputs[raw] = (curves.read_bytes(), sweep.read_bytes())
+        assert outputs[True][0] != outputs[False][0] and outputs[True][1] != outputs[False][1]
+        # without a model, the library deploys the raw weak predictions
+        policies = [
+            RankedPolicy(HOC_ROUTER, ref_router_scores(model, test, brier)),
+            total_uncertainty_scores(test, brier),
+            RankedPolicy(BUCKET_OPTIMAL, ref_bucket_optimal_scores(test, brier, model, use_recalibrated=False)),
+            pointwise_optimal_scores(test, brier),
+        ]
+        write_curves_csv(tmp_path / "reference.csv", [routing_curve(p, test, brier) for p in policies])
+        assert outputs[True][0] == (tmp_path / "reference.csv").read_bytes()
+        betas = parse_grid("0.1:0.8:0.05")
+        for raw in (False, True):
+            rows, gap = ref_cost_sweep(model, test, brier, 0.05, betas, [OracleSpec()], use_recalibrated=not raw)
+            write_sweep_csv(tmp_path / "reference.csv", CostSweep(0.05, np.array(betas), [SweepRow(*r) for r in rows], gap))
+            assert outputs[raw][1] == (tmp_path / "reference.csv").read_bytes()
+
     def test_sweep_row_count(self, workspace, tmp_path):
         root, data_dir, model_path = workspace
         out = tmp_path / "sweep.csv"
@@ -379,13 +414,15 @@ class TestCurveRequests:
             ["--policies", "hoc_router", "--scores", "hoc_router={scores}"],
             ["--policies", "random", "--scores", "x={scores}", "--scores", "x={scores}"],
             ["--policies", "hoc_router,hoc_router", "--scores", "hoc_router={scores}", "--scores", "hoc_router={scores}"],
+            ["--policies", "hoc_router", "--scores", "={scores}"],
         ],
-        ids=["policy-twice", "policy-and-scores", "scores-twice", "both-twice"],
+        ids=["policy-twice", "policy-and-scores", "scores-twice", "both-twice", "empty-name"],
     )
     def test_a_curve_name_given_twice_is_refused(self, flags, workspace, scores_csv, tmp_path, capsys):
         name = "x" if "x={scores}" in flags else "hoc_router"
+        message = "external scores need NAME=PATH" if "={scores}" in flags else f"curve name {name!r} given twice"
         error = _curve_error(workspace, tmp_path, capsys, *(f.format(scores=scores_csv) for f in flags))
-        assert error == {"error": "InvalidInputError", "message": f"curve name {name!r} given twice"}
+        assert error == {"error": "InvalidInputError", "message": message}
 
     def test_no_curves_is_refused(self, workspace, tmp_path, capsys):
         error = _curve_error(workspace, tmp_path, capsys, "--policies", "")

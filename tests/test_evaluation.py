@@ -108,6 +108,14 @@ class TestRoutingCurve:
         expected = (weak[0] + oracle[1]) / 2.0
         assert half == pytest.approx(expected, abs=1e-12)
 
+    @pytest.mark.parametrize("fraction", [-0.1, 1.5, math.nan, -math.inf])
+    def test_curve_values_at_refuses_a_fraction_outside_the_unit_interval(self, fraction):
+        scores, ids = np.arange(10.0), np.array([f"e{i}" for i in range(10)])
+        weak, oracle = np.ones(10), np.zeros(10)
+        assert curve_values_at(scores, ids, weak, oracle, [0.0, 0.3, 1.0]).tolist() == [1.0, 0.7, 0.0]
+        with pytest.raises(InvalidInputError, match=r"^routed fractions must lie in \[0, 1\]"):
+            curve_values_at(scores, ids, weak, oracle, [0.5, fraction])
+
 
 class TestCostSweep:
     def test_rows_and_dominance(self, fitted):
@@ -179,7 +187,7 @@ class TestPolicyCosts:
         model = calibrate(fit("topclass", data, buckets=1), data)
         route_cost = float(OracleSpec().point_costs(brier, np.array([[0.0, 1.0], [0.5, 0.5]])).mean())
         cfg = RoutingConfig(loss=brier, route_penalties=(0.0,), abstain_penalty=route_cost)
-        costs = bucket_optimal_point_costs(model, data, cfg, use_recalibrated=False)
+        costs = bucket_optimal_point_costs(model, data, cfg)
         assert costs.tolist() == [0.0, 0.5]
 
     def test_policy_breaks_oracle_ties_toward_the_lower_index(self, fitted):
@@ -204,7 +212,7 @@ class TestPolicyCosts:
         ]
         model = calibrate(fit("topclass", data, buckets=1), data)
         cfg = RoutingConfig(loss=brier, route_penalties=(0.25, 0.0), abstain_penalty=math.inf)
-        costs = bucket_optimal_point_costs(model, data, cfg, [OracleSpec(), OracleSpec(kind="aggregated")], False)
+        costs = bucket_optimal_point_costs(model, data, cfg, [OracleSpec(), OracleSpec(kind="aggregated")])
         assert costs.tolist() == [0.25, 0.75]
 
 

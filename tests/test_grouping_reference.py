@@ -4,6 +4,7 @@
 for bit, including the order of per-bin dicts."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -73,6 +74,12 @@ def ref_deployed(test, model, use_recalibrated):
     if model is None or not use_recalibrated:
         return np.stack([e.weak_pred.probs for e in test])
     return ref_deployed_matrix(model, test)
+
+
+def raw_deployment(model, use_recalibrated):
+    """The model the library evaluates for a reference called with
+    ``use_recalibrated``: with it off, the same model serving raw predictions."""
+    return model if use_recalibrated else replace(model, recalibrated=False)
 
 
 def ref_bucket_optimal_scores(test, loss, model, use_recalibrated=True):
@@ -282,7 +289,7 @@ def test_deployed_matrix_equals_reference(case):
 @pytest.mark.parametrize("use_recalibrated", [True, False])
 def test_bucket_optimal_scores_equal_reference(case, use_recalibrated):
     _, model, _, test, _ = case
-    got = bucket_optimal_scores(test, BRIER, model, use_recalibrated=use_recalibrated).scores
+    got = bucket_optimal_scores(test, BRIER, raw_deployment(model, use_recalibrated)).scores
     assert np.array_equal(got, ref_bucket_optimal_scores(test, BRIER, model, use_recalibrated=use_recalibrated))
 
 
@@ -292,17 +299,18 @@ def test_routing_curves_equal_one_routing_curve_per_policy(case, use_recalibrate
     """The one curve path prices the losses once; every curve must still equal
     the one ``routing_curve`` draws for that policy alone."""
     _, model, _, test, _ = case
+    model = raw_deployment(model, use_recalibrated)
     table = {e.id: float((i * 37) % 11) for i, e in enumerate(test)}  # ties break by id
     reference = [
         router_scores(model, test, loss),
-        total_uncertainty_scores(test, loss, model, use_recalibrated),
-        bucket_optimal_scores(test, loss, model, use_recalibrated=use_recalibrated),
-        pointwise_optimal_scores(test, loss, model, use_recalibrated=use_recalibrated),
+        total_uncertainty_scores(test, loss, model),
+        bucket_optimal_scores(test, loss, model),
+        pointwise_optimal_scores(test, loss, model),
         random_scores(test, seed=5),
         external_scores(test, table, name="ext"),
     ]
-    expected = [routing_curve(p, test, loss, model, use_recalibrated) for p in reference]
-    got = routing_curves(model, test, loss, CURVE_POLICIES + (RANDOM,), {"ext": table}, 5, use_recalibrated)
+    expected = [routing_curve(p, test, loss, model) for p in reference]
+    got = routing_curves(model, test, loss, CURVE_POLICIES + (RANDOM,), {"ext": table}, 5)
     assert [c.policy for c in got] == [*CURVE_POLICIES, RANDOM, "ext"] == [c.policy for c in expected]
     for g, e in zip(got, expected):
         assert g.loss == e.loss == loss.name
@@ -340,8 +348,9 @@ def test_point_costs_equal_reference(case, use_recalibrated):
     oracles = [OracleSpec("bayes"), OracleSpec("aggregated", num_annotators=3, aggregation="majority", mc_draws=50)]
     config = RoutingConfig(BRIER, route_penalties=(0.05, 0.02), abstain_penalty=0.2)
     two_way = RoutingConfig(BRIER, route_penalties=(0.05, math.inf), abstain_penalty=math.inf)
+    evaluated = raw_deployment(model, use_recalibrated)
     for decide_config in (None, two_way):
-        got = policy_point_costs(model, test, config, oracles, decide_config, use_recalibrated)
+        got = policy_point_costs(evaluated, test, config, oracles, decide_config)
         assert np.array_equal(got, ref_policy_point_costs(model, test, config, oracles, decide_config, use_recalibrated))
-    got = bucket_optimal_point_costs(model, test, config, oracles, use_recalibrated)
+    got = bucket_optimal_point_costs(evaluated, test, config, oracles)
     assert np.array_equal(got, ref_bucket_optimal_point_costs(model, test, config, oracles, use_recalibrated))

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hocroute.calibrator import calibrate
 from hocroute.core import InvalidInputError
 from hocroute.losses import LossSpec
 from hocroute.partition import (
@@ -16,6 +17,7 @@ from hocroute.partition import (
     fitted_bins,
     partition_quality,
 )
+from hocroute.storage import load_model, save_model
 
 from conftest import make_example, simplex_arrays
 
@@ -79,6 +81,24 @@ class TestFit:
             fit("topclass", binary_examples([0.5]), buckets=0)
         with pytest.raises(InvalidInputError):
             fit("mystery", binary_examples([0.5]), buckets=1)
+        # a count that is not an integer (a bool is not one) or is out of range, under every kind
+        examples = [make_example(f"e{i}", [0.6, 0.4], [0], features=[float(i)]) for i in range(4)]
+        bad = [("buckets", 1, v) for v in (0, 2.5, 3.0, np.float64(2.0), True, "3")]
+        bad += [("feature_index", 0, v) for v in (-1, np.int64(-1), 0.0, False)]
+        for kind in KINDS:
+            for name, low, value in bad:
+                with pytest.raises(InvalidInputError, match=rf"^'{name}' must be an integer >= {low}, not "):
+                    fit(kind, examples, **{name: value})
+
+    def test_numpy_integer_counts_are_stored_as_ints_and_round_trip(self, tmp_path):
+        examples = [make_example(f"e{i}", [0.5 + 0.04 * i, 0.5 - 0.04 * i], [0], features=[0.0, float(i)]) for i in range(8)]
+        for kind in ("topclass", "feature"):
+            spec = fit(kind, examples, buckets=np.int64(3), feature_index=np.int64(1))
+            assert type(spec.buckets) is int and type(spec.feature_index) is int
+            save_model(tmp_path / f"{kind}.json", calibrate(spec, examples))
+            loaded = load_model(tmp_path / f"{kind}.json").partition
+            assert (loaded.buckets, loaded.feature_index) == (spec.buckets, spec.feature_index)
+            assert assign_many(loaded, examples) == assign_many(spec, examples)
 
 
 class TestAssign:
