@@ -64,6 +64,12 @@ def action_priority(action: str) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 
 
+def json_numbers(values) -> bool:
+    """Whether every item of ``values`` is a JSON number: an ``int`` or a
+    ``float``, so neither a bool nor a string that spells a number."""
+    return {int, float}.issuperset(map(type, values))
+
+
 def simplex_ok(p: np.ndarray) -> np.bool_ | np.ndarray:
     """The simplex rule over the last axis: every entry within
     ``[-SIMPLEX_ATOL, 1 + MASS_GUARD]`` (so finite) and the mass within

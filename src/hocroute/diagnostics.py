@@ -1,10 +1,14 @@
 """Executable checks of the library's mathematical guarantees.
 
-Each check draws seeded random instances, compares an implementation
-against an independent brute-force evaluation or a proved bound, and
-reports the violation count and the largest excess; the threshold-tree
-check also records its first counterexample. All checks are deterministic
-under a fixed seed.
+Each check draws seeded random instances, runs them through the production
+kernels, and reports the violation count and the largest excess against a
+proved bound. Lipschitz continuity, properness and boundedness (the loss
+under a one-hot truth lies in [0, B]) price their draws with
+``expected_loss_batch`` and ``entropy_batch``; the threshold-tree check
+compares ``tree_decide`` with ``router.choose``'s argmin over the same
+action costs and records its first counterexample. Every check runs the
+requested number of trials except the simulated-cost gap, whose synthetic
+instance has a fixed size. All checks are deterministic under a fixed seed.
 """
 
 from __future__ import annotations
@@ -15,16 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calibrator import calibrate, wasserstein_1d
-from .core import ABSTAIN, PREDICT, LabelDistribution, RoutingConfig, action_priority
-from .losses import (
-    BINARY_ONLY,
-    LossSpec,
-    entropy_batch,
-    expected_loss_batch,
-    pointwise_loss,
-)
+from .core import ABSTAIN, PREDICT, RoutingConfig, action_priority
+from .losses import BINARY_ONLY, LossSpec, entropy_batch, expected_loss_batch
 from .partition import _bin_positions, assign_rows, fit
-from .router import OracleSpec, simulated_costs, tree_decide
+from .router import OracleSpec, choose, simulated_costs, tree_decide
 from .synthetic import SINUSOIDAL, generate
 
 SLACK = 1e-9
@@ -99,12 +97,10 @@ def check_entropy_lipschitz(spec: LossSpec, classes: int, trials: int, rng) -> C
 
 
 def check_boundedness(spec: LossSpec, classes: int, trials: int, rng) -> CheckResult:
-    """pointwise losses land in [0, B]."""
+    """Pointwise losses land in [0, B]: the expected loss under a one-hot truth."""
     preds = _random_simplex(rng, trials, classes)
     labels = rng.integers(0, classes, size=trials)
-    values = np.array(
-        [pointwise_loss(spec, int(y), LabelDistribution(p)) for y, p in zip(labels, preds)]
-    )
+    values = expected_loss_batch(spec, np.eye(classes)[labels], preds)
     excess = np.maximum(values - spec.bound, -values)
     return _excess_result(f"bounded[{spec.name},{classes}cls]", excess)
 
@@ -129,30 +125,26 @@ def brute_force_action(
 
 
 def check_tree_equivalence(trials: int, rng) -> CheckResult:
-    """The threshold tree matches brute-force cost minimization away from ties."""
+    """The threshold tree matches ``router.choose``'s argmin over the action
+    costs ``[i + r, i + alpha, beta]`` away from ties."""
     il = rng.random(trials) * 2.0
     rl = rng.random(trials) * 2.0
     alpha = rng.random(trials) * 2.0
     beta = np.where(rng.random(trials) < 0.2, math.inf, rng.random(trials) * 2.0)
-    violations = 0
-    worst = None
-    skipped = 0
-    for values in zip(il, rl, alpha, beta):
-        i, r, a, b = (float(v) for v in values)
-        margins = (abs(r - a), abs(i + r - b), abs(i + a - b))
-        if min(margins) <= 1e-12:  # exact ties are resolved by priority, not thresholds
-            skipped += 1
-            continue
-        if tree_decide(i, r, a, b) != brute_force_action(i, r, a, b):
-            violations += 1
-            if worst is None:
-                worst = (i, r, a, b)
+    margins = np.stack([np.abs(rl - alpha), np.abs(il + rl - beta), np.abs(il + alpha - beta)])
+    kept = margins.min(axis=0) > 1e-12  # exact ties are resolved by priority, not thresholds
+    draws = np.stack([il, rl, alpha, beta], axis=1)[kept]
+    i, r, a, b = draws.T
+    config = RoutingConfig(LossSpec("brier"), route_penalties=(0.0,), abstain_penalty=0.0)
+    actions = config.actions()
+    argmin = choose(np.stack([i + r, i + a, b], axis=1), config)
+    wrong = [n for n, draw in enumerate(draws.tolist()) if tree_decide(*draw) != actions[argmin[n]]]
     return CheckResult(
         name="tree_vs_argmin",
-        trials=trials - skipped,
-        violations=violations,
-        max_excess=float(violations),
-        worst=worst,
+        trials=len(draws),
+        violations=len(wrong),
+        max_excess=float(len(wrong)),
+        worst=tuple(draws[wrong[0]].tolist()) if wrong else None,
     )
 
 
@@ -187,7 +179,6 @@ def run_lemma_checks(seed: int = 0, trials: int = 100_000) -> list[CheckResult]:
     """Run every check; deterministic for a fixed seed."""
     rng = np.random.default_rng(seed)
     results: list[CheckResult] = []
-    bounded_trials = min(trials, 20_000)  # scalar loop; keep the self-test quick
     for spec in _loss_specs():
         for classes in (2, 3):
             if classes > 2 and spec.kind in BINARY_ONLY:
@@ -195,7 +186,7 @@ def run_lemma_checks(seed: int = 0, trials: int = 100_000) -> list[CheckResult]:
             results.append(check_loss_lipschitz(spec, classes, trials, rng))
             results.append(check_entropy_lipschitz(spec, classes, trials, rng))
             results.append(check_properness(spec, classes, trials, rng))
-            results.append(check_boundedness(spec, classes, bounded_trials, rng))
+            results.append(check_boundedness(spec, classes, trials, rng))
     results.append(check_tree_equivalence(trials, rng))
     results.append(check_simulated_cost_gap(seed=seed))
     return results

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import InvalidInputError, SnapshotBatch, SnapshotExample, as_batch
+from .core import InvalidInputError, SnapshotBatch, SnapshotExample, as_batch, json_numbers
 from .losses import LossSpec, entropy_batch, expected_loss_batch
 
 TOP_CLASS = "topclass"
@@ -84,7 +84,8 @@ class PartitionSpec:
     @classmethod
     def from_record(cls, record: dict) -> "PartitionSpec":
         """The inverse of ``to_record``. Fields that ``fit`` could not have
-        produced (edges not finite or not strictly increasing, ``buckets`` or
+        produced (edges not flat lists of JSON numbers, not finite or not
+        strictly increasing, ``buckets`` or
         ``feature_index`` not an integer in range, ``level_keys`` not a
         list of strings) and unknown kinds fail with ``InvalidInputError``."""
         buckets, feature_index = _checked_ints(record["buckets"], record.get("feature_index", 0))
@@ -95,16 +96,23 @@ class PartitionSpec:
             kind=record["kind"],
             buckets=buckets,
             feature_index=feature_index,
-            class_edges={int(c): np.asarray(e, dtype=float) for c, e in record.get("class_edges", {}).items()},
-            edges=None if record.get("edges") is None else np.asarray(record["edges"], dtype=float),
+            class_edges={int(c): _edges(e) for c, e in record.get("class_edges", {}).items()},
+            edges=None if record.get("edges") is None else _edges(record["edges"]),
             level_keys=frozenset(level_keys),
         )
         if spec.kind not in KINDS:
             raise InvalidInputError(f"unknown partition kind {spec.kind!r}")
         for edges in [*spec.class_edges.values(), *([] if spec.edges is None else [spec.edges])]:
-            if edges.ndim != 1 or not np.isfinite(edges).all() or (np.diff(edges) <= 0).any():
+            if not np.isfinite(edges).all() or (np.diff(edges) <= 0).any():
                 raise InvalidInputError("bucket edges must be finite and strictly increasing")
         return spec
+
+
+def _edges(values) -> np.ndarray:
+    """Bucket edges read from a model file: a flat list of JSON numbers."""
+    if type(values) is not list or not json_numbers(values):
+        raise InvalidInputError("bucket edges must be flat lists of numbers")
+    return np.asarray(values, dtype=float)
 
 
 def fit(

@@ -32,6 +32,7 @@ from .core import (
     SnapshotBatch,
     SnapshotExample,
     as_batch,
+    json_numbers,
     nan_padded,
     normalize_simplex,
     simplex_ok,
@@ -105,13 +106,11 @@ def _decode(line: str, lineno: int):
 
 
 def _vector(record: dict, field: str, lineno: int) -> np.ndarray:
-    try:
-        values = np.asarray(record[field], dtype=float)
-    except (TypeError, ValueError, OverflowError):  # OverflowError: an integer beyond float range
-        values = None
-    if values is None or values.ndim != 1:
-        raise _record_error(lineno, field, "must be a flat list of numbers")
-    return values
+    values = record[field]
+    if type(values) is list and json_numbers(values):
+        with suppress(OverflowError):  # an integer beyond float range
+            return np.asarray(values, dtype=float)
+    raise _record_error(lineno, field, "must be a flat list of numbers")
 
 
 def _distribution(record: dict, field: str, num_classes: int, lineno: int) -> LabelDistribution:
@@ -187,7 +186,9 @@ def _check_line(line: str, num_classes: int, lineno: int, min_features: int = 0,
 def _distributions(values: list, num_classes: int) -> np.ndarray:
     """``_distribution`` over a column: one normalized row per value."""
     probs = np.array(values, dtype=float)
-    if probs.shape != (len(values), num_classes) or not simplex_ok(probs).all():
+    if probs.shape != (len(values), num_classes) or not json_numbers(chain.from_iterable(values)):
+        raise TypeError("not lists of numbers")
+    if not simplex_ok(probs).all():
         raise ValueError("not probability vectors")
     return normalize_simplex(probs)
 
@@ -237,8 +238,10 @@ def _read_columns(
         ids = list(map(str, ids))
         probs = _distributions([record["weak_probs"] for record in records], num_classes)
         values, lengths = _flat_rows([record.get("features") for record in records])
+        if not json_numbers(values):
+            raise TypeError("features must be lists of numbers")
         features = np.array(values, dtype=float)
-        if features.ndim != 1 or not np.isfinite(features).all() or lengths.min() < min_features:
+        if not np.isfinite(features).all() or lengths.min() < min_features:
             raise ValueError("features must be lists of finite numbers")
         if version is None:
             return ids, probs, features, lengths
@@ -404,12 +407,19 @@ def _row_table(mixtures: list[TaggedMixture]) -> tuple[np.ndarray, list[list[int
 
 
 def _row_matrix(values, name: str, num_classes: int) -> np.ndarray:
-    """``values`` as a nonempty ``(n, num_classes)`` matrix of probability vectors."""
+    """``values`` (JSON lists of numbers, or a version-3 table) as a nonempty
+    ``(n, num_classes)`` matrix of probability vectors."""
     try:
         rows = np.asarray(values, dtype=float)
     except (TypeError, ValueError, OverflowError):
         rows = None
-    if rows is None or rows.ndim != 2 or rows.shape[0] == 0 or rows.shape[1] != num_classes:
+    if (
+        rows is None
+        or rows.ndim != 2
+        or rows.shape[0] == 0
+        or rows.shape[1] != num_classes
+        or (isinstance(values, list) and not json_numbers(chain.from_iterable(values)))
+    ):
         raise InvalidInputError(f"{name}must be a nonempty list of rows of {num_classes} numbers")
     ok = simplex_ok(rows)
     if not ok.all():
@@ -499,6 +509,8 @@ def _bin_table(table, partition: PartitionSpec, read) -> dict:
 
 
 def _centroid(value, num_classes: int, name: str) -> LabelDistribution:
+    if type(value) is not list or not json_numbers(value):
+        raise InvalidInputError(f"{name}must be a flat list of numbers")
     try:
         centroid = LabelDistribution(np.asarray(value, dtype=float))
     except InvalidInputError as err:

@@ -521,9 +521,13 @@ MALFORMED = [
     ({"id": "x", "weak_probs": [0.7, 0.2]}, "weak_probs"),
     ({"id": "x", "weak_probs": [math.nan, 0.5]}, "weak_probs"),
     ({"id": "x", "weak_probs": [1.5, -0.5]}, "weak_probs"),
+    ({"id": "x", "weak_probs": ["0.25", "0.75"]}, "weak_probs"),
+    ({"id": "x", "weak_probs": [True, 0]}, "weak_probs"),
     ({"id": "x", "weak_probs": [0.5, 0.5], "features": "x"}, "features"),
     ({"id": "x", "weak_probs": [0.5, 0.5], "features": [[1.0], [2.0, 3.0]]}, "features"),
     ({"id": "x", "weak_probs": [0.5, 0.5], "features": [math.inf]}, "features"),
+    ({"id": "x", "weak_probs": [0.5, 0.5], "features": ["3"]}, "features"),
+    ({"id": "x", "weak_probs": [0.5, 0.5], "features": [False]}, "features"),
 ]
 GOOD = [{"id": f"ok{i}", "weak_probs": [0.3 + 0.1 * i, 0.7 - 0.1 * i]} for i in range(3)]
 
@@ -566,6 +570,18 @@ class TestMalformedLines:
         assert payload["error"] == "InvalidInputError"
         assert payload["message"].startswith(f"line 4: field '{field}': ")
         assert [json.loads(l)["id"] for l in out.read_text().splitlines()] == ["ok0", "ok1"]
+
+
+@pytest.mark.parametrize("p_star", [["0.5", "0.5"], [True, False]])
+@pytest.mark.parametrize("version, labels", [(1, {"labels": [0]}), (2, {"label_counts": [1, 0]})])
+def test_ingest_refuses_p_star_entries_that_are_not_numbers(p_star, version, labels, tmp_path):
+    """``p_star`` is a dataset field, so only ``ingest`` reads it."""
+    path = tmp_path / "bad.jsonl"
+    header_path(path).write_text(json.dumps({"format": "snapshot-dataset", "version": version, "num_classes": 2}))
+    lines = [_line(g, **labels) for g in GOOD[:2]] + [_line(GOOD[2], **labels, p_star=p_star)]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(InvalidInputError, match=r"^line 3: field 'p_star': must be a flat list of numbers$"):
+        ingest(path)
 
 
 def _misaligned_chunk(**extra) -> list[str]:

@@ -1,5 +1,6 @@
 import numpy as np
 
+from hocroute import diagnostics
 from hocroute.diagnostics import (
     CheckResult,
     brute_force_action,
@@ -11,9 +12,11 @@ from hocroute.diagnostics import (
 
 class TestLemmaChecks:
     def test_all_checks_pass_on_moderate_trials(self):
-        results = run_lemma_checks(seed=0, trials=20_000)
+        results = run_lemma_checks(seed=0, trials=30_000)
         failing = [r.name for r in results if not r.passed]
         assert failing == []
+        # every loss check, boundedness included, runs each trial asked for
+        assert {r.trials for r in results if "[" in r.name} == {30_000}
         names = {r.name for r in results}
         assert "tree_vs_argmin" in names
         assert "simulated_vs_true_cost_gap" in names
@@ -35,6 +38,15 @@ class TestLemmaChecks:
         result = check_tree_equivalence(trials=5_000, rng=np.random.default_rng(0))
         assert result.violations == 0
         assert result.trials <= 5_000
+
+    def test_tree_check_catches_a_wrong_tree(self, monkeypatch):
+        monkeypatch.setattr(diagnostics, "tree_decide", lambda i, r, a, b: "predict")
+        # the reference is router.choose; the dict-based rule is kept for the acceptance suite
+        monkeypatch.setattr(diagnostics, "brute_force_action", None)
+        result = check_tree_equivalence(trials=2_000, rng=np.random.default_rng(0))
+        assert result.violations > 0 and not result.passed
+        assert len(result.worst) == 4
+        assert brute_force_action(*result.worst) != "predict"
 
     def test_brute_force_matches_spec_example(self):
         assert brute_force_action(0.2, 0.1, 0.05, 0.3) == "route:0"

@@ -456,6 +456,14 @@ class TestModelFile:
             pytest.param(lambda p: p["centroids"].__setitem__("c0:b0", [0.5, 0.6]), "centroids", V1, "", id="bad-centroid"),
             pytest.param(lambda p: p["partition"]["class_edges"]["0"].reverse(), "partition", V1, "", id="unsorted-edges"),
             pytest.param(lambda p: p.__setitem__("num_classes", "2"), "num_classes", V1, "", id="num-classes-not-int"),
+            pytest.param(
+                lambda p: p["centroids"]["c0:b0"].__setitem__(0, str(p["centroids"]["c0:b0"][0])), "centroids", V3,
+                "bin 'c0:b0': must be a flat list of numbers$", id="string-centroid-entry",
+            ),
+            pytest.param(
+                lambda p: p["partition"]["class_edges"]["0"].__setitem__(0, str(p["partition"]["class_edges"]["0"][0])),
+                "partition", V3, "bucket edges must be flat lists of numbers$", id="string-class-edge",
+            ),
             pytest.param(lambda p: p.pop("rows"), "rows", V2, "missing", id="v2-missing-rows"),
             pytest.param(
                 lambda p: p["rows"].__setitem__(1, [0.7, 0.7]), "rows", V2, "row 1 is not a probability vector",
@@ -463,6 +471,10 @@ class TestModelFile:
             ),
             pytest.param(
                 lambda p: p["rows"].__setitem__(0, [0.5]), "rows", V2, "must be a nonempty list of rows", id="v2-short-row"
+            ),
+            pytest.param(
+                lambda p: p["rows"].__setitem__(0, [True, 0]), "rows", V2,
+                "must be a nonempty list of rows of 2 numbers$", id="v2-bool-in-row",
             ),
             pytest.param(
                 lambda p: p["bins"]["c0:b0"]["means"].__setitem__(0, len(p["rows"])), "bins", V2,
