@@ -6,6 +6,8 @@ its two-way restrictions on true costs."""
 import argparse
 from pathlib import Path
 
+import numpy as np
+
 from hocroute.calibrator import calibrate
 from hocroute.cli import parse_grid, parse_loss
 from hocroute.evaluation import PREDICT_ABSTAIN, PREDICT_ROUTE, THREE_WAY, cost_sweep
@@ -46,11 +48,8 @@ def main() -> None:
     path = out_dir / "sweep.csv"
     write_sweep_csv(path, sweep)
 
-    three = sweep.mean_costs(THREE_WAY)
-    two_way_floor = [
-        min(pr, pa) for pr, pa in zip(sweep.mean_costs(PREDICT_ROUTE), sweep.mean_costs(PREDICT_ABSTAIN))
-    ]
-    worst = max(t - f for t, f in zip(three, two_way_floor))
+    costs = sweep.mean_costs
+    worst = float(np.max(costs[THREE_WAY] - np.minimum(costs[PREDICT_ROUTE], costs[PREDICT_ABSTAIN])))
     print(f"wrote {path}; worst three-way excess over the two-way floor: {worst:+.6f}")
     print(f"estimated-cost dominance gap (must be <= 0): {sweep.max_estimated_gap:.2e}")
     write_manifest(

@@ -8,12 +8,11 @@ the ground truth of the test set itself, so they are oracle baselines.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .calibrator import CalibratedRouterModel
-from .core import InvalidInputError, SnapshotBatch, SnapshotExample, as_batch
+from .core import InvalidInputError, SnapshotBatch
 from .losses import LossSpec, entropy_batch, expected_loss_batch
 from .partition import assign_rows
 
@@ -25,8 +24,8 @@ RANDOM = "random"
 
 @dataclass(eq=False)
 class RankedPolicy:
-    """Per-example routing priorities, aligned with the example list the
-    policy was built from. Ties in downstream orderings break by example id."""
+    """Per-row routing priorities, aligned with the rows of the batch the
+    policy was built from. Ties in downstream orderings break by row id."""
 
     name: str
     scores: np.ndarray
@@ -44,12 +43,10 @@ def _deployed(test: SnapshotBatch, model: CalibratedRouterModel | None, bins=Non
 
 
 def total_uncertainty_scores(
-    test: SnapshotBatch | Sequence[SnapshotExample],
-    loss: LossSpec,
-    model: CalibratedRouterModel | None = None,
+    test: SnapshotBatch, loss: LossSpec, model: CalibratedRouterModel | None = None
 ) -> RankedPolicy:
     """Rank by the deployed prediction's own entropy under the target loss."""
-    return RankedPolicy(TOTAL_UNCERTAINTY, entropy_batch(loss, _deployed(as_batch(test), model)))
+    return RankedPolicy(TOTAL_UNCERTAINTY, entropy_batch(loss, _deployed(test, model)))
 
 
 def _reducible(test: SnapshotBatch, loss, model, bins=None) -> np.ndarray:
@@ -58,40 +55,30 @@ def _reducible(test: SnapshotBatch, loss, model, bins=None) -> np.ndarray:
 
 
 def pointwise_optimal_scores(
-    test: SnapshotBatch | Sequence[SnapshotExample],
-    loss: LossSpec,
-    model: CalibratedRouterModel | None = None,
+    test: SnapshotBatch, loss: LossSpec, model: CalibratedRouterModel | None = None
 ) -> RankedPolicy:
     """Rank by the true per-point reducible loss (oracle baseline)."""
-    return RankedPolicy(POINTWISE_OPTIMAL, _reducible(as_batch(test), loss, model))
+    return RankedPolicy(POINTWISE_OPTIMAL, _reducible(test, loss, model))
 
 
-def bucket_optimal_scores(
-    test: SnapshotBatch | Sequence[SnapshotExample],
-    loss: LossSpec,
-    model: CalibratedRouterModel,
-) -> RankedPolicy:
+def bucket_optimal_scores(test: SnapshotBatch, loss: LossSpec, model: CalibratedRouterModel) -> RankedPolicy:
     """Rank by the mean true reducible loss of each point's bin, measured on
     the test set itself: the best ordering that is constant per bin."""
-    test = as_batch(test)
     bins, index = assign_rows(model.partition, test.probs, test.features)
     reducible = _reducible(test, loss, model, (bins, index))
     bin_mean = np.bincount(index, weights=reducible) / np.bincount(index)
     return RankedPolicy(BUCKET_OPTIMAL, bin_mean[index])
 
 
-def random_scores(test: SnapshotBatch | Sequence[SnapshotExample], seed: int = 0) -> RankedPolicy:
+def random_scores(test: SnapshotBatch, seed: int = 0) -> RankedPolicy:
     """Uniformly random priorities; its curve declines linearly in expectation."""
     rng = np.random.default_rng(seed)
     return RankedPolicy(RANDOM, rng.random(len(test)))
 
 
-def external_scores(
-    test: SnapshotBatch | Sequence[SnapshotExample], table: dict[str, float], name: str = "external"
-) -> RankedPolicy:
+def external_scores(test: SnapshotBatch, table: dict[str, float], name: str = "external") -> RankedPolicy:
     """Adopt externally computed priorities keyed by example id."""
-    ids = as_batch(test).ids
-    missing = [eid for eid in ids if eid not in table]
+    missing = [eid for eid in test.ids if eid not in table]
     if missing:
         raise InvalidInputError(f"scores missing for {len(missing)} ids (first: {missing[0]})")
-    return RankedPolicy(name, np.array([float(table[eid]) for eid in ids]))
+    return RankedPolicy(name, np.array([float(table[eid]) for eid in test.ids]))

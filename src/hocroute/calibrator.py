@@ -9,7 +9,6 @@ time, so one calibrated model serves every loss and penalty configuration.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -17,9 +16,9 @@ from .core import (
     InvalidInputError,
     LabelDistribution,
     SnapshotBatch,
-    SnapshotExample,
     UnsupportedDiagnosticError,
-    as_batch,
+    simplex_error,
+    simplex_ok,
 )
 from .losses import LossSpec, entropy_batch, expected_loss_batch
 from .partition import PartitionSpec, _bin_positions, assign_rows
@@ -82,16 +81,11 @@ class CalibratedRouterModel:
         row = self.deployed_row(assign(self.partition, example), example.weak_pred.probs)
         return LabelDistribution(row)
 
-    def deployed_matrix(
-        self,
-        examples: SnapshotBatch | Sequence[SnapshotExample],
-        bins: tuple[list[str], np.ndarray] | None = None,
-    ) -> np.ndarray:
-        """The prediction served for each example, one row each. ``bins`` is
-        the examples' ``(bin ids, index)`` pair as ``partition.assign_rows``
+    def deployed_matrix(self, data: SnapshotBatch, bins: tuple[list[str], np.ndarray] | None = None) -> np.ndarray:
+        """The prediction served for each row, one row each. ``bins`` is
+        the rows' ``(bin ids, index)`` pair as ``partition.assign_rows``
         returns it, from a caller that has assigned them; without it they are
         assigned here. Each distinct bin's row is looked up once."""
-        data = as_batch(examples)
         if not self.recalibrated:
             return data.probs
         bin_ids, index = assign_rows(self.partition, data.probs, data.features) if bins is None else bins
@@ -99,11 +93,7 @@ class CalibratedRouterModel:
         return np.stack([self.deployed_row(b, None) for b in bin_ids])[index]
 
 
-def calibrate(
-    partition: PartitionSpec,
-    calibration: SnapshotBatch | Sequence[SnapshotExample],
-    recalibrate: bool = False,
-) -> CalibratedRouterModel:
+def calibrate(partition: PartitionSpec, calibration: SnapshotBatch, recalibrate: bool = False) -> CalibratedRouterModel:
     """Build per-bin tagged mixtures from a k-snapshot calibration set.
 
     With ``recalibrate`` the stored prediction of every entry is replaced by
@@ -113,11 +103,10 @@ def calibrate(
     """
     if not calibration:
         raise InvalidInputError("calibration set is empty")
-    data = as_batch(calibration)
-    preds, means = data.probs, data.means
+    preds, means = calibration.probs, calibration.means
     mixtures: dict[str, TaggedMixture] = {}
     centroids: dict[str, LabelDistribution] = {}
-    for b, rows in _bin_positions(*assign_rows(partition, preds, data.features)).items():
+    for b, rows in _bin_positions(*assign_rows(partition, preds, calibration.features)).items():
         bin_means = means[rows]
         if recalibrate:
             centroid = bin_means.mean(axis=0)
@@ -138,7 +127,7 @@ def calibrate(
         mixtures=mixtures,
         global_mixture=global_mixture,
         recalibrated=recalibrate,
-        num_classes=data.num_classes,
+        num_classes=calibration.num_classes,
         centroids=centroids,
     )
 
@@ -150,9 +139,14 @@ def estimate_decomposition(
 
     Irreducible is the mean self-loss of the snapshot means; reducible is
     the mean total loss of the stored predictions minus that. The two always
-    add up to the mean total loss exactly.
+    add up to the mean total loss exactly. A mixture row that is not a
+    probability vector is refused, so no bin is priced on one.
     """
     mixture = model.mixture(bin_id)
+    for name, rows in (("preds", mixture.preds), ("means", mixture.means)):
+        bad = np.flatnonzero(~simplex_ok(rows))
+        if bad.size:
+            raise InvalidInputError(f"bin {bin_id!r}: {name} row {bad[0]}: {simplex_error(rows[bad[0]])}")
     irreducible = float(np.mean(entropy_batch(loss, mixture.means)))
     total = float(np.mean(expected_loss_batch(loss, mixture.means, mixture.preds)))
     return irreducible, total - irreducible
@@ -178,21 +172,20 @@ def wasserstein_1d(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.sum(np.abs(cdf_a - cdf_b) * deltas))
 
 
-def _wasserstein_by_bin(model: CalibratedRouterModel, reference: SnapshotBatch | Sequence[SnapshotExample]):
+def _wasserstein_by_bin(model: CalibratedRouterModel, reference: SnapshotBatch):
     """``wasserstein_error`` and the reference rows of each bin it covers."""
     if model.num_classes != 2:
         raise UnsupportedDiagnosticError("Wasserstein diagnostic requires 2 classes")
     if not reference:
         raise InvalidInputError("reference set is empty")
-    data = as_batch(reference)
-    positions = _bin_positions(*assign_rows(model.partition, data.probs, data.features))
-    per_bin = {b: 2.0 * wasserstein_1d(model.mixture(b).means[:, 1], data.means[r, 1]) for b, r in positions.items()}
+    positions = _bin_positions(*assign_rows(model.partition, reference.probs, reference.features))
+    per_bin = {
+        b: 2.0 * wasserstein_1d(model.mixture(b).means[:, 1], reference.means[r, 1]) for b, r in positions.items()
+    }
     return per_bin, positions
 
 
-def wasserstein_error(
-    model: CalibratedRouterModel, reference: SnapshotBatch | Sequence[SnapshotExample]
-) -> dict[str, float]:
+def wasserstein_error(model: CalibratedRouterModel, reference: SnapshotBatch) -> dict[str, float]:
     """Per-bin distance between the calibrated mixture's snapshot-mean
     distribution and a held-out reference sample.
 
@@ -204,9 +197,7 @@ def wasserstein_error(
     return _wasserstein_by_bin(model, reference)[0]
 
 
-def aggregate_wasserstein(
-    model: CalibratedRouterModel, reference: SnapshotBatch | Sequence[SnapshotExample]
-) -> float:
+def aggregate_wasserstein(model: CalibratedRouterModel, reference: SnapshotBatch) -> float:
     """Reference-mass-weighted mean of the per-bin Wasserstein proxy."""
     per_bin, positions = _wasserstein_by_bin(model, reference)
     return float(sum(per_bin[b] * len(positions[b]) for b in per_bin) / len(reference))

@@ -291,7 +291,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     sweep = evaluation.cost_sweep(model, test, loss, alpha=args.alpha, betas=betas)
     storage.write_sweep_csv(args.out, sweep)
     _write_manifest(args, inputs=(args.model, args.test), outputs=(args.out,))
-    print(f"wrote {len(sweep.rows)} sweep rows -> {args.out}")
+    print(f"wrote {sweep.betas.size * len(sweep.mean_costs)} sweep rows -> {args.out}")
     return 0
 
 

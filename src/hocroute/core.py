@@ -284,7 +284,7 @@ class SnapshotBatch:
 
     @classmethod
     def from_examples(cls, examples: Sequence[SnapshotExample]) -> SnapshotBatch:
-        """The columns of a sequence of records: the one place rows are stacked."""
+        """The columns of a sequence of records: the one place records become a batch."""
         examples = list(examples)
         if not examples or len({e.num_classes for e in examples}) != 1:
             raise InvalidInputError("need examples, all over the same number of classes")
@@ -322,11 +322,6 @@ class SnapshotBatch:
             features=features if features.size else None,
             p_star=LabelDistribution(self.p_star[i]) if has_p_star else None,
         )
-
-
-def as_batch(data: SnapshotBatch | Sequence[SnapshotExample]) -> SnapshotBatch:
-    """``data`` itself when it is a batch, its columns when it is a sequence of records."""
-    return data if isinstance(data, SnapshotBatch) else SnapshotBatch.from_examples(data)
 
 
 # ---------------------------------------------------------------------------

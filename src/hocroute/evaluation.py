@@ -18,14 +18,7 @@ import numpy as np
 from . import baselines
 from .baselines import RankedPolicy, _deployed
 from .calibrator import CalibratedRouterModel, estimate_decomposition
-from .core import (
-    InvalidInputError,
-    RoutingConfig,
-    SnapshotBatch,
-    SnapshotExample,
-    UnsupportedLossError,
-    as_batch,
-)
+from .core import InvalidInputError, RoutingConfig, SnapshotBatch, UnsupportedLossError
 from .losses import LossSpec, entropy_batch, expected_loss_batch
 from .partition import _bin_positions, assign_rows
 from .router import OracleSpec, _check_oracles, bin_costs, choose
@@ -49,24 +42,14 @@ class RoutingCurve:
 
 
 @dataclass(eq=False)
-class SweepRow:
-    alpha: float
-    beta: float
-    policy: str
-    mean_cost: float
-
-
-@dataclass(eq=False)
 class CostSweep:
     alpha: float
     betas: np.ndarray
-    rows: list[SweepRow]
+    # policy -> mean realized cost at each beta, in the order of ``betas``
+    mean_costs: dict[str, np.ndarray]
     # max over bins and betas of est(three-way choice) - min est(two-way
     # choices); argmin over a superset keeps this <= 0 up to float noise
     max_estimated_gap: float
-
-    def mean_costs(self, policy: str) -> np.ndarray:
-        return np.array([r.mean_cost for r in self.rows if r.policy == policy])
 
 
 # ---------------------------------------------------------------------------
@@ -75,13 +58,10 @@ class CostSweep:
 
 
 def per_point_losses(
-    test: SnapshotBatch | Sequence[SnapshotExample],
-    loss: LossSpec,
-    model: CalibratedRouterModel | None = None,
+    test: SnapshotBatch, loss: LossSpec, model: CalibratedRouterModel | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """(weak loss, oracle loss) per test point against the ground-truth
     source: the exact conditional when attached, the snapshot mean otherwise."""
-    test = as_batch(test)
     deployed = _deployed(test, model)
     return expected_loss_batch(loss, test.truth, deployed), entropy_batch(loss, test.truth)
 
@@ -117,10 +97,7 @@ def _grid_curve(policy, ids, weak_losses, oracle_losses, loss_name) -> RoutingCu
 
 
 def routing_curve(
-    policy: RankedPolicy,
-    test: SnapshotBatch | Sequence[SnapshotExample],
-    loss: LossSpec,
-    model: CalibratedRouterModel | None = None,
+    policy: RankedPolicy, test: SnapshotBatch, loss: LossSpec, model: CalibratedRouterModel | None = None
 ) -> RoutingCurve:
     """Evaluate a priority ordering on an evenly spaced routed-fraction grid.
 
@@ -129,14 +106,13 @@ def routing_curve(
     """
     if len(policy.scores) != len(test):
         raise InvalidInputError("policy scores do not cover the test set")
-    test = as_batch(test)
     weak_losses, oracle_losses = per_point_losses(test, loss, model)
     return _grid_curve(policy, np.array(test.ids), weak_losses, oracle_losses, loss.name)
 
 
 def routing_curves(
     model: CalibratedRouterModel,
-    test: SnapshotBatch | Sequence[SnapshotExample],
+    test: SnapshotBatch,
     loss: LossSpec,
     policies: Sequence[str] = CURVE_POLICIES,
     external: dict[str, dict[str, float]] | None = None,
@@ -146,7 +122,6 @@ def routing_curves(
     table (id -> score), with the losses priced once for all of them.
     ``seed`` seeds the ``random`` policy. An unknown name, a name given
     twice and a request for no curves are refused."""
-    test = as_batch(test)
     baseline_args = (test, loss, model)
     scorers = {
         HOC_ROUTER: lambda: router_scores(model, test, loss),
@@ -171,10 +146,9 @@ def routing_curves(
     return curves + [draw(baselines.external_scores(test, table, name)) for name, table in external.items()]
 
 
-def router_scores(model: CalibratedRouterModel, test: SnapshotBatch | Sequence[SnapshotExample], loss: LossSpec) -> RankedPolicy:
+def router_scores(model: CalibratedRouterModel, test: SnapshotBatch, loss: LossSpec) -> RankedPolicy:
     """The calibrated router's ranking: each point scored by the estimated
     reducible loss of its bin."""
-    test = as_batch(test)
     bins, index = assign_rows(model.partition, test.probs, test.features)
     reducible = np.array([estimate_decomposition(model, b, loss)[1] for b in bins])
     return RankedPolicy(HOC_ROUTER, reducible[index])
@@ -204,7 +178,7 @@ def _realized(points: np.ndarray, index: np.ndarray, choice: np.ndarray, config:
 
 def policy_point_costs(
     model: CalibratedRouterModel,
-    test: SnapshotBatch | Sequence[SnapshotExample],
+    test: SnapshotBatch,
     config: RoutingConfig,
     oracles: Sequence[OracleSpec] | None = None,
     decide_config: RoutingConfig | None = None,
@@ -218,20 +192,20 @@ def policy_point_costs(
     """
     cfg = decide_config or config
     oracles = _check_oracles(cfg, _check_oracles(config, oracles))  # decisions price the charged oracles
-    bins, index, points = _point_costs(model, as_batch(test), config.loss, oracles)
+    bins, index, points = _point_costs(model, test, config.loss, oracles)
     return _realized(points, index, choose(bin_costs(model, bins, cfg.loss, oracles), cfg), config)
 
 
 def bucket_optimal_point_costs(
     model: CalibratedRouterModel,
-    test: SnapshotBatch | Sequence[SnapshotExample],
+    test: SnapshotBatch,
     config: RoutingConfig,
     oracles: Sequence[OracleSpec] | None = None,
 ) -> np.ndarray:
     """Realized per-point cost of the best constant action per bin, measured
     on the test set itself (oracle baseline)."""
     oracles = _check_oracles(config, oracles)
-    bins, index, points = _point_costs(model, as_batch(test), config.loss, oracles)
+    bins, index, points = _point_costs(model, test, config.loss, oracles)
     positions, columns = _bin_positions(bins, index), np.ascontiguousarray(points.T)
     # 1-D means over each bin's rows in ascending order, as a per-bin loop sums them
     measured = np.array([[column[positions[b]].mean() for column in columns] for b in bins])
@@ -240,7 +214,7 @@ def bucket_optimal_point_costs(
 
 def cost_sweep(
     model: CalibratedRouterModel,
-    test: SnapshotBatch | Sequence[SnapshotExample],
+    test: SnapshotBatch,
     loss: LossSpec,
     alpha: float,
     betas: Sequence[float],
@@ -253,12 +227,12 @@ def cost_sweep(
         raise InvalidInputError("empty beta grid")
     probe = RoutingConfig(loss=loss, route_penalties=(alpha,), abstain_penalty=float(betas[0]))
     oracles = _check_oracles(probe, oracles)
-    bins, index, points = _point_costs(model, as_batch(test), loss, oracles)
+    bins, index, points = _point_costs(model, test, loss, oracles)
     priced = bin_costs(model, bins, loss, oracles)  # once: no penalty in it
     pr_cfg = RoutingConfig(loss=loss, route_penalties=(alpha,), abstain_penalty=math.inf)
-    rows: list[SweepRow] = []
+    mean_costs = {policy: np.empty(betas.size) for policy in (THREE_WAY, PREDICT_ROUTE, PREDICT_ABSTAIN)}
     max_gap = -math.inf
-    for beta in betas:
+    for j, beta in enumerate(betas):
         true_cfg = RoutingConfig(loss=loss, route_penalties=(alpha,), abstain_penalty=float(beta))
         pa_cfg = RoutingConfig(loss=loss, route_penalties=(math.inf,), abstain_penalty=float(beta))
         configs = {THREE_WAY: true_cfg, PREDICT_ROUTE: pr_cfg, PREDICT_ABSTAIN: pa_cfg}
@@ -267,9 +241,8 @@ def cost_sweep(
         gap = est[THREE_WAY] - np.minimum(est[PREDICT_ROUTE], est[PREDICT_ABSTAIN])
         max_gap = max(max_gap, float(np.fmax.reduce(gap)))  # fmax skips inf - inf, a bin where all cost inf
         for policy, choice in chosen.items():
-            mean_cost = float(_realized(points, index, choice, true_cfg).mean())
-            rows.append(SweepRow(alpha=alpha, beta=float(beta), policy=policy, mean_cost=mean_cost))
-    return CostSweep(alpha=alpha, betas=betas, rows=rows, max_estimated_gap=float(max_gap))
+            mean_costs[policy][j] = _realized(points, index, choice, true_cfg).mean()
+    return CostSweep(alpha=alpha, betas=betas, mean_costs=mean_costs, max_estimated_gap=float(max_gap))
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +252,7 @@ def cost_sweep(
 
 def multi_loss_report(
     model: CalibratedRouterModel,
-    test: SnapshotBatch | Sequence[SnapshotExample],
+    test: SnapshotBatch,
     losses: Sequence[LossSpec],
     external: dict[str, dict[str, float]] | None = None,
     random_seed: int | None = None,
@@ -291,7 +264,6 @@ def multi_loss_report(
     skipped with a warning.
     """
     report: dict[str, list[RoutingCurve]] = {}
-    test = as_batch(test)
     policies = CURVE_POLICIES if random_seed is None else (*CURVE_POLICIES, baselines.RANDOM)
     for loss in losses:
         try:

@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
-from .core import InvalidInputError, SnapshotBatch, SnapshotExample, as_batch, json_numbers
+from .core import InvalidInputError, SnapshotBatch, json_numbers
 from .losses import LossSpec, entropy_batch, expected_loss_batch
 
 TOP_CLASS = "topclass"
@@ -115,22 +114,16 @@ def _edges(values) -> np.ndarray:
     return np.asarray(values, dtype=float)
 
 
-def fit(
-    kind: str,
-    calibration: SnapshotBatch | Sequence[SnapshotExample],
-    buckets: int = 10,
-    feature_index: int = 0,
-) -> PartitionSpec:
+def fit(kind: str, calibration: SnapshotBatch, buckets: int = 10, feature_index: int = 0) -> PartitionSpec:
     """Fit a partition on the calibration set."""
     if kind not in KINDS:
         raise InvalidInputError(f"unknown partition kind {kind!r}; choose from {KINDS}")
     if not calibration:
         raise InvalidInputError("calibration set is empty")
     buckets, feature_index = _checked_ints(buckets, feature_index)
-    data = as_batch(calibration)
 
     if kind == TOP_CLASS:
-        preds = data.probs
+        preds = calibration.probs
         classes = np.argmax(preds, axis=1)
         confidences = preds[np.arange(preds.shape[0]), classes]
         class_edges = {
@@ -140,15 +133,15 @@ def fit(
 
     if kind == FEATURE:
         j = feature_index
-        present = data.features is not None and data.features.shape[1] > j
-        values = data.features[:, j] if present else np.full(len(data), np.nan)
+        present = calibration.features is not None and calibration.features.shape[1] > j
+        values = calibration.features[:, j] if present else np.full(len(calibration), np.nan)
         lacking = np.isnan(values)
         if lacking.any():
-            raise InvalidInputError(f"example {data.ids[int(np.argmax(lacking))]} lacks feature {j}")
+            raise InvalidInputError(f"example {calibration.ids[int(np.argmax(lacking))]} lacks feature {j}")
         edges = _rank_edges(values, buckets)
         return PartitionSpec(kind=kind, buckets=buckets, edges=edges, feature_index=j)
 
-    keys = frozenset(map(_level_key, data.probs))
+    keys = frozenset(map(_level_key, calibration.probs))
     return PartitionSpec(kind=kind, buckets=len(keys), level_keys=keys)
 
 
@@ -216,9 +209,8 @@ def _bin_positions(bins: list[str], index: np.ndarray) -> dict[str, np.ndarray]:
     return {bins[j]: rows[j] for j in sorted(range(len(bins)), key=lambda j: rows[j][0])}
 
 
-def assign_many(spec: PartitionSpec, examples: SnapshotBatch | Sequence[SnapshotExample]) -> list[str]:
+def assign_many(spec: PartitionSpec, data: SnapshotBatch) -> list[str]:
     """``assign`` of every row, through ``assign_rows``."""
-    data = as_batch(examples)
     bins, index = assign_rows(spec, data.probs, data.features)
     return [bins[i] for i in index.tolist()]
 
@@ -248,12 +240,9 @@ class PartitionQualityReport:
     empty_bins: list[str]
 
 
-def partition_quality(
-    spec: PartitionSpec, data: SnapshotBatch | Sequence[SnapshotExample], loss: LossSpec
-) -> PartitionQualityReport:
+def partition_quality(spec: PartitionSpec, data: SnapshotBatch, loss: LossSpec) -> PartitionQualityReport:
     if not data:
         raise InvalidInputError("no data to evaluate partition quality")
-    data = as_batch(data)
     reducible = expected_loss_batch(loss, data.means, data.probs) - entropy_batch(loss, data.means)
     positions = _bin_positions(*assign_rows(spec, data.probs, data.features))
 

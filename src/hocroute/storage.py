@@ -31,7 +31,6 @@ from .core import (
     LabelDistribution,
     SnapshotBatch,
     SnapshotExample,
-    as_batch,
     json_numbers,
     nan_padded,
     normalize_simplex,
@@ -68,10 +67,11 @@ INGEST_CHUNK_LINES = 256
 
 def write_dataset(path: str | Path, examples: SnapshotBatch | Sequence[SnapshotExample]) -> None:
     """Write a version-2 dataset and its header sidecar, one record per row;
-    a row's labels are written as its per-class ``label_counts``."""
+    a row's labels are written as its per-class ``label_counts``. Records are
+    taken as well as a batch, and turned into one by ``from_examples``."""
     if not examples:
         raise InvalidInputError("refusing to write an empty dataset")
-    batch = as_batch(examples)
+    batch = examples if isinstance(examples, SnapshotBatch) else SnapshotBatch.from_examples(examples)
     header = {"format": DATASET_FORMAT, "version": 2, "num_classes": batch.num_classes}
     header_path(path).write_text(json.dumps(header, indent=2) + "\n", encoding="utf-8")
     with open(path, "w", encoding="utf-8") as fh:
@@ -614,8 +614,9 @@ def write_sweep_csv(path: str | Path, sweep: CostSweep) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["alpha", "beta", "policy", "mean_cost"])
-        for row in sweep.rows:
-            writer.writerow([repr(row.alpha), repr(row.beta), row.policy, repr(row.mean_cost)])
+        for j, beta in enumerate(sweep.betas.tolist()):
+            for policy, costs in sweep.mean_costs.items():
+                writer.writerow([repr(sweep.alpha), repr(beta), policy, repr(float(costs[j]))])
 
 
 def write_manifest(

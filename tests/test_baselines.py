@@ -10,7 +10,7 @@ from hocroute.baselines import (
     total_uncertainty_scores,
 )
 from hocroute.calibrator import calibrate
-from hocroute.core import InvalidInputError
+from hocroute.core import InvalidInputError, SnapshotBatch
 from hocroute.losses import LossSpec
 from hocroute.partition import fit
 
@@ -21,29 +21,29 @@ brier = LossSpec("brier")
 
 class TestTotalUncertainty:
     def test_degenerate_and_uniform(self):
-        test = [
+        test = SnapshotBatch.from_examples([
             make_example("a", [1.0, 0.0], [0], p_star=[1.0, 0.0]),
             make_example("b", [0.5, 0.5], [0], p_star=[0.5, 0.5]),
-        ]
+        ])
         policy = total_uncertainty_scores(test, brier)
         assert policy.scores.tolist() == [0.0, 0.5]
 
     def test_function_of_prediction_only(self):
-        test = [
+        test = SnapshotBatch.from_examples([
             make_example("a", [0.7, 0.3], [0], p_star=[0.9, 0.1]),
             make_example("b", [0.7, 0.3], [1], p_star=[0.1, 0.9]),
-        ]
+        ])
         policy = total_uncertainty_scores(test, brier)
         assert policy.scores[0] == policy.scores[1]
 
 
 class TestPointwiseOptimal:
     def test_perfect_prediction_scores_zero(self):
-        test = [make_example("a", [0.7, 0.3], [0], p_star=[0.7, 0.3])]
+        test = SnapshotBatch.from_examples([make_example("a", [0.7, 0.3], [0], p_star=[0.7, 0.3])])
         assert pointwise_optimal_scores(test, brier).scores[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_opposed_one_hots(self):
-        test = [make_example("a", [0.0, 1.0], [0], p_star=[1.0, 0.0])]
+        test = SnapshotBatch.from_examples([make_example("a", [0.0, 1.0], [0], p_star=[1.0, 0.0])])
         assert pointwise_optimal_scores(test, brier).scores[0] == pytest.approx(2.0, abs=1e-12)
 
     def test_nonnegative_for_proper_losses(self, small_run):
@@ -57,10 +57,10 @@ class TestBucketOptimal:
         return calibrate(fit("topclass", examples, buckets=buckets), examples)
 
     def test_single_bin_gives_equal_scores(self):
-        test = [
+        test = SnapshotBatch.from_examples([
             make_example("a", [0.9, 0.1], [0], p_star=[1.0, 0.0]),
             make_example("b", [0.8, 0.2], [0], p_star=[0.5, 0.5]),
-        ]
+        ])
         model = self._model(test, buckets=1)
         scores = bucket_optimal_scores(test, brier, model).scores
         assert scores[0] == scores[1]
@@ -71,12 +71,12 @@ class TestBucketOptimal:
             t = np.sqrt(rl / 2.0)
             return make_example(eid, [conf, 1 - conf], [0], p_star=[conf - t, 1 - conf + t])
 
-        test = [
+        test = SnapshotBatch.from_examples([
             with_reducible("a1", 0.6, 0.3),
             with_reducible("a2", 0.62, 0.3),
             with_reducible("b1", 0.9, 0.1),
             with_reducible("b2", 0.92, 0.1),
-        ]
+        ])
         model = self._model(test, buckets=2)
         scores = bucket_optimal_scores(test, brier, model).scores
         assert scores[0] == pytest.approx(0.3, abs=1e-9)
@@ -106,7 +106,7 @@ class TestOtherPolicies:
         assert not np.array_equal(a, random_scores(test, seed=4).scores)
 
     def test_external_scores_aligned_by_id(self):
-        test = [make_example("a", [0.6, 0.4], [0]), make_example("b", [0.6, 0.4], [1])]
+        test = SnapshotBatch.from_examples([make_example("a", [0.6, 0.4], [0]), make_example("b", [0.6, 0.4], [1])])
         policy = external_scores(test, {"b": 2.0, "a": 1.0}, name="xgb")
         assert policy.scores.tolist() == [1.0, 2.0]
         with pytest.raises(InvalidInputError):

@@ -9,7 +9,7 @@ from hocroute.calibrator import (
     wasserstein_1d,
     wasserstein_error,
 )
-from hocroute.core import UnsupportedDiagnosticError
+from hocroute.core import SnapshotBatch, UnsupportedDiagnosticError
 from hocroute.losses import LossSpec, expected_loss_batch
 from hocroute.partition import assign_many, fit
 
@@ -24,29 +24,29 @@ def one_bin_model(examples, recalibrate=False):
 
 class TestCalibrate:
     def test_centroid_is_mean_of_snapshot_means(self):
-        examples = [
+        examples = SnapshotBatch.from_examples([
             make_example("a", [0.5, 0.5], [0]),  # snapshot mean (1, 0)
             make_example("b", [0.5, 0.5], [1]),  # snapshot mean (0, 1)
-        ]
+        ])
         model = one_bin_model(examples, recalibrate=True)
         (centroid,) = model.centroids.values()
         np.testing.assert_allclose(centroid.probs, [0.5, 0.5])
 
     def test_single_example_centroid_is_its_mean(self):
-        examples = [make_example("a", [0.6, 0.4], [0, 1, 1])]
+        examples = SnapshotBatch.from_examples([make_example("a", [0.6, 0.4], [0, 1, 1])])
         model = one_bin_model(examples, recalibrate=True)
         (centroid,) = model.centroids.values()
         np.testing.assert_allclose(centroid.probs, [1 / 3, 2 / 3])
 
     def test_no_recalibration_keeps_raw_predictions(self):
-        examples = [make_example("a", [0.7, 0.3], [0]), make_example("b", [0.6, 0.4], [1])]
+        examples = SnapshotBatch.from_examples([make_example("a", [0.7, 0.3], [0]), make_example("b", [0.6, 0.4], [1])])
         model = one_bin_model(examples, recalibrate=False)
         (mixture,) = model.mixtures.values()
         np.testing.assert_array_equal(mixture.preds, [[0.7, 0.3], [0.6, 0.4]])
         assert not model.centroids
 
     def test_recalibration_updates_stored_predictions(self):
-        examples = [make_example("a", [0.9, 0.1], [0]), make_example("b", [0.9, 0.1], [1])]
+        examples = SnapshotBatch.from_examples([make_example("a", [0.9, 0.1], [0]), make_example("b", [0.9, 0.1], [1])])
         model = one_bin_model(examples, recalibrate=True)
         (mixture,) = model.mixtures.values()
         np.testing.assert_allclose(mixture.preds, [[0.5, 0.5], [0.5, 0.5]])
@@ -74,27 +74,30 @@ class TestDecomposition:
     def test_opposed_one_hots(self):
         # S = {((.5,.5),(1,0)), ((.5,.5),(0,1))}: one-hot means have zero
         # self-loss, and each sits at squared distance 0.5 from the prediction
-        examples = [make_example("a", [0.5, 0.5], [0]), make_example("b", [0.5, 0.5], [1])]
+        examples = SnapshotBatch.from_examples([make_example("a", [0.5, 0.5], [0]), make_example("b", [0.5, 0.5], [1])])
         model = one_bin_model(examples)
         il, rl = estimate_decomposition(model, "c0:b0", brier)
         assert il == pytest.approx(0.0, abs=1e-12)
         assert rl == pytest.approx(0.5, abs=1e-12)
 
     def test_prediction_matching_mean_has_zero_reducible(self):
-        examples = [make_example("a", [0.5, 0.5], [0, 1]), make_example("b", [0.5, 0.5], [1, 0])]
+        examples = SnapshotBatch.from_examples([
+            make_example("a", [0.5, 0.5], [0, 1]),
+            make_example("b", [0.5, 0.5], [1, 0]),
+        ])
         model = one_bin_model(examples)
         il, rl = estimate_decomposition(model, "c0:b0", brier)
         assert rl == pytest.approx(0.0, abs=1e-12)
         assert il == pytest.approx(0.5, abs=1e-12)
 
     def test_perfect_deterministic_bin(self):
-        examples = [make_example("a", [1.0, 0.0], [0])]
+        examples = SnapshotBatch.from_examples([make_example("a", [1.0, 0.0], [0])])
         model = one_bin_model(examples)
         il, rl = estimate_decomposition(model, "c0:b0", brier)
         assert (il, rl) == (0.0, 0.0)
 
     def test_unknown_bin_served_by_global_mixture(self):
-        examples = [make_example("a", [0.5, 0.5], [0]), make_example("b", [0.5, 0.5], [1])]
+        examples = SnapshotBatch.from_examples([make_example("a", [0.5, 0.5], [0]), make_example("b", [0.5, 0.5], [1])])
         model = one_bin_model(examples)
         assert estimate_decomposition(model, "c1:b7", brier) == estimate_decomposition(model, "c0:b0", brier)
 
@@ -193,21 +196,24 @@ class TestDeployedPredictions:
 
 class TestWassersteinError:
     def test_identical_distributions_are_zero(self):
-        examples = [make_example(f"e{i}", [0.6, 0.4], [0, 1]) for i in range(4)]
+        examples = SnapshotBatch.from_examples([make_example(f"e{i}", [0.6, 0.4], [0, 1]) for i in range(4)])
         model = one_bin_model(examples)
         assert wasserstein_error(model, examples)["c0:b0"] == pytest.approx(0.0, abs=1e-12)
 
     def test_point_masses_l1_distance(self):
         # point mass at (0.2, 0.8) vs point mass at (0.5, 0.5): l1 gap 0.6
-        cal = [make_example("a", [0.6, 0.4], [1, 1, 1, 1, 0])]  # mean (0.2, 0.8)
-        ref = [make_example("b", [0.6, 0.4], [0, 1])]  # mean (0.5, 0.5)
+        cal = SnapshotBatch.from_examples([make_example("a", [0.6, 0.4], [1, 1, 1, 1, 0])])  # mean (0.2, 0.8)
+        ref = SnapshotBatch.from_examples([make_example("b", [0.6, 0.4], [0, 1])])  # mean (0.5, 0.5)
         model = one_bin_model(cal)
         assert wasserstein_error(model, ref)["c0:b0"] == pytest.approx(0.6, abs=1e-12)
 
     def test_cdf_area_by_hand(self):
         # means {0, 1} vs {0.5, 0.5} on the positive coordinate: distance 0.5, doubled
-        cal = [make_example("a", [0.6, 0.4], [0]), make_example("b", [0.6, 0.4], [1])]
-        ref = [make_example("c", [0.6, 0.4], [0, 1]), make_example("d", [0.6, 0.4], [1, 0])]
+        cal = SnapshotBatch.from_examples([make_example("a", [0.6, 0.4], [0]), make_example("b", [0.6, 0.4], [1])])
+        ref = SnapshotBatch.from_examples([
+            make_example("c", [0.6, 0.4], [0, 1]),
+            make_example("d", [0.6, 0.4], [1, 0]),
+        ])
         model = one_bin_model(cal)
         assert wasserstein_error(model, ref)["c0:b0"] == pytest.approx(1.0, abs=1e-12)
 
@@ -219,7 +225,7 @@ class TestWassersteinError:
             assert wasserstein_1d(a, b) == pytest.approx(wasserstein_distance(a, b), abs=1e-12)
 
     def test_multiclass_unsupported(self):
-        examples = [make_example("a", [0.2, 0.3, 0.5], [0, 1, 2])]
+        examples = SnapshotBatch.from_examples([make_example("a", [0.2, 0.3, 0.5], [0, 1, 2])])
         model = calibrate(fit("topclass", examples, buckets=1), examples)
         with pytest.raises(UnsupportedDiagnosticError):
             wasserstein_error(model, examples)

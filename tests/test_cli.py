@@ -19,9 +19,9 @@ from hocroute import cli
 from hocroute.baselines import random_scores, total_uncertainty_scores
 from hocroute.calibrator import calibrate
 from hocroute.cli import MAX_GRID_POINTS, cli_dispatch, parse_grid, parse_loss, parse_partition
-from hocroute.core import InvalidInputError, RoutingConfig
+from hocroute.core import InvalidInputError, RoutingConfig, SnapshotBatch
 from hocroute.baselines import BUCKET_OPTIMAL, RankedPolicy, pointwise_optimal_scores
-from hocroute.evaluation import HOC_ROUTER, CostSweep, SweepRow, router_scores, routing_curve
+from hocroute.evaluation import HOC_ROUTER, CostSweep, router_scores, routing_curve
 from hocroute.partition import fit
 from hocroute.router import OracleSpec, Router
 from hocroute.storage import (
@@ -319,7 +319,11 @@ class TestPipeline:
         betas = parse_grid("0.1:0.8:0.05")
         for raw in (False, True):
             rows, gap = ref_cost_sweep(model, test, brier, 0.05, betas, [OracleSpec()], use_recalibrated=not raw)
-            write_sweep_csv(tmp_path / "reference.csv", CostSweep(0.05, np.array(betas), [SweepRow(*r) for r in rows], gap))
+            costs = {}  # the reference's (alpha, beta, policy, cost) rows, betas outermost, as columns
+            for _, _, policy, cost in rows:
+                costs.setdefault(policy, []).append(cost)
+            reference = CostSweep(0.05, np.array(betas), {policy: np.array(c) for policy, c in costs.items()}, gap)
+            write_sweep_csv(tmp_path / "reference.csv", reference)
             assert outputs[raw][1] == (tmp_path / "reference.csv").read_bytes()
 
     def test_sweep_row_count(self, workspace, tmp_path):
@@ -433,7 +437,9 @@ class TestCurveRequests:
         assert error == {"error": "InvalidInputError", "message": "unknown policy 'nope'"}
 
     def test_a_binary_only_loss_on_three_classes_is_refused(self, workspace, tmp_path, capsys):
-        data = [make_example(f"e{i}", [0.2, 0.3, 0.5], [i % 3, (i + 1) % 3]) for i in range(30)]
+        data = SnapshotBatch.from_examples(
+            [make_example(f"e{i}", [0.2, 0.3, 0.5], [i % 3, (i + 1) % 3]) for i in range(30)]
+        )
         write_dataset(tmp_path / "three.jsonl", data)
         save_model(tmp_path / "three.model.json", calibrate(fit("topclass", data, buckets=2), data))
         three = {"test": tmp_path / "three.jsonl", "model": tmp_path / "three.model.json"}

@@ -9,7 +9,7 @@ from hocroute.baselines import (
     total_uncertainty_scores,
 )
 from hocroute.calibrator import calibrate
-from hocroute.core import InvalidInputError, RoutingConfig, ground_truth
+from hocroute.core import InvalidInputError, RoutingConfig, SnapshotBatch, ground_truth
 from hocroute.evaluation import (
     PREDICT_ABSTAIN,
     PREDICT_ROUTE,
@@ -96,10 +96,10 @@ class TestRoutingCurve:
             routing_curve(random_scores(test[:10], 0), test, brier, model)
 
     def test_tie_break_by_id_is_deterministic(self):
-        test = [
+        test = SnapshotBatch.from_examples([
             make_example("b", [0.6, 0.4], [0], p_star=[1.0, 0.0]),
             make_example("a", [0.6, 0.4], [0], p_star=[0.5, 0.5]),
-        ]
+        ])
         scores = np.array([1.0, 1.0])
         ids = np.array([e.id for e in test])
         weak, oracle = per_point_losses(test, brier)
@@ -122,25 +122,23 @@ class TestCostSweep:
         model, test = fitted
         betas = [0.1, 0.3, 0.5, 0.7]
         sweep = cost_sweep(model, test, brier, alpha=0.05, betas=betas)
-        assert len(sweep.rows) == len(betas) * 3
+        assert sweep.betas.tolist() == betas
+        assert list(sweep.mean_costs) == [THREE_WAY, PREDICT_ROUTE, PREDICT_ABSTAIN]
+        assert all(costs.shape == (len(betas),) for costs in sweep.mean_costs.values())
         assert sweep.max_estimated_gap <= 1e-9
-        three = sweep.mean_costs(THREE_WAY)
-        pr = sweep.mean_costs(PREDICT_ROUTE)
-        pa = sweep.mean_costs(PREDICT_ABSTAIN)
+        three, pr, pa = sweep.mean_costs.values()
         # true-cost dominance holds within sampling noise on seeded data
         assert np.all(three <= np.minimum(pr, pa) + 0.01)
 
     def test_large_beta_matches_predict_route(self, fitted):
         model, test = fitted
         sweep = cost_sweep(model, test, brier, alpha=0.05, betas=[10.0])
-        assert sweep.mean_costs(THREE_WAY)[0] == pytest.approx(
-            sweep.mean_costs(PREDICT_ROUTE)[0], abs=1e-12
-        )
+        assert sweep.mean_costs[THREE_WAY][0] == pytest.approx(sweep.mean_costs[PREDICT_ROUTE][0], abs=1e-12)
 
     def test_free_abstention_is_free(self, fitted):
         model, test = fitted
         sweep = cost_sweep(model, test, brier, alpha=0.05, betas=[0.0])
-        assert sweep.mean_costs(THREE_WAY)[0] <= 1e-9
+        assert sweep.mean_costs[THREE_WAY][0] <= 1e-9
 
     def test_empty_grid_rejected(self, fitted):
         model, test = fitted
@@ -180,10 +178,10 @@ class TestPolicyCosts:
     def test_bucket_optimal_breaks_exact_ties_by_action_priority(self):
         # one bin: routing costs exactly the abstention penalty on average,
         # but not point by point, so the realized costs show which action won
-        data = [
+        data = SnapshotBatch.from_examples([
             make_example("a", [0.9, 0.1], [1], p_star=[0.0, 1.0]),
             make_example("b", [0.9, 0.1], [0], p_star=[0.5, 0.5]),
-        ]
+        ])
         model = calibrate(fit("topclass", data, buckets=1), data)
         route_cost = float(OracleSpec().point_costs(brier, np.array([[0.0, 1.0], [0.5, 0.5]])).mean())
         cfg = RoutingConfig(loss=brier, route_penalties=(0.0,), abstain_penalty=route_cost)
@@ -206,10 +204,10 @@ class TestPolicyCosts:
     def test_bucket_optimal_breaks_oracle_ties_toward_the_lower_index(self):
         # one bin where both oracles cost 0.5 on average with their penalties,
         # point by point [0.25, 0.75] through the first and [0.0, 1.0] through the second
-        data = [
+        data = SnapshotBatch.from_examples([
             make_example("a", [0.9, 0.1], [1], p_star=[0.0, 1.0]),
             make_example("b", [0.9, 0.1], [0], p_star=[0.5, 0.5]),
-        ]
+        ])
         model = calibrate(fit("topclass", data, buckets=1), data)
         cfg = RoutingConfig(loss=brier, route_penalties=(0.25, 0.0), abstain_penalty=math.inf)
         costs = bucket_optimal_point_costs(model, data, cfg, [OracleSpec(), OracleSpec(kind="aggregated")])
@@ -230,9 +228,9 @@ class TestMultiLossReport:
             np.testing.assert_array_equal(m.means, frozen[b])
 
     def test_binary_only_losses_skipped_on_multiclass(self):
-        data = [
-            make_example(f"e{i}", [0.2, 0.3, 0.5], [i % 3, (i + 1) % 3]) for i in range(30)
-        ]
+        data = SnapshotBatch.from_examples(
+            [make_example(f"e{i}", [0.2, 0.3, 0.5], [i % 3, (i + 1) % 3]) for i in range(30)]
+        )
         model = calibrate(fit("topclass", data, buckets=2), data)
         with pytest.warns(UserWarning, match="three_part"):
             report = multi_loss_report(model, data, [brier, LossSpec("three_part")])

@@ -3,6 +3,7 @@
 ``assign_many``'s per-row bin ids with a dict loop. Results must be equal bit
 for bit, including the order of per-bin dicts."""
 
+import functools
 import math
 from dataclasses import replace
 
@@ -28,6 +29,7 @@ from hocroute.core import (
     ABSTAIN,
     PREDICT,
     RoutingConfig,
+    SnapshotBatch,
     ground_truth,
     route_action,
 )
@@ -52,6 +54,13 @@ BRIER = LossSpec("brier")
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=8)
+def records(batch):
+    """A batch's rows as records, built once per batch: the references read
+    records, as the code they freeze did."""
+    return list(batch)
+
+
 def _group(bins):
     grouped = {}
     for i, b in enumerate(bins):
@@ -60,7 +69,7 @@ def _group(bins):
 
 
 def ref_deployed_matrix(model, examples):
-    raw = np.stack([e.weak_pred.probs for e in examples])
+    raw = np.stack([e.weak_pred.probs for e in records(examples)])
     if not model.recalibrated:
         return raw
     rows = []
@@ -72,7 +81,7 @@ def ref_deployed_matrix(model, examples):
 
 def ref_deployed(test, model, use_recalibrated):
     if model is None or not use_recalibrated:
-        return np.stack([e.weak_pred.probs for e in test])
+        return np.stack([e.weak_pred.probs for e in records(test)])
     return ref_deployed_matrix(model, test)
 
 
@@ -83,7 +92,7 @@ def raw_deployment(model, use_recalibrated):
 
 
 def ref_bucket_optimal_scores(test, loss, model, use_recalibrated=True):
-    gt = np.stack([ground_truth(e).probs for e in test])
+    gt = np.stack([ground_truth(e).probs for e in records(test)])
     reducible = expected_loss_batch(loss, gt, ref_deployed(test, model, use_recalibrated)) - entropy_batch(loss, gt)
     bins = assign_many(model.partition, test)
     sums, counts = {}, {}
@@ -104,8 +113,8 @@ def ref_router_scores(model, test, loss):
 
 
 def ref_partition_quality(spec, data, loss):
-    means = np.stack([e.snapshot_mean.probs for e in data])
-    preds = np.stack([e.weak_pred.probs for e in data])
+    means = np.stack([e.snapshot_mean.probs for e in records(data)])
+    preds = np.stack([e.weak_pred.probs for e in records(data)])
     reducible = expected_loss_batch(loss, means, preds) - entropy_batch(loss, means)
     grouped = _group(assign_many(spec, data))
     per_bin, counts = {}, {}
@@ -119,8 +128,8 @@ def ref_partition_quality(spec, data, loss):
 
 def ref_calibrate_bins(partition, calibration, recalibrate):
     """bin id -> (stored predictions, snapshot means, centroid or None)."""
-    preds = np.stack([e.weak_pred.probs for e in calibration])
-    means = np.stack([e.snapshot_mean.probs for e in calibration])
+    preds = np.stack([e.weak_pred.probs for e in records(calibration)])
+    means = np.stack([e.snapshot_mean.probs for e in records(calibration)])
     out = {}
     for b, idxs in _group(assign_many(partition, calibration)).items():
         bin_means = means[idxs]
@@ -133,7 +142,7 @@ def ref_calibrate_bins(partition, calibration, recalibrate):
 
 
 def ref_wasserstein_error(model, reference):
-    ref_means = np.stack([e.snapshot_mean.probs for e in reference])
+    ref_means = np.stack([e.snapshot_mean.probs for e in records(reference)])
     grouped = _group(assign_many(model.partition, reference))
     return {
         b: 2.0 * wasserstein_1d(model.mixture(b).means[:, 1], ref_means[idxs, 1]) for b, idxs in grouped.items()
@@ -150,7 +159,7 @@ def ref_aggregate_wasserstein(model, reference):
 
 def ref_eval_arrays(model, test, loss, oracles, use_recalibrated):
     bins = assign_many(model.partition, test)
-    truth = np.stack([ground_truth(e).probs for e in test])
+    truth = np.stack([ground_truth(e).probs for e in records(test)])
     deployed = ref_deployed(test, model, use_recalibrated)
     predict_cost = expected_loss_batch(loss, truth, deployed)
     oracle_cost = np.stack([o.point_costs(loss, truth) for o in oracles])
@@ -226,7 +235,7 @@ def _examples(rng, pool, n, prefix):
                 p_star=p_star,
             )
         )
-    return out
+    return SnapshotBatch.from_examples(out)
 
 
 @pytest.fixture(scope="module", params=[2, 3], ids=["2cls", "3cls"])
@@ -245,7 +254,7 @@ def spec_case(request, data):
     spec = fit(kind, calibration, buckets=buckets)
     bins = assign_many(spec, calibration)
     dropped = set(sorted(set(bins))[::3])
-    kept = [e for e, b in zip(calibration, bins) if b not in dropped]
+    kept = SnapshotBatch.from_examples([e for e, b in zip(calibration, bins) if b not in dropped])
     return classes, spec, kept, test, dropped
 
 

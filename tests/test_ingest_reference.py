@@ -8,11 +8,12 @@ import json
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from hocroute import storage
-from hocroute.core import InvalidInputError, SnapshotExample, ground_truth
+from hocroute.core import InvalidInputError, SnapshotBatch, SnapshotExample, ground_truth
 from hocroute.storage import _check_fields, _decode, _distribution, _record_error, header_path, ingest, read_header
 
 from conftest import batch_columns, simplex_arrays
@@ -86,6 +87,16 @@ def _write(path, classes, lines):
     return path
 
 
+def _write_version_2(path, classes, lines):
+    """The dataset ``lines`` (version 1) as a version-2 file: labels as per-class counts."""
+    header_path(path).write_text(json.dumps({"format": "snapshot-dataset", "version": 2, "num_classes": classes}))
+    records = [json.loads(line) for line in lines if line.strip()]
+    for record in records:
+        record["label_counts"] = np.bincount(record.pop("labels"), minlength=classes).tolist()
+    path.write_text("".join(json.dumps(record) + "\n" for record in records))
+    return path
+
+
 def _padded(rows, width):
     out = np.full((len(rows), width), np.nan)
     for row, values in zip(out, rows):
@@ -129,10 +140,21 @@ def test_ingest_columns_equal_reference(tmp_path, data):
             assert batch_columns(ingest(path)) == expected
 
     # the same records in version 2, as label counts, read to the same columns
-    v2 = tmp_path / "data_v2.jsonl"
-    header_path(v2).write_text(json.dumps({"format": "snapshot-dataset", "version": 2, "num_classes": classes}))
+    assert batch_columns(ingest(_write_version_2(tmp_path / "data_v2.jsonl", classes, lines))) == expected
+
+
+@pytest.mark.parametrize("dropped", [(), ("features",), ("p_star",), ("features", "p_star")])
+@settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=datasets())
+def test_from_examples_of_the_row_views_is_the_batch(tmp_path, data, dropped):
+    """A batch's row views, stacked again by ``from_examples``, give back the
+    batch column for column, whether it was ingested from version 1 or 2."""
+    classes, lines = data
     records = [json.loads(line) for line in lines if line.strip()]
-    for record in records:
-        record["label_counts"] = np.bincount(record.pop("labels"), minlength=classes).tolist()
-    v2.write_text("".join(json.dumps(record) + "\n" for record in records))
-    assert batch_columns(ingest(v2)) == expected
+    lines = [json.dumps({k: v for k, v in record.items() if k not in dropped}) + "\n" for record in records]
+    v1 = _write(tmp_path / "rows_v1.jsonl", classes, lines)
+    for path in (v1, _write_version_2(tmp_path / "rows_v2.jsonl", classes, lines)):
+        batch = ingest(path)
+        if dropped == ("features", "p_star"):
+            assert batch.features is None and batch.p_star is None
+        assert batch_columns(SnapshotBatch.from_examples(list(batch))) == batch_columns(batch)

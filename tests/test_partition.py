@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hocroute.calibrator import calibrate
-from hocroute.core import InvalidInputError
+from hocroute.core import InvalidInputError, SnapshotBatch
 from hocroute.losses import LossSpec
 from hocroute.partition import (
     KINDS,
@@ -27,7 +27,7 @@ def binary_examples(confidences, top_class=0, labels=(0,)):
     for i, c in enumerate(confidences):
         probs = [c, 1 - c] if top_class == 0 else [1 - c, c]
         out.append(make_example(f"e{i}", probs, list(labels)))
-    return out
+    return SnapshotBatch.from_examples(out)
 
 
 class TestFit:
@@ -67,22 +67,24 @@ class TestFit:
             fit("feature", examples, buckets=2)
 
     def test_feature_binning(self):
-        examples = [
-            make_example(f"e{i}", [0.6, 0.4], [0], features=[float(v)]) for i, v in enumerate([1, 2, 3, 4])
-        ]
+        examples = SnapshotBatch.from_examples(
+            [make_example(f"e{i}", [0.6, 0.4], [0], features=[float(v)]) for i, v in enumerate([1, 2, 3, 4])]
+        )
         spec = fit("feature", examples, buckets=2)
         np.testing.assert_allclose(spec.edges, [2.5])
         assert assign_many(spec, examples) == ["f:b0", "f:b0", "f:b1", "f:b1"]
 
     def test_input_guards(self):
         with pytest.raises(InvalidInputError):
-            fit("topclass", [], buckets=2)
+            fit("topclass", binary_examples([0.5])[:0], buckets=2)
         with pytest.raises(InvalidInputError):
             fit("topclass", binary_examples([0.5]), buckets=0)
         with pytest.raises(InvalidInputError):
             fit("mystery", binary_examples([0.5]), buckets=1)
         # a count that is not an integer (a bool is not one) or is out of range, under every kind
-        examples = [make_example(f"e{i}", [0.6, 0.4], [0], features=[float(i)]) for i in range(4)]
+        examples = SnapshotBatch.from_examples(
+            [make_example(f"e{i}", [0.6, 0.4], [0], features=[float(i)]) for i in range(4)]
+        )
         bad = [("buckets", 1, v) for v in (0, 2.5, 3.0, np.float64(2.0), True, "3")]
         bad += [("feature_index", 0, v) for v in (-1, np.int64(-1), 0.0, False)]
         for kind in KINDS:
@@ -91,7 +93,9 @@ class TestFit:
                     fit(kind, examples, **{name: value})
 
     def test_numpy_integer_counts_are_stored_as_ints_and_round_trip(self, tmp_path):
-        examples = [make_example(f"e{i}", [0.5 + 0.04 * i, 0.5 - 0.04 * i], [0], features=[0.0, float(i)]) for i in range(8)]
+        examples = SnapshotBatch.from_examples(
+            [make_example(f"e{i}", [0.5 + 0.04 * i, 0.5 - 0.04 * i], [0], features=[0.0, float(i)]) for i in range(8)]
+        )
         for kind in ("topclass", "feature"):
             spec = fit(kind, examples, buckets=np.int64(3), feature_index=np.int64(1))
             assert type(spec.buckets) is int and type(spec.feature_index) is int
@@ -149,7 +153,9 @@ class TestAssign:
     )
     def test_assign_rows_matches_assign_row_by_row(self, rows, kind, buckets):
         # fitted on a prefix, so level-set queries both hit and overflow
-        examples = [make_example(f"e{i}", p, [0], features=[x]) for i, (p, x) in enumerate(rows)]
+        examples = SnapshotBatch.from_examples(
+            [make_example(f"e{i}", p, [0], features=[x]) for i, (p, x) in enumerate(rows)]
+        )
         spec = fit(kind, examples[: len(examples) // 2 + 1], buckets=buckets)
         probs = np.stack([e.weak_pred.probs for e in examples])
         bins, index = assign_rows(spec, probs, np.array([[x] for _, x in rows]))
@@ -158,7 +164,9 @@ class TestAssign:
         assert assign_many(spec, examples) == [assign(spec, e) for e in examples]
 
     def test_missing_feature_rejected_by_every_path(self):
-        examples = [make_example("a", [0.6, 0.4], [0], features=[0.1]), make_example("b", [0.6, 0.4], [0])]
+        examples = SnapshotBatch.from_examples(
+            [make_example("a", [0.6, 0.4], [0], features=[0.1]), make_example("b", [0.6, 0.4], [0])]
+        )
         spec = fit("feature", examples[:1], buckets=2)
         with pytest.raises(InvalidInputError, match="lacks feature 0"):
             assign(spec, examples[1])
@@ -179,7 +187,7 @@ class TestRoundTrip:
 
 class TestPartitionQuality:
     def test_identical_reducible_loss_scores_zero(self):
-        examples = [make_example(f"e{i}", [0.7, 0.3], [0, 0, 1, 1]) for i in range(4)]
+        examples = SnapshotBatch.from_examples([make_example(f"e{i}", [0.7, 0.3], [0, 0, 1, 1]) for i in range(4)])
         spec = fit("topclass", examples, buckets=1)
         report = partition_quality(spec, examples, LossSpec("brier"))
         assert report.per_bin["c0:b0"] == pytest.approx(0.0, abs=1e-12)
@@ -187,17 +195,17 @@ class TestPartitionQuality:
     def test_two_value_bin_by_hand(self):
         # reducible losses {0, 0.2}: half the mean absolute deviation is 0.05
         t = float(np.sqrt(0.1))
-        examples = [
+        examples = SnapshotBatch.from_examples([
             make_example("a", [1.0, 0.0], [0]),  # prediction equals the mean: reducible 0
             make_example("b", [1.0 - t, t], [0]),  # |y - f|^2 = 2 t^2 = 0.2
-        ]
+        ])
         spec = fit("topclass", examples, buckets=1)
         report = partition_quality(spec, examples, LossSpec("brier"))
         assert report.per_bin["c0:b0"] == pytest.approx(0.05, abs=1e-12)
         assert report.aggregate == pytest.approx(0.05, abs=1e-12)
 
     def test_single_point_bin_is_zero(self):
-        examples = [make_example("a", [0.9, 0.1], [0])]
+        examples = SnapshotBatch.from_examples([make_example("a", [0.9, 0.1], [0])])
         spec = fit("topclass", examples, buckets=1)
         report = partition_quality(spec, examples, LossSpec("brier"))
         assert report.per_bin["c0:b0"] == 0.0
@@ -222,4 +230,4 @@ class TestPartitionQuality:
     def test_empty_data_rejected(self):
         spec = fit("topclass", binary_examples([0.5]), buckets=1)
         with pytest.raises(InvalidInputError):
-            partition_quality(spec, [], LossSpec("brier"))
+            partition_quality(spec, binary_examples([0.5])[:0], LossSpec("brier"))

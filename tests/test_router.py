@@ -1,20 +1,23 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hocroute.calibrator import CalibratedRouterModel, TaggedMixture, calibrate
+from hocroute.calibrator import CalibratedRouterModel, TaggedMixture, calibrate, estimate_decomposition
 from hocroute.core import (
     ABSTAIN,
     PREDICT,
     InvalidInputError,
     LabelDistribution,
     RoutingConfig,
+    SnapshotBatch,
     simplex_ok,
 )
+from hocroute.evaluation import router_scores
 from hocroute.losses import LossSpec, expected_loss, expected_loss_batch
 from hocroute.partition import PartitionSpec, fit
 from hocroute.router import (
@@ -40,8 +43,8 @@ def model_with_decomposition(irreducible: float, reducible: float) -> Calibrated
     """A single-bin model whose Brier decomposition is exactly (il, rl)."""
     p1 = (1.0 - math.sqrt(1.0 - 2.0 * irreducible)) / 2.0  # 2 p (1-p) = il
     mean = np.array([1.0 - p1, p1])
-    t = math.sqrt(reducible / 2.0)  # |mean - pred|^2 = rl
-    pred = mean + np.array([t, -t])
+    t = math.sqrt(reducible / 2.0)  # |mean - pred|^2 = 2 t^2 = rl, for either sign of t
+    pred = mean + np.array([t, -t]) if mean[1] >= t else mean - np.array([t, -t])  # kept on the simplex
     mixture = TaggedMixture(preds=pred[None, :], means=mean[None, :])
     return CalibratedRouterModel(
         partition=PartitionSpec(kind="topclass", buckets=1, class_edges={0: np.array([])}),
@@ -97,6 +100,46 @@ class TestSimulatedCosts:
         decision = decide(model, "c0:b0", cfg, oracles=[OracleSpec(), cheap_noisy])
         assert set(decision.est_costs) == {PREDICT, "route:0", "route:1", ABSTAIN}
         assert decision.action == ref_from_costs(decision.est_costs)
+
+
+class TestMixtureRowsArePriced:
+    """A bin is priced only on mixture rows that are probability vectors:
+    every pricing path refuses any other row and names its bin."""
+
+    @pytest.mark.parametrize(
+        "field,row,detail",
+        [
+            ("preds", [1.1109, -0.1109], "entries outside [0, 1]"),
+            ("preds", [math.nan, 0.5], "probabilities must be finite"),
+            ("means", [0.7, 0.7], "probabilities sum to 1.4"),
+        ],
+    )
+    def test_a_row_off_the_simplex_is_refused(self, field, row, detail):
+        rows = {"preds": np.array([[0.5, 0.5], [0.6, 0.4]]), "means": np.array([[1.0, 0.0], [0.0, 1.0]])}
+        rows[field][1] = row
+        mixture = TaggedMixture(**rows)
+        model = CalibratedRouterModel(
+            partition=PartitionSpec(kind="topclass", buckets=1, class_edges={0: np.array([])}),
+            mixtures={"c0:b0": mixture},
+            global_mixture=TaggedMixture(preds=[[0.5, 0.5]], means=[[1.0, 0.0]]),
+            recalibrated=False,
+            num_classes=2,
+        )
+        loss = LossSpec("crossentropy")
+        cfg = RoutingConfig(loss=loss, route_penalties=(0.05,), abstain_penalty=0.3)
+        test = SnapshotBatch(ids=["q"], probs=[[0.9, 0.1]], counts=[[1, 0]])
+        pricings = [
+            lambda: estimate_decomposition(model, "c0:b0", loss),
+            lambda: bin_costs(model, ["c0:b0"], loss, [OracleSpec()]),
+            lambda: decide(model, "c0:b0", cfg),
+            lambda: simulated_costs(model, "c0:b0", cfg),
+            lambda: Router(model, cfg).decide(test[0]),
+            lambda: router_scores(model, test, loss),
+        ]
+        for price in pricings:
+            with pytest.raises(InvalidInputError, match=rf"^bin 'c0:b0': {field} row 1: {re.escape(detail)}"):
+                price()
+        assert decide(model, "c1:b0", cfg).action  # a bin served by the valid global mixture is still priced
 
 
 ORACLE_POOL = (

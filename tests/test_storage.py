@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from hocroute.calibrator import TaggedMixture, calibrate, estimate_decomposition
 from hocroute.core import MASS_GUARD, InvalidInputError, LabelDistribution
-from hocroute.evaluation import cost_sweep, multi_loss_report
+from hocroute.evaluation import PREDICT_ABSTAIN, PREDICT_ROUTE, THREE_WAY, CostSweep, cost_sweep, multi_loss_report
 from hocroute.losses import LossSpec
 from hocroute.partition import assign_many, fit
 from hocroute.storage import (
@@ -185,6 +185,17 @@ class TestDatasetVersion2:
         write_dataset(again, from_v1)
         assert again.read_bytes() == v2.read_bytes()
         assert batch_columns(ingest(again)) == batch_columns(from_v1)
+
+    def test_records_write_the_bytes_of_their_batch(self, files, tmp_path):
+        v2, _ = files
+        batch = ingest(v2)
+        assert batch.features is not None and batch.p_star is not None
+        for rows in (batch, batch[:40]):
+            as_records, as_batch = tmp_path / "records.jsonl", tmp_path / "batch.jsonl"
+            write_dataset(as_records, list(rows))
+            write_dataset(as_batch, rows)
+            assert as_records.read_bytes() == as_batch.read_bytes()
+            assert header_path(as_records).read_bytes() == header_path(as_batch).read_bytes()
 
     def test_extreme_counts_are_read(self, tmp_path):
         path = tmp_path / "extreme.jsonl"
@@ -629,6 +640,22 @@ class TestReports:
         rows = path.read_text().splitlines()
         assert rows[0] == "alpha,beta,policy,mean_cost"
         assert len(rows) == 1 + 2 * 3
+
+    def test_sweep_csv_by_hand(self, tmp_path):
+        # betas outermost, then policies in the sweep's order; every number as its repr
+        mean_costs = {THREE_WAY: [0.05, 0.125], PREDICT_ROUTE: [0.2, 1 / 3], PREDICT_ABSTAIN: [0.1, 0.25]}
+        sweep = CostSweep(1, np.array([0.1, 0.25]), {k: np.array(v) for k, v in mean_costs.items()}, 0.0)
+        path = tmp_path / "sweep.csv"
+        write_sweep_csv(path, sweep)
+        assert path.read_bytes().decode("utf-8") == (
+            "alpha,beta,policy,mean_cost\r\n"
+            "1,0.1,three_way,0.05\r\n"
+            "1,0.1,predict_route,0.2\r\n"
+            "1,0.1,predict_abstain,0.1\r\n"
+            "1,0.25,three_way,0.125\r\n"
+            "1,0.25,predict_route,0.3333333333333333\r\n"
+            "1,0.25,predict_abstain,0.25\r\n"
+        )
 
     def test_scores_csv(self, tmp_path):
         path = tmp_path / "scores.csv"

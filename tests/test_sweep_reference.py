@@ -10,7 +10,7 @@ import pytest
 
 import hocroute.router as router_module
 from hocroute.calibrator import calibrate, estimate_decomposition
-from hocroute.core import InvalidInputError, RoutingConfig, UnsupportedLossError
+from hocroute.core import InvalidInputError, RoutingConfig, SnapshotBatch, UnsupportedLossError
 from hocroute.evaluation import PREDICT_ABSTAIN, PREDICT_ROUTE, THREE_WAY, cost_sweep
 from hocroute.losses import LossSpec
 from hocroute.partition import fit
@@ -58,7 +58,13 @@ def ref_cost_sweep(model, test, loss, alpha, betas, oracles, use_recalibrated=Tr
 
 
 def _rows(sweep):
-    return [(r.alpha, r.beta, r.policy, r.mean_cost) for r in sweep.rows]
+    """The sweep's columns as (alpha, beta, policy, mean cost) rows, betas
+    outermost: the order of the reference and of the sweep CSV."""
+    return [
+        (sweep.alpha, beta, policy, float(costs[j]))
+        for j, beta in enumerate(sweep.betas.tolist())
+        for policy, costs in sweep.mean_costs.items()
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -79,7 +85,7 @@ def _examples(rng, classes, n, prefix):
         p_star = rng.dirichlet(np.full(classes, 0.7))
         weak = 0.6 * p_star + 0.4 * rng.dirichlet(np.ones(classes))
         out.append(make_example(f"{prefix}{i}", weak, rng.choice(classes, size=4, p=p_star), p_star=p_star))
-    return out
+    return SnapshotBatch.from_examples(out)
 
 
 @pytest.fixture(scope="module", params=[2, 3], ids=["2cls", "3cls"])
