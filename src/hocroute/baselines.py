@@ -38,7 +38,9 @@ class RankedPolicy:
 
 def _deployed(test: SnapshotBatch, model: CalibratedRouterModel | None, bins=None) -> np.ndarray:
     """The model's deployed predictions (``bins`` as ``deployed_matrix`` takes
-    it), or the raw weak ones without a model."""
+    it), or the raw weak ones without a model. Every evaluation meets here."""
+    if not test:
+        raise InvalidInputError("test set is empty")
     return test.probs if model is None else model.deployed_matrix(test, bins)
 
 

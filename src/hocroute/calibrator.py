@@ -1,14 +1,17 @@
 """Snapshot-based post-hoc calibration.
 
-Partitions a k-snapshot calibration set, stores per-bin tagged mixtures of
-(prediction, snapshot-mean) pairs, and optionally re-centers the stored
-predictions at the bin centroid. All loss evaluation is deferred to query
-time, so one calibrated model serves every loss and penalty configuration.
+Partitions a k-snapshot calibration set and stores each bin's tagged
+mixture of (prediction, snapshot-mean) pairs as one segment of a single row
+table, optionally re-centering the stored predictions at the bin centroid.
+All loss evaluation is deferred to query time, so one calibrated model serves
+every loss and penalty configuration.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import MappingProxyType
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -21,51 +24,61 @@ from .core import (
     simplex_ok,
 )
 from .losses import LossSpec, entropy_batch, expected_loss_batch
-from .partition import PartitionSpec, _bin_positions, assign_rows
+from .partition import PartitionSpec, _bin_positions, assign, assign_rows
 
 
-@dataclass(eq=False)
-class TaggedMixture:
-    """A bin's empirical distribution of (prediction, snapshot-mean) pairs,
-    stored as raw entry rows in input order."""
+class TaggedMixture(NamedTuple):
+    """A bin's (prediction, snapshot-mean) pairs in calibration order: read-only
+    views of one segment of its model's rows."""
 
     preds: np.ndarray  # (count, classes)
     means: np.ndarray  # (count, classes)
 
-    def __post_init__(self) -> None:
-        self.preds = np.asarray(self.preds, dtype=float)
-        self.means = np.asarray(self.means, dtype=float)
-        if self.preds.shape != self.means.shape:
-            raise InvalidInputError("prediction and mean rows must align")
-
-    @property
-    def count(self) -> int:
-        return int(self.means.shape[0])
-
 
 @dataclass(eq=False)
 class CalibratedRouterModel:
-    """The deployable statistic: a partition plus per-bin tagged mixtures.
+    """The deployable statistic: a partition plus one (preds, means) row table.
 
-    Bins never seen at query time (or fitted bins that received no
-    calibration data) are served by the global mixture over the whole
-    calibration set, keeping the router total.
+    Bin ``bins[j]`` owns rows ``offsets[j]:offsets[j + 1]``, in calibration
+    order. The last segment is the global mixture over the whole calibration
+    set, in its own order; it serves bins never seen at query time (or fitted
+    bins that received no calibration data), keeping the router total. Rows
+    are checked here, once; ``mixtures`` and ``global_mixture`` view them.
     """
 
     partition: PartitionSpec
-    mixtures: dict[str, TaggedMixture]
-    global_mixture: TaggedMixture
+    bins: tuple[str, ...]
+    offsets: np.ndarray  # len(bins) + 2 row offsets, from 0 to the row count
+    preds: np.ndarray  # (rows, classes)
+    means: np.ndarray  # (rows, classes)
     recalibrated: bool
     num_classes: int
     centroids: dict[str, LabelDistribution] = field(default_factory=dict)
 
-    def mixture(self, bin_id: str) -> TaggedMixture:
-        found = self.mixtures.get(bin_id)
-        return found if found is not None and found.count > 0 else self.global_mixture
+    def __post_init__(self) -> None:
+        offsets = self.offsets = np.asarray(self.offsets, dtype=np.intp)
+        self.preds, self.means = (np.ascontiguousarray(rows, dtype=float).view() for rows in (self.preds, self.means))
+        aligned = self.preds.shape == self.means.shape and len(offsets) == len(self.bins) + 2
+        if not aligned or offsets[0] != 0 or offsets[-1] != len(self.means) or (offsets[1:] <= offsets[:-1]).any():
+            raise InvalidInputError("preds and means must align in one nonempty segment per bin, then the global one")
+        for name, rows in (("preds", self.preds), ("means", self.means)):
+            rows.flags.writeable = False
+            ok = simplex_ok(rows)
+            if not ok.all():
+                row = int(np.argmin(ok))
+                j = int(np.searchsorted(offsets, row, side="right")) - 1
+                owner = f"bin {self.bins[j]!r}" if j < len(self.bins) else "global mixture"
+                raise InvalidInputError(f"{owner}: {name} row {row - offsets[j]}: {simplex_error(rows[row])}")
+        views = [TaggedMixture(self.preds[a:b], self.means[a:b]) for a, b in zip(offsets[:-1], offsets[1:])]
+        self.mixtures, self.global_mixture = MappingProxyType(dict(zip(self.bins, views))), views[-1]
+        self._segments = {b: j for j, b in enumerate(self.bins)}
 
-    @property
-    def global_centroid(self) -> np.ndarray:
-        return self.global_mixture.means.mean(axis=0)
+    def segment(self, bin_id: str) -> int:
+        """The segment that prices ``bin_id``: its own, else the global one (the last)."""
+        return self._segments.get(bin_id, len(self.bins))
+
+    def mixture(self, bin_id: str) -> TaggedMixture:
+        return self.mixtures.get(bin_id, self.global_mixture)
 
     def deployed_row(self, bin_id: str, raw_pred: np.ndarray) -> np.ndarray:
         """The prediction served for a point: its bin centroid when
@@ -73,13 +86,10 @@ class CalibratedRouterModel:
         if not self.recalibrated:
             return raw_pred
         centroid = self.centroids.get(bin_id)
-        return self.global_centroid if centroid is None else centroid.probs
+        return self.global_mixture.means.mean(axis=0) if centroid is None else centroid.probs
 
     def deployed_prediction(self, example) -> LabelDistribution:
-        from .partition import assign
-
-        row = self.deployed_row(assign(self.partition, example), example.weak_pred.probs)
-        return LabelDistribution(row)
+        return LabelDistribution(self.deployed_row(assign(self.partition, example), example.weak_pred.probs))
 
     def deployed_matrix(self, data: SnapshotBatch, bins: tuple[list[str], np.ndarray] | None = None) -> np.ndarray:
         """The prediction served for each row, one row each. ``bins`` is
@@ -94,7 +104,9 @@ class CalibratedRouterModel:
 
 
 def calibrate(partition: PartitionSpec, calibration: SnapshotBatch, recalibrate: bool = False) -> CalibratedRouterModel:
-    """Build per-bin tagged mixtures from a k-snapshot calibration set.
+    """Build per-bin tagged mixtures from a k-snapshot calibration set: one
+    stable grouping of its rows by bin, then the whole set as the global
+    segment.
 
     With ``recalibrate`` the stored prediction of every entry is replaced by
     the centroid of the snapshot means in its bin, and the centroid map is
@@ -103,53 +115,49 @@ def calibrate(partition: PartitionSpec, calibration: SnapshotBatch, recalibrate:
     """
     if not calibration:
         raise InvalidInputError("calibration set is empty")
-    preds, means = calibration.probs, calibration.means
-    mixtures: dict[str, TaggedMixture] = {}
-    centroids: dict[str, LabelDistribution] = {}
-    for b, rows in _bin_positions(*assign_rows(partition, preds, calibration.features)).items():
-        bin_means = means[rows]
-        if recalibrate:
-            centroid = bin_means.mean(axis=0)
-            centroids[b] = LabelDistribution(centroid)
-            bin_preds = np.tile(centroid, (len(rows), 1))
-        else:
-            bin_preds = preds[rows]
-        mixtures[b] = TaggedMixture(preds=bin_preds, means=bin_means)
-
-    if recalibrate:
-        global_preds = np.tile(means.mean(axis=0), (means.shape[0], 1))
-    else:
-        global_preds = preds
-    global_mixture = TaggedMixture(preds=global_preds, means=means)
-
+    positions = _bin_positions(*assign_rows(partition, calibration.probs, calibration.features))
+    rows = np.concatenate([*positions.values(), np.arange(len(calibration))])
+    offsets = np.cumsum([0, *map(len, positions.values()), len(calibration)])
+    means = calibration.means[rows]
+    # every segment's centroid, the global one last (it is served, not kept in ``centroids``)
+    centroids = [means[a:b].mean(axis=0) for a, b in zip(offsets[:-1], offsets[1:])] if recalibrate else []
     return CalibratedRouterModel(
         partition=partition,
-        mixtures=mixtures,
-        global_mixture=global_mixture,
+        bins=tuple(positions),
+        offsets=offsets,
+        preds=np.repeat(centroids, np.diff(offsets), axis=0) if recalibrate else calibration.probs[rows],
+        means=means,
         recalibrated=recalibrate,
         num_classes=calibration.num_classes,
-        centroids=centroids,
+        centroids={b: LabelDistribution(c) for b, c in zip(positions, centroids)},
     )
 
 
-def estimate_decomposition(
-    model: CalibratedRouterModel, bin_id: str, loss: LossSpec
-) -> tuple[float, float]:
-    """(irreducible, reducible) loss estimates for one bin.
+def estimate_decompositions(
+    model: CalibratedRouterModel, bins: Sequence[str], loss: LossSpec
+) -> tuple[np.ndarray, np.ndarray]:
+    """(irreducible, reducible) loss estimates of each of ``bins``, in one pass.
 
-    Irreducible is the mean self-loss of the snapshot means; reducible is
-    the mean total loss of the stored predictions minus that. The two always
-    add up to the mean total loss exactly. A mixture row that is not a
-    probability vector is refused, so no bin is priced on one.
+    Irreducible is the mean self-loss of a bin's snapshot means; reducible is
+    the mean total loss of its stored predictions minus that, so the two add
+    up to the mean total loss exactly. The loss kernels run once over the
+    distinct segments, gathered, and each mean is taken over its segment's own
+    slice, so a bin's figures do not depend on the bins priced with it.
     """
-    mixture = model.mixture(bin_id)
-    for name, rows in (("preds", mixture.preds), ("means", mixture.means)):
-        bad = np.flatnonzero(~simplex_ok(rows))
-        if bad.size:
-            raise InvalidInputError(f"bin {bin_id!r}: {name} row {bad[0]}: {simplex_error(rows[bad[0]])}")
-    irreducible = float(np.mean(entropy_batch(loss, mixture.means)))
-    total = float(np.mean(expected_loss_batch(loss, mixture.means, mixture.preds)))
-    return irreducible, total - irreducible
+    segments, inverse = np.unique(np.array([model.segment(b) for b in bins], dtype=np.intp), return_inverse=True)
+    sizes = np.diff(model.offsets)[segments]
+    ends = np.cumsum(sizes)  # where each segment ends among the gathered rows
+    rows = np.arange(sizes.sum()) + np.repeat(model.offsets[segments] - (ends - sizes), sizes)
+    means = model.means[rows]
+    losses = entropy_batch(loss, means), expected_loss_batch(loss, means, model.preds[rows])
+    irreducible, total = (np.array([np.mean(x[end - n : end]) for end, n in zip(ends, sizes)]) for x in losses)
+    return irreducible[inverse], (total - irreducible)[inverse]
+
+
+def estimate_decomposition(model: CalibratedRouterModel, bin_id: str, loss: LossSpec) -> tuple[float, float]:
+    """``estimate_decompositions`` of one bin."""
+    irreducible, reducible = estimate_decompositions(model, [bin_id], loss)
+    return float(irreducible[0]), float(reducible[0])
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import baselines
 from .baselines import RankedPolicy, _deployed
-from .calibrator import CalibratedRouterModel, estimate_decomposition
+from .calibrator import CalibratedRouterModel, estimate_decompositions
 from .core import InvalidInputError, RoutingConfig, SnapshotBatch, UnsupportedLossError
 from .losses import LossSpec, entropy_batch, expected_loss_batch
 from .partition import _bin_positions, assign_rows
@@ -150,8 +150,7 @@ def router_scores(model: CalibratedRouterModel, test: SnapshotBatch, loss: LossS
     """The calibrated router's ranking: each point scored by the estimated
     reducible loss of its bin."""
     bins, index = assign_rows(model.partition, test.probs, test.features)
-    reducible = np.array([estimate_decomposition(model, b, loss)[1] for b in bins])
-    return RankedPolicy(HOC_ROUTER, reducible[index])
+    return RankedPolicy(HOC_ROUTER, estimate_decompositions(model, bins, loss)[1][index])
 
 
 # ---------------------------------------------------------------------------

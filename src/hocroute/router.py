@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import ABSTAIN, PREDICT, InvalidInputError, RoutingConfig, RoutingDecision, route_action
-from .calibrator import CalibratedRouterModel, estimate_decomposition
+from .calibrator import CalibratedRouterModel, estimate_decompositions
 from .losses import LossSpec, entropy_batch, expected_loss_batch
 from .partition import assign
 
@@ -171,13 +171,17 @@ def bin_costs(
 ) -> np.ndarray:
     """Estimated cost of every action in each bin from its stored mixture, one
     row per bin in ``RoutingConfig.actions()`` order, before any penalty:
-    predict, each oracle, and 0 for abstain. One pricing serves every penalty."""
-    rows = []
-    for b in bins:
-        irreducible, reducible = estimate_decomposition(model, b, loss)
-        means = model.mixture(b).means
-        rows.append([irreducible + reducible, *(oracle.mean_cost(loss, means) for oracle in oracles), 0.0])
-    return np.array(rows).reshape(len(rows), len(oracles) + 2)
+    predict, each oracle, and 0 for abstain. One pricing serves every penalty.
+    The bins' decompositions come from one pass; each oracle is priced once
+    per distinct segment."""
+    irreducible, reducible = estimate_decompositions(model, bins, loss)
+    segments = [model.segment(b) for b in bins]
+    priced = {
+        j: [oracle.mean_cost(loss, model.mixture(b).means) for oracle in oracles]
+        for j, b in dict(zip(segments, bins)).items()
+    }
+    routed = np.array([priced[j] for j in segments]).reshape(len(bins), len(oracles))
+    return np.column_stack([irreducible + reducible, routed, np.zeros(len(bins))])
 
 
 def choose(costs: np.ndarray, config: RoutingConfig) -> np.ndarray:

@@ -25,7 +25,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .calibrator import CalibratedRouterModel, TaggedMixture
+from .calibrator import CalibratedRouterModel
 from .core import (
     InvalidInputError,
     LabelDistribution,
@@ -392,18 +392,19 @@ def parse_queries(lines: Sequence[str], num_classes: int, first_lineno: int = 1,
 # ---------------------------------------------------------------------------
 
 
-def _row_table(mixtures: list[TaggedMixture]) -> tuple[np.ndarray, list[list[int]]]:
-    """The distinct rows of ``mixtures`` by bit pattern, in order of first
-    appearance (each mixture's preds, then its means), and each mixture's
-    preds and means as indices into them."""
+def _row_table(model: CalibratedRouterModel) -> tuple[np.ndarray, list[dict]]:
+    """The distinct rows of ``model`` by bit pattern, in order of first
+    appearance, and each segment (the bins by id, then the global mixture) as
+    its ``preds`` and ``means`` indices into them, its preds first."""
+    row_bytes = np.dtype((np.void, model.preds.itemsize * model.num_classes))
+    # the model's matrices are C-contiguous, so each row's bytes are one void item
+    keys = {name: getattr(model, name).view(row_bytes).ravel().tolist() for name in ("preds", "means")}
     first: dict[bytes, int] = {}  # a row's bytes -> its index in the table
-    codes = []
-    for m in mixtures:
-        for rows in (m.preds, m.means):
-            row_bytes = np.dtype((np.void, rows.itemsize * rows.shape[1]))
-            keys = np.ascontiguousarray(rows).view(row_bytes).ravel().tolist()
-            codes.append([first.setdefault(key, len(first)) for key in keys])
-    return np.frombuffer(b"".join(first)).reshape(len(first), -1), codes
+    records = []
+    for j in [*sorted(range(len(model.bins)), key=model.bins.__getitem__), len(model.bins)]:
+        segment = slice(model.offsets[j], model.offsets[j + 1])
+        records.append({name: [first.setdefault(k, len(first)) for k in rows[segment]] for name, rows in keys.items()})
+    return np.frombuffer(b"".join(first)).reshape(len(first), -1), records
 
 
 def _row_matrix(values, name: str, num_classes: int) -> np.ndarray:
@@ -453,30 +454,24 @@ def _row_indices(values, size: int, name: str) -> np.ndarray:
     return index
 
 
-def _mixture(record, rows: np.ndarray | None, num_classes: int, name: str = "") -> TaggedMixture:
-    """The mixture whose 'preds' and 'means' list indices into the table
-    ``rows``. In version 1 (``rows`` None) they list the rows themselves,
-    which are read as the mixture's own table with identity indices."""
+def _mixture(record, rows: np.ndarray | None, num_classes: int, name: str = "") -> tuple[np.ndarray, np.ndarray]:
+    """The mixture's 'preds' and 'means' as indices into the table ``rows``, or
+    in version 1 (``rows`` None) as the matrices of the rows they list."""
     if not isinstance(record, dict) or "preds" not in record or "means" not in record:
         raise InvalidInputError(f"{name}a mixture must be an object with 'preds' and 'means'")
-    preds, means = record["preds"], record["means"]
     if rows is None:
-        preds = _row_matrix(preds, f"{name}'preds' ", num_classes)
-        rows = np.concatenate([preds, _row_matrix(means, f"{name}'means' ", num_classes)])
-        preds, means = list(range(len(preds))), list(range(len(preds), len(rows)))
-    preds = _row_indices(preds, len(rows), f"{name}'preds'")
-    means = _row_indices(means, len(rows), f"{name}'means'")
-    if preds.size != means.size:
-        raise InvalidInputError(f"{name}{preds.size} 'preds' rows for {means.size} 'means' rows")
-    return TaggedMixture(preds=rows.take(preds, axis=0), means=rows.take(means, axis=0))
+        preds, means = (_row_matrix(record[key], f"{name}{key!r} ", num_classes) for key in ("preds", "means"))
+    else:
+        preds, means = (_row_indices(record[key], len(rows), f"{name}{key!r}") for key in ("preds", "means"))
+    if len(preds) != len(means):
+        raise InvalidInputError(f"{name}{len(preds)} 'preds' rows for {len(means)} 'means' rows")
+    return preds, means
 
 
 def save_model(path: str | Path, model: CalibratedRouterModel) -> None:
     """Write ``model`` as a version-3 file: ``rows`` packs the distinct rows
     of all mixtures, and each mixture's ``preds`` and ``means`` index them."""
-    bins = sorted(model.mixtures.items())
-    rows, codes = _row_table([m for _, m in bins] + [model.global_mixture])
-    records = [{"preds": preds, "means": means} for preds, means in zip(codes[::2], codes[1::2])]
+    rows, records = _row_table(model)
     payload = {
         "format": MODEL_FORMAT,
         "version": 3,
@@ -484,7 +479,7 @@ def save_model(path: str | Path, model: CalibratedRouterModel) -> None:
         "recalibrated": model.recalibrated,
         "partition": model.partition.to_record(),
         "rows": base64.b64encode(rows.astype("<f8").tobytes()).decode("ascii"),
-        "bins": {b: record for (b, _), record in zip(bins, records)},
+        "bins": dict(zip(sorted(model.bins), records)),
         "global": records[-1],
         "centroids": {b: c.probs.tolist() for b, c in sorted(model.centroids.items())},
     }
@@ -551,12 +546,18 @@ def load_model(path: str | Path) -> CalibratedRouterModel:
     partition = field("partition", PartitionSpec.from_record)
     unpack = (lambda text: _packed_rows(text, num_classes)) if version == 3 else (lambda values: values)
     rows = field("rows", lambda value: _row_matrix(unpack(value), "", num_classes)) if version != 1 else None
+    read_mixture = lambda record, name="": _mixture(record, rows, num_classes, name)
+    bins = field("bins", lambda table: _bin_table(table, partition, read_mixture))
+    segments = [*bins.values(), field("global", read_mixture)]
+    preds, means = (np.concatenate(column) for column in zip(*segments))
+    if rows is not None:  # one take of each column, every bin's index validated above
+        preds, means = rows.take(preds, axis=0), rows.take(means, axis=0)
     return CalibratedRouterModel(
         partition=partition,
-        mixtures=field(
-            "bins", lambda table: _bin_table(table, partition, lambda r, name: _mixture(r, rows, num_classes, name))
-        ),
-        global_mixture=field("global", lambda record: _mixture(record, rows, num_classes)),
+        bins=tuple(bins),
+        offsets=np.cumsum([0, *(len(p) for p, _ in segments)]),
+        preds=preds,
+        means=means,
         recalibrated=field("recalibrated", _flag),
         num_classes=num_classes,
         centroids=field(

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+from hocroute.calibrator import CalibratedRouterModel
 from hocroute.core import LabelDistribution, SnapshotExample, action_priority
+from hocroute.partition import PartitionSpec
 from hocroute.storage import header_path
 from hocroute.synthetic import SINUSOIDAL, generate
 
@@ -28,6 +30,25 @@ def make_example(eid, weak, labels, features=None, p_star=None):
         labels=labels,
         features=features,
         p_star=None if p_star is None else LabelDistribution(p_star),
+    )
+
+
+def model_of(mixtures: dict, global_mixture, partition=None, recalibrated=False, centroids=None):
+    """A model built directly from ``(preds, means)`` pairs: ``mixtures`` maps
+    each bin to its pair, ``global_mixture`` is the global one. The partition
+    defaults to a single top-class bucket. Every test that builds a model by
+    hand, or changes one's rows, goes through here."""
+    segments = [*mixtures.values(), global_mixture]
+    preds, means = (np.concatenate([np.asarray(rows, dtype=float) for rows in column]) for column in zip(*segments))
+    return CalibratedRouterModel(
+        partition=partition or PartitionSpec(kind="topclass", buckets=1, class_edges={0: np.array([])}),
+        bins=tuple(mixtures),
+        offsets=np.cumsum([0, *(len(p) for p, _ in segments)]),
+        preds=preds,
+        means=means,
+        recalibrated=recalibrated,
+        num_classes=preds.shape[1],
+        centroids=centroids or {},
     )
 
 

@@ -54,8 +54,8 @@ class TestCalibrate:
     def test_every_example_lands_in_exactly_one_bin(self, small_run):
         data = small_run.calibration
         model = calibrate(fit("topclass", data, buckets=10), data)
-        assert sum(m.count for m in model.mixtures.values()) == len(data)
-        assert model.global_mixture.count == len(data)
+        assert sum(len(m.means) for m in model.mixtures.values()) == len(data)
+        assert len(model.global_mixture.means) == len(data)
 
     def test_deterministic_and_input_ordered(self, small_run):
         data = small_run.calibration[:500]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from hocroute.core import (
     ABSTAIN,
@@ -65,6 +66,19 @@ class TestLabelDistribution:
         matrix = np.array([row for row, _ in rows])
         assert simplex_ok(matrix).tolist() == [ok for _, ok in rows]
         assert [bool(simplex_ok(row)) for row in matrix] == [ok for _, ok in rows]
+
+    EDGES = [0.0, -0.0, 0.25, 0.5, 1.0, -SIMPLEX_ATOL, 1.0 + MASS_GUARD, -1e-6, 1.5, math.nan, math.inf]
+    EDGES += [0.5 + f * MASS_GUARD for f in (0.4, 0.6, 1.0)]  # masses inside, near and at the guard
+
+    @given(arrays(float, st.tuples(st.integers(1, 8), st.integers(2, 4)), elements=st.sampled_from(EDGES)))
+    def test_simplex_rule_equals_the_entry_and_mass_rules_row_by_row(self, matrix):
+        """A matrix whose rows all pass is found without a reduction per row;
+        the result must not change, for a matrix or for one row."""
+        entries = np.logical_and.reduce((matrix >= -SIMPLEX_ATOL) & (matrix <= 1.0 + MASS_GUARD), axis=-1)
+        expected = entries & (abs(np.add.reduce(matrix, axis=-1) - 1.0) <= MASS_GUARD)
+        assert simplex_ok(matrix).tolist() == expected.tolist()
+        for row, ok in zip(matrix, expected):
+            assert type(simplex_ok(row)) is np.bool_ and simplex_ok(row) == ok
 
 
 class TestSnapshotMean:

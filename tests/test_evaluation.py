@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hocroute.baselines import (
+    bucket_optimal_scores,
     pointwise_optimal_scores,
     random_scores,
     total_uncertainty_scores,
@@ -22,6 +23,7 @@ from hocroute.evaluation import (
     policy_point_costs,
     router_scores,
     routing_curve,
+    routing_curves,
 )
 from hocroute.losses import LossSpec, entropy, expected_loss
 from hocroute.partition import fit
@@ -36,6 +38,29 @@ brier = LossSpec("brier")
 def fitted(small_run):
     model = calibrate(fit("topclass", small_run.calibration, buckets=10), small_run.calibration, recalibrate=True)
     return model, small_run.test[:3000]
+
+
+THREE_WAY_CONFIG = RoutingConfig(brier, route_penalties=(0.05,), abstain_penalty=0.3)
+EVALUATIONS = {
+    "routing_curves": lambda model, test: routing_curves(model, test, brier),
+    "routing_curve": lambda model, test: routing_curve(random_scores(test), test, brier, model),
+    "multi_loss_report": lambda model, test: multi_loss_report(model, test, [brier]),
+    "policy_point_costs": lambda model, test: policy_point_costs(model, test, THREE_WAY_CONFIG),
+    "bucket_optimal_point_costs": lambda model, test: bucket_optimal_point_costs(model, test, THREE_WAY_CONFIG),
+    "cost_sweep": lambda model, test: cost_sweep(model, test, brier, 0.05, [0.1, 0.3]),
+    "total_uncertainty_scores": lambda model, test: total_uncertainty_scores(test, brier, model),
+    "pointwise_optimal_scores": lambda model, test: pointwise_optimal_scores(test, brier, model),
+    "bucket_optimal_scores": lambda model, test: bucket_optimal_scores(test, brier, model),
+}
+
+
+@pytest.mark.parametrize("recalibrate", [False, True], ids=["raw", "recalibrated"])
+@pytest.mark.parametrize("evaluation", list(EVALUATIONS))
+def test_an_empty_test_set_is_refused(small_run, evaluation, recalibrate):
+    data = small_run.calibration[:500]
+    model = calibrate(fit("topclass", data, buckets=5), data, recalibrate=recalibrate)
+    with pytest.raises(InvalidInputError, match="^test set is empty$"):
+        EVALUATIONS[evaluation](model, small_run.test[0:0])
 
 
 class TestRoutingCurve:

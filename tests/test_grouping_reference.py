@@ -9,6 +9,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hocroute.baselines import (
     RANDOM,
@@ -21,7 +23,6 @@ from hocroute.baselines import (
 from hocroute.calibrator import (
     aggregate_wasserstein,
     calibrate,
-    estimate_decomposition,
     wasserstein_1d,
     wasserstein_error,
 )
@@ -43,7 +44,7 @@ from hocroute.evaluation import (
 )
 from hocroute.losses import LossSpec, entropy_batch, expected_loss_batch
 from hocroute.partition import OVERFLOW_BIN, assign_many, fit, fitted_bins, partition_quality
-from hocroute.router import OracleSpec
+from hocroute.router import OracleSpec, bin_costs
 
 from conftest import make_example, ref_from_costs
 
@@ -103,12 +104,21 @@ def ref_bucket_optimal_scores(test, loss, model, use_recalibrated=True):
     return np.array([bin_mean[b] for b in bins])
 
 
+def ref_decomposition(preds, means, loss):
+    """A bin's (irreducible, reducible) loss from its own rows, priced as one
+    bin at a time was: the mean self-loss of the snapshot means, and the mean
+    total loss of the stored predictions minus that."""
+    irreducible = float(np.mean(entropy_batch(loss, means)))
+    total = float(np.mean(expected_loss_batch(loss, means, preds)))
+    return irreducible, total - irreducible
+
+
 def ref_router_scores(model, test, loss):
     bins = assign_many(model.partition, test)
     cache = {}
     for b in bins:
         if b not in cache:
-            cache[b] = estimate_decomposition(model, b, loss)[1]
+            cache[b] = ref_decomposition(*model.mixture(b), loss)[1]
     return np.array([cache[b] for b in bins])
 
 
@@ -171,7 +181,7 @@ def ref_simulated_costs(model, bin_id, config, oracles):
     """A bin's estimated cost of every action, penalties included, priced
     from its stored mixture one action at a time."""
     mixture = model.mixture(bin_id)
-    irreducible, reducible = estimate_decomposition(model, bin_id, config.loss)
+    irreducible, reducible = ref_decomposition(mixture.preds, mixture.means, config.loss)
     costs = {PREDICT: irreducible + reducible}
     for i, (oracle, alpha) in enumerate(zip(oracles, config.route_penalties)):
         costs[route_action(i)] = oracle.mean_cost(config.loss, mixture.means) + alpha
@@ -275,6 +285,13 @@ def test_cases_reach_empty_fitted_bins_and_overflow(case):
 def test_calibrate_bins_equal_reference(case):
     _, model, calibration, _, _ = case
     reference = ref_calibrate_bins(model.partition, calibration, model.recalibrated)
+    # the global mixture is the whole set in calibration order, its centroid summed in that order
+    means = np.stack([e.snapshot_mean.probs for e in records(calibration)])
+    preds = np.stack([e.weak_pred.probs for e in records(calibration)])
+    assert np.array_equal(model.global_mixture.means, means)
+    if model.recalibrated:
+        preds = np.tile(means.mean(axis=0), (len(means), 1))
+    assert np.array_equal(model.global_mixture.preds, preds)
     assert list(model.mixtures) == list(reference)
     for b, (preds, means, centroid) in reference.items():
         assert np.array_equal(model.mixtures[b].preds, preds)
@@ -363,3 +380,54 @@ def test_point_costs_equal_reference(case, use_recalibrated):
         assert np.array_equal(got, ref_policy_point_costs(model, test, config, oracles, decide_config, use_recalibrated))
     got = bucket_optimal_point_costs(evaluated, test, config, oracles)
     assert np.array_equal(got, ref_bucket_optimal_point_costs(model, test, config, oracles, use_recalibrated))
+
+
+# ---------------------------------------------------------------------------
+# One-pass bin pricing against pricing one bin at a time, on the shapes of
+# the benchmark models: binary top-class recalibrated, 10-class top-class raw,
+# and level sets whose calibration rows reach the overflow bin
+# ---------------------------------------------------------------------------
+
+SHAPES = ["binary_topclass20_recalibrated", "10class_topclass20_raw", "levelset_overflow"]
+PRICING_ORACLES = [OracleSpec("bayes"), OracleSpec("aggregated", num_annotators=5, aggregation="majority")]
+
+
+def _shape_model(shape):
+    rng = np.random.default_rng(SHAPES.index(shape))
+    if shape == "levelset_overflow":
+        pool = rng.dirichlet(np.ones(3), size=12)
+        spec = fit("levelset", _examples(rng, pool[:8], 200, "f"), buckets=1)
+        return calibrate(spec, _examples(rng, pool, 300, "c"))
+    classes = 2 if shape.startswith("binary") else 10
+    calibration = _examples(rng, rng.dirichlet(np.ones(classes), size=300), 300, "c")
+    return calibrate(fit("topclass", calibration, buckets=20), calibration, recalibrate=shape.endswith("recalibrated"))
+
+
+@pytest.fixture(scope="module", params=SHAPES)
+def shape_model(request):
+    model = _shape_model(request.param)
+    unseen = [b for b in fitted_bins(model.partition) if b not in model.mixtures]
+    return model, [*model.bins, *unseen[:3], "unseen-bin"]
+
+
+@pytest.mark.parametrize("loss", [BRIER, LossSpec("crossentropy"), LossSpec("classification")], ids=lambda s: s.kind)
+def test_bin_costs_equal_one_bin_at_a_time(shape_model, loss):
+    """Any order, subset or repetition of bins, unseen ones included, prices
+    each bin to the bits of its own rows priced alone."""
+    model, candidates = shape_model
+    if model.partition.kind == "levelset":
+        assert OVERFLOW_BIN in model.mixtures
+    reference = {}
+    for b in candidates:
+        mixture = model.mixture(b)
+        irreducible, reducible = ref_decomposition(mixture.preds, mixture.means, loss)
+        routed = [oracle.mean_cost(loss, mixture.means) for oracle in PRICING_ORACLES]
+        reference[b] = [irreducible + reducible, *routed, 0.0]
+
+    def check(bins):
+        got = bin_costs(model, bins, loss, PRICING_ORACLES)
+        expected = np.array([reference[b] for b in bins]).reshape(len(bins), len(PRICING_ORACLES) + 2)
+        assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+
+    check(list(reversed(candidates)))
+    settings(max_examples=25, deadline=None)(given(st.lists(st.sampled_from(candidates), max_size=60))(check))()

@@ -1,13 +1,14 @@
 import itertools
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hocroute.calibrator import CalibratedRouterModel, TaggedMixture, calibrate, estimate_decomposition
+from hocroute.calibrator import CalibratedRouterModel, calibrate, estimate_decomposition
 from hocroute.core import (
     ABSTAIN,
     PREDICT,
@@ -32,7 +33,7 @@ from hocroute.router import (
     tree_decide,
 )
 
-from conftest import ref_from_costs, simplexes
+from conftest import model_of, ref_from_costs, simplexes
 from test_grouping_reference import ref_simulated_costs
 
 d = LabelDistribution
@@ -45,14 +46,8 @@ def model_with_decomposition(irreducible: float, reducible: float) -> Calibrated
     mean = np.array([1.0 - p1, p1])
     t = math.sqrt(reducible / 2.0)  # |mean - pred|^2 = 2 t^2 = rl, for either sign of t
     pred = mean + np.array([t, -t]) if mean[1] >= t else mean - np.array([t, -t])  # kept on the simplex
-    mixture = TaggedMixture(preds=pred[None, :], means=mean[None, :])
-    return CalibratedRouterModel(
-        partition=PartitionSpec(kind="topclass", buckets=1, class_edges={0: np.array([])}),
-        mixtures={"c0:b0": mixture},
-        global_mixture=mixture,
-        recalibrated=False,
-        num_classes=2,
-    )
+    mixture = (pred[None, :], mean[None, :])
+    return model_of({"c0:b0": mixture}, mixture)
 
 
 class TestSimulatedCosts:
@@ -102,10 +97,14 @@ class TestSimulatedCosts:
         assert decision.action == ref_from_costs(decision.est_costs)
 
 
-class TestMixtureRowsArePriced:
-    """A bin is priced only on mixture rows that are probability vectors:
-    every pricing path refuses any other row and names its bin."""
+class TestModelRowsAreChecked:
+    """Every row of a model is checked once, when the model is built: a row
+    off the simplex is refused naming its bin (or the global mixture), field
+    and row, and pricing a valid model checks no row again."""
 
+    GOOD = {"preds": [[0.5, 0.5], [0.6, 0.4]], "means": [[1.0, 0.0], [0.0, 1.0]]}
+
+    @pytest.mark.parametrize("segment,owner", [("c0:b0", "bin 'c0:b0'"), ("global", "global mixture")])
     @pytest.mark.parametrize(
         "field,row,detail",
         [
@@ -114,32 +113,44 @@ class TestMixtureRowsArePriced:
             ("means", [0.7, 0.7], "probabilities sum to 1.4"),
         ],
     )
-    def test_a_row_off_the_simplex_is_refused(self, field, row, detail):
-        rows = {"preds": np.array([[0.5, 0.5], [0.6, 0.4]]), "means": np.array([[1.0, 0.0], [0.0, 1.0]])}
+    def test_a_row_off_the_simplex_is_refused(self, segment, owner, field, row, detail):
+        rows = {name: np.array(values) for name, values in self.GOOD.items()}
         rows[field][1] = row
-        mixture = TaggedMixture(**rows)
-        model = CalibratedRouterModel(
-            partition=PartitionSpec(kind="topclass", buckets=1, class_edges={0: np.array([])}),
-            mixtures={"c0:b0": mixture},
-            global_mixture=TaggedMixture(preds=[[0.5, 0.5]], means=[[1.0, 0.0]]),
-            recalibrated=False,
-            num_classes=2,
-        )
+        good = (self.GOOD["preds"], self.GOOD["means"])
+        segments = {"c0:b0": good, "global": good, segment: (rows["preds"], rows["means"])}
+        with pytest.raises(InvalidInputError, match=rf"^{owner}: {field} row 1: {re.escape(detail)}"):
+            model_of({"c0:b0": segments["c0:b0"]}, segments["global"])
+
+    def test_pricing_a_valid_model_checks_no_row(self, monkeypatch):
+        pair = (self.GOOD["preds"], self.GOOD["means"])
+        model = model_of({"c0:b0": pair}, pair)
         loss = LossSpec("crossentropy")
         cfg = RoutingConfig(loss=loss, route_penalties=(0.05,), abstain_penalty=0.3)
-        test = SnapshotBatch(ids=["q"], probs=[[0.9, 0.1]], counts=[[1, 0]])
+        test = SnapshotBatch(ids=["q", "r"], probs=[[0.9, 0.1], [0.1, 0.9]], counts=[[1, 0], [0, 1]])
+        query = test[0]
+        calls = []
+
+        def counted(rows):
+            calls.append(rows.shape)
+            return simplex_ok(rows)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("hocroute") and getattr(module, "simplex_ok", None) is simplex_ok:
+                monkeypatch.setattr(module, "simplex_ok", counted)
         pricings = [
             lambda: estimate_decomposition(model, "c0:b0", loss),
-            lambda: bin_costs(model, ["c0:b0"], loss, [OracleSpec()]),
+            lambda: bin_costs(model, ["c0:b0", "c1:b0"], loss, [OracleSpec()]),
             lambda: decide(model, "c0:b0", cfg),
-            lambda: simulated_costs(model, "c0:b0", cfg),
-            lambda: Router(model, cfg).decide(test[0]),
+            lambda: simulated_costs(model, "c1:b0", cfg),
+            lambda: Router(model, cfg).decide(query),
             lambda: router_scores(model, test, loss),
         ]
         for price in pricings:
-            with pytest.raises(InvalidInputError, match=rf"^bin 'c0:b0': {field} row 1: {re.escape(detail)}"):
-                price()
-        assert decide(model, "c1:b0", cfg).action  # a bin served by the valid global mixture is still priced
+            price()
+        assert decide(model, "c1:b0", cfg).action  # a bin served by the global mixture is priced too
+        assert calls == []
+        model_of({"c0:b0": pair}, pair)  # building a model is where rows are checked
+        assert len(calls) == 2
 
 
 ORACLE_POOL = (

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hocroute.calibrator import TaggedMixture, calibrate, estimate_decomposition
+from hocroute.calibrator import calibrate, estimate_decomposition
 from hocroute.core import MASS_GUARD, InvalidInputError, LabelDistribution
 from hocroute.evaluation import PREDICT_ABSTAIN, PREDICT_ROUTE, THREE_WAY, CostSweep, cost_sweep, multi_loss_report
 from hocroute.losses import LossSpec
@@ -29,7 +29,7 @@ from hocroute.storage import (
     write_sweep_csv,
 )
 
-from conftest import batch_columns, packed_rows, unpacked_rows, version_1_line, write_version_1
+from conftest import batch_columns, model_of, packed_rows, unpacked_rows, version_1_line, write_version_1
 
 brier = LossSpec("brier")
 V1, V2, V3 = "valid_payload", "valid_payload_v2", "valid_payload_v3"  # model payload fixtures by format version
@@ -571,7 +571,7 @@ class TestModelFile:
         mixture = model.mixtures["c0:b0"]
         preds = mixture.preds.copy()
         preds[:3] = [[1.0, -0.0], [1.0, 0.0], [1.0, 5e-324]]
-        model.mixtures["c0:b0"] = TaggedMixture(preds=preds, means=mixture.means)
+        model = model_of({**model.mixtures, "c0:b0": (preds, mixture.means)}, model.global_mixture, model.partition)
         first, second = tmp_path / "model.json", tmp_path / "model2.json"
         save_model(first, model)
         rows = unpacked_rows(json.loads(first.read_text()))

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import hocroute.router as router_module
-from hocroute.calibrator import calibrate, estimate_decomposition
+from hocroute.calibrator import calibrate
 from hocroute.core import InvalidInputError, RoutingConfig, SnapshotBatch, UnsupportedLossError
 from hocroute.evaluation import PREDICT_ABSTAIN, PREDICT_ROUTE, THREE_WAY, cost_sweep
 from hocroute.losses import LossSpec
@@ -17,7 +17,7 @@ from hocroute.partition import fit
 from hocroute.router import OracleSpec, bin_costs, simulated_costs
 
 from conftest import make_example, ref_from_costs
-from test_grouping_reference import ref_eval_arrays, ref_realized, ref_simulated_costs
+from test_grouping_reference import ref_decomposition, ref_eval_arrays, ref_realized, ref_simulated_costs
 
 # ---------------------------------------------------------------------------
 # Frozen per-beta implementation
@@ -105,7 +105,7 @@ def _betas(model, test, loss, alpha, oracle):
     """0, inf, a coarse grid, and betas equal to some bin's estimated predict
     cost and route cost, so the three-way argmin meets exact ties."""
     bins = sorted(ref_eval_arrays(model, test, loss, [oracle], True)[0])
-    irreducible, reducible = estimate_decomposition(model, bins[0], loss)
+    irreducible, reducible = ref_decomposition(*model.mixture(bins[0]), loss)
     ties = [irreducible + reducible]
     if math.isfinite(alpha):
         ties.append(oracle.mean_cost(loss, model.mixture(bins[-1]).means) + alpha)
@@ -149,24 +149,30 @@ def test_bad_beta_fails_as_reference(model_case, betas):
 
 @pytest.mark.parametrize("num_betas", [1, 15])
 def test_cost_sweep_prices_each_bin_once(model_case, monkeypatch, num_betas):
+    """One pricing pass per sweep, whatever the number of betas, and one oracle
+    pricing per segment the test bins use (unseen bins share the global one)."""
     model, test = model_case
     loss, oracle = LossSpec("brier"), ORACLES["aggregated"]
-    calls = {"decomposition": 0, "oracle": 0}
-    decomposition, mean_cost = router_module.estimate_decomposition, OracleSpec.mean_cost
+    calls = {"decompositions": 0, "oracle": 0}
+    decompositions, mean_cost = router_module.estimate_decompositions, OracleSpec.mean_cost
 
-    def counted_decomposition(*args):
-        calls["decomposition"] += 1
-        return decomposition(*args)
+    def counted_decompositions(*args):
+        calls["decompositions"] += 1
+        return decompositions(*args)
 
     def counted_mean_cost(self, *args):
         calls["oracle"] += 1
         return mean_cost(self, *args)
 
-    monkeypatch.setattr(router_module, "estimate_decomposition", counted_decomposition)
+    monkeypatch.setattr(router_module, "estimate_decompositions", counted_decompositions)
     monkeypatch.setattr(OracleSpec, "mean_cost", counted_mean_cost)
     bins = ref_eval_arrays(model, test, loss, [oracle], True)[0]
     cost_sweep(model, test, loss, 0.05, np.linspace(0.0, 1.0, num_betas), oracles=[oracle])
-    assert calls == {"decomposition": len(bins), "oracle": len(bins)}
+    segments = {b if b in model.mixtures else None for b in bins}  # None: the global segment
+    assert calls == {"decompositions": 1, "oracle": len(segments)}
+    calls.update(decompositions=0, oracle=0)
+    bin_costs(model, [*bins, *bins, "unseen-a", "unseen-b"], loss, [oracle])
+    assert calls == {"decompositions": 1, "oracle": len(segments | {None})}
 
 
 @pytest.mark.parametrize(
