@@ -95,7 +95,8 @@ MAX_GRID_POINTS = 100_000
 
 def parse_grid(text: str) -> list[float]:
     """Inclusive ``lo:hi:step`` grid (endpoints within half a step) of at
-    most ``MAX_GRID_POINTS`` values."""
+    most ``MAX_GRID_POINTS`` values, repeats dropped: a step lost to rounding
+    against ``lo`` adds no value."""
     try:
         lo, hi, step = (float(v) for v in text.split(":"))
     except ValueError:
@@ -107,15 +108,7 @@ def parse_grid(text: str) -> list[float]:
     points = (hi - lo) / step + 1
     if points > MAX_GRID_POINTS:
         raise InvalidInputError(f"--beta {text!r}: {points:,.0f} points, more than {MAX_GRID_POINTS:,}")
-    values = []
-    i = 0
-    while True:
-        v = lo + i * step
-        if v > hi + step / 2.0:
-            break
-        values.append(v)
-        i += 1
-    return values
+    return list(dict.fromkeys(lo + i * step for i in range(math.floor(points + 0.5))))
 
 
 def _write_manifest(args: argparse.Namespace, inputs=(), outputs=(), fallback: str | Path | None = None) -> None:

@@ -126,6 +126,13 @@ class LabelDistribution:
         p.flags.writeable = False
         object.__setattr__(self, "probs", p)
 
+    @classmethod
+    def _view(cls, probs: np.ndarray) -> LabelDistribution:
+        """A read-only row of a batch column, checked and normalized already: no copy, no check."""
+        view = object.__new__(cls)
+        object.__setattr__(view, "probs", probs)
+        return view
+
     @property
     def num_classes(self) -> int:
         return int(self.probs.shape[0])
@@ -134,12 +141,8 @@ class LabelDistribution:
         return f"LabelDistribution({self.probs.tolist()})"
 
 
-def snapshot_mean(labels: Sequence[int] | np.ndarray, num_classes: int) -> LabelDistribution:
-    """Average of one-hot labels: the empirical conditional distribution.
-
-    Permutation invariant in the label list; a single repeated label yields
-    the corresponding one-hot vector.
-    """
+def _count_labels(labels: Sequence[int] | np.ndarray, num_classes: int) -> np.ndarray:
+    """Per-class counts of a nonempty flat list of class indices."""
     arr = np.asarray(labels)
     if arr.size == 0:
         raise InvalidInputError("snapshot needs at least one label")
@@ -147,20 +150,30 @@ def snapshot_mean(labels: Sequence[int] | np.ndarray, num_classes: int) -> Label
         raise InvalidInputError("labels must be a flat list of class indices")
     if int(arr.min()) < 0 or int(arr.max()) >= num_classes:
         raise InvalidInputError("label index out of range")
-    counts = np.bincount(arr, minlength=num_classes)
-    return LabelDistribution(counts / arr.size)
+    return np.bincount(arr.astype(np.intp), minlength=num_classes)
+
+
+def snapshot_mean(labels: Sequence[int] | np.ndarray, num_classes: int) -> LabelDistribution:
+    """Average of one-hot labels: the empirical conditional distribution.
+
+    Permutation invariant in the label list; a single repeated label yields
+    the corresponding one-hot vector.
+    """
+    counts = _count_labels(labels, num_classes)
+    return LabelDistribution(counts / counts.sum())
 
 
 @dataclass(eq=False, init=False)
 class SnapshotExample:
-    """One calibration or evaluation record.
+    """One calibration or evaluation record: row 0 of a one-row ``SnapshotBatch``.
 
     Carries the weak model's prediction and ``k`` independently sampled
     labels, given as class indices (``labels``) or as per-class counts
     (``label_counts``) and kept as counts: ``snapshot_mean`` is derived from
     them, and ``labels`` spells them out, grouped by class, only when read.
     ``p_star`` is the exact conditional distribution and only present for
-    synthetic data where it is known.
+    synthetic data where it is known. The batch's rules check the record;
+    ``batch[i]`` is a record too, a read-only view of a checked row.
     """
 
     id: str
@@ -171,30 +184,16 @@ class SnapshotExample:
     snapshot_mean: LabelDistribution
 
     def __init__(self, id, weak_pred, labels=None, features=None, p_star=None, *, label_counts=None) -> None:
-        num_classes = weak_pred.num_classes
-        if (labels is None) == (label_counts is None):
-            raise InvalidInputError(f"example {id}: give either labels or label_counts")
-        if labels is not None:
-            labels = np.asarray(labels)
-            if labels.size and not np.issubdtype(labels.dtype, np.integer):
-                raise InvalidInputError(f"example {id}: labels must be integers")
-            try:
-                snapshot_mean(labels, num_classes)
-            except InvalidInputError as err:
-                raise InvalidInputError(f"example {id}: {err}") from None
-            label_counts = np.bincount(labels.astype(np.intp), minlength=num_classes)
-        counts = np.asarray(label_counts)
-        if np.issubdtype(counts.dtype, np.integer):
-            counts = counts.astype(np.int64, copy=False)  # a uint64 count past int64 turns negative
-        if not (counts.shape == (num_classes,) and counts.dtype == np.int64 and (counts >= 0).all()):
-            raise InvalidInputError(f"example {id}: label_counts must be {num_classes} integers >= 0")
-        if not counts.sum():
-            raise InvalidInputError(f"example {id}: snapshot needs at least one label")
-        if p_star is not None and p_star.num_classes != num_classes:
-            raise InvalidInputError(f"example {id}: p_star class count mismatch")
-        self.id, self.weak_pred, self.label_counts, self.p_star = id, weak_pred, counts, p_star
-        self.features = None if features is None else np.asarray(features, dtype=float)
-        self.snapshot_mean = LabelDistribution(counts / counts.sum())
+        try:
+            if (labels is None) == (label_counts is None):
+                raise InvalidInputError("give either labels or label_counts")
+            counts = label_counts if labels is None else _count_labels(labels, weak_pred.num_classes)
+            features = None if features is None else np.reshape(features, (1, -1))
+            p_star = None if p_star is None else [p_star.probs]
+            batch = SnapshotBatch([id], [weak_pred.probs], [counts], features, p_star)
+        except InvalidInputError as err:
+            raise InvalidInputError(f"example {id}: {err}") from None
+        vars(self).update(vars(batch[0]))
 
     @property
     def labels(self) -> np.ndarray:
@@ -234,8 +233,10 @@ class SnapshotBatch:
     (``counts / k``) and ``truth`` (``p_star`` where present, the mean
     otherwise) are derived at construction with ``LabelDistribution``'s
     arithmetic, so a row's values do not depend on the batch it is in.
-    ``batch[i]`` is row ``i`` as a ``SnapshotExample`` holding the row's label
-    counts; a slice is a batch.
+    Construction holds the record rules: a row's label counts are integers >= 0
+    whose total is >= 1 and fits in int64, and its features are finite or NaN
+    (missing). ``batch[i]`` is row ``i`` as a ``SnapshotExample`` of read-only
+    arrays, checked nowhere again; a slice is a batch.
     """
 
     ids: list[str]
@@ -252,23 +253,28 @@ class SnapshotBatch:
         p_star = np.full(probs.shape, np.nan) if self.p_star is None else np.array(self.p_star, dtype=float, ndmin=2)
         features = np.empty((n, 0)) if self.features is None else np.array(self.features, dtype=float)
         present = ~np.isnan(p_star).all(axis=-1)
+        # Counts become int64 only when each fits; then a partial row sum past int64 wraps below 0.
+        exact = np.issubdtype(counts.dtype, np.integer) and (counts >= 0).all() and (counts <= 2**63 - 1).all()
+        counts = counts.astype(np.int64, copy=False) if exact else counts
+        totals = counts.cumsum(axis=-1) if exact else None
         if not (
             probs.shape[0] == n
             and probs.shape[1] >= 2
             and probs.shape == counts.shape == p_star.shape
             and features.shape[:1] == (n,)
             and features.ndim == 2
-            and np.issubdtype(counts.dtype, np.integer)
-            and (counts >= 0).all()
-            and counts.sum(axis=1).all()
+            and exact
+            and (totals >= 0).all()
+            and totals[:, -1].all()
+            and not np.isinf(features).any()
             and simplex_ok(probs).all()
             and simplex_ok(p_star[present]).all()
         ):
             raise InvalidInputError(
-                "need, for each id, probabilities and label counts (at least one label) over the same >= 2 classes,"
-                " a p_star row of probabilities or of NaN, and a row of features"
+                "need, for each id, probabilities and label counts (integers >= 0, total >= 1 within int64) over the"
+                " same >= 2 classes, a p_star row of probabilities or of NaN, and a row of finite or NaN features"
             )
-        means = normalize_simplex(counts / counts.sum(axis=1, keepdims=True))
+        means = normalize_simplex(counts / totals[:, -1:])
         p_star[present] = normalize_simplex(p_star[present])
         columns = {
             "ids": list(self.ids),
@@ -291,7 +297,7 @@ class SnapshotBatch:
         if not examples or len({e.num_classes for e in examples}) != 1:
             raise InvalidInputError("need examples, all over the same number of classes")
         num_classes = examples[0].num_classes
-        features = [np.zeros(0) if e.features is None else e.features.ravel() for e in examples]
+        features = [np.zeros(0) if e.features is None else e.features for e in examples]
         return cls(
             ids=[e.id for e in examples],
             probs=np.stack([e.weak_pred.probs for e in examples]),
@@ -316,14 +322,13 @@ class SnapshotBatch:
             return SnapshotBatch(self.ids[index], **{k: None if c is None else c[index] for k, c in columns.items()})
         i = range(len(self))[index]
         features = np.empty(0) if self.features is None else self.features[i][~np.isnan(self.features[i])]
-        has_p_star = self.p_star is not None and not np.isnan(self.p_star[i, 0])
-        return SnapshotExample(
-            id=self.ids[i],
-            weak_pred=LabelDistribution(self.probs[i]),
-            label_counts=self.counts[i],
-            features=features if features.size else None,
-            p_star=LabelDistribution(self.p_star[i]) if has_p_star else None,
-        )
+        features.flags.writeable = False
+        view = LabelDistribution._view
+        row = object.__new__(SnapshotExample)
+        row.id, row.weak_pred, row.label_counts = self.ids[i], view(self.probs[i]), self.counts[i]
+        row.features, row.snapshot_mean = features if features.size else None, view(self.means[i])
+        row.p_star = view(self.p_star[i]) if self.p_star is not None and not np.isnan(self.p_star[i, 0]) else None
+        return row
 
 
 # ---------------------------------------------------------------------------

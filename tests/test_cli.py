@@ -12,7 +12,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hocroute import cli
@@ -80,6 +80,38 @@ class TestArgumentParsing:
         for text in (f"0:{MAX_GRID_POINTS}:1", "0:1:1e-12", "0:1:5e-324"):
             with pytest.raises(InvalidInputError, match=r"^--beta .*points, more than 100,000$"):
                 parse_grid(text)
+
+    @given(st.floats(-100, 100), st.floats(1e-3, 1), st.integers(0, 499), st.floats(-0.49, 0.49))
+    def test_grid_equals_the_stepping_loop(self, lo, step, points, offset):
+        """On grids whose values are distinct, the grid is the values the old
+        loop stepped through, endpoints within half a step."""
+        hi = lo + (points + offset) * step
+        assume(hi >= lo)
+        text = f"{lo!r}:{hi!r}:{step!r}"
+        expected = ref_grid(text)
+        assume(len(set(expected)) == len(expected))
+        assert parse_grid(text) == expected
+
+    def test_grid_whose_step_is_lost_to_rounding(self):
+        assert parse_grid("1e20:1e20:1") == [1e20]
+        assert parse_grid("1e300:1e300:1") == [1e300]
+        # 1e16 + 1 rounds to 1e16 and 1e16 + 3 to 1e16 + 4: five steps, three values
+        assert parse_grid("1e16:1.0000000000000004e16:1") == [1e16, 1e16 + 2, 1e16 + 4]
+
+
+def ref_grid(text: str) -> list[float]:
+    """The grid loop as it was: step from ``lo`` until past ``hi`` by more than
+    half a step (which never ends when the step is lost to rounding)."""
+    lo, hi, step = (float(v) for v in text.split(":"))
+    values = []
+    i = 0
+    while True:
+        v = lo + i * step
+        if v > hi + step / 2.0:
+            break
+        values.append(v)
+        i += 1
+    return values
 
 
 @pytest.fixture(scope="module")

@@ -1,4 +1,6 @@
 import math
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from hocroute.core import (
     LabelDistribution,
     RoutingConfig,
     RoutingDecision,
+    SnapshotBatch,
     SnapshotExample,
     action_priority,
     ground_truth,
@@ -97,6 +100,8 @@ class TestSnapshotMean:
             snapshot_mean([], 2)
         with pytest.raises(InvalidInputError):
             snapshot_mean([3], 3)
+        with pytest.raises(InvalidInputError, match="^labels must be a flat list of class indices$"):
+            snapshot_mean([0.0, 1.0], 2)
 
     @given(st.lists(st.integers(0, 3), min_size=1, max_size=50), st.randoms())
     def test_permutation_invariant(self, labels, rnd):
@@ -110,6 +115,180 @@ class TestSnapshotMean:
     def test_constant_labels_give_one_hot(self, c, n):
         mean = snapshot_mean([c] * n, 3).probs
         assert mean[c] == 1.0 and mean.sum() == 1.0
+
+
+def ref_row(batch: SnapshotBatch, i: int) -> SnapshotExample:
+    """``batch[i]`` as it was built before row views: every field anew, through
+    the public checked constructors."""
+    features = np.empty(0) if batch.features is None else batch.features[i][~np.isnan(batch.features[i])]
+    has_p_star = batch.p_star is not None and not np.isnan(batch.p_star[i, 0])
+    return SnapshotExample(
+        id=batch.ids[i],
+        weak_pred=LabelDistribution(batch.probs[i]),
+        label_counts=batch.counts[i],
+        features=features if features.size else None,
+        p_star=LabelDistribution(batch.p_star[i]) if has_p_star else None,
+    )
+
+
+def row_fields(e: SnapshotExample) -> dict:
+    """Every field of a record, each array as its dtype, shape and bytes (None
+    when absent); ``labels`` only when ``k`` is small enough to spell out."""
+    arrays = {
+        "weak_pred": e.weak_pred.probs,
+        "label_counts": e.label_counts,
+        "features": e.features,
+        "p_star": None if e.p_star is None else e.p_star.probs,
+        "snapshot_mean": e.snapshot_mean.probs,
+        "labels": e.labels if e.k <= 10_000 else None,
+    }
+    kinds = tuple(map(type, (e, e.id, e.k, e.weak_pred, e.p_star, e.snapshot_mean)))
+    return {"id": e.id, "k": e.k, "num_classes": e.num_classes, "kinds": kinds} | {
+        name: None if a is None else (a.dtype, a.shape, a.tobytes()) for name, a in arrays.items()
+    }
+
+
+def within_int64(counts: list[int]) -> list[int]:
+    """``counts`` with any count that would carry the running total past int64
+    made 0, and one label added when none is left."""
+    out, total = [], 0
+    for c in counts:
+        out.append(c if total + c <= 2**63 - 1 else 0)
+        total += out[-1]
+    out[0] += not total
+    return out
+
+
+@st.composite
+def batches(draw):
+    """Batches over 2, 3 or 10 classes with counts up to 2**62, features
+    absent or NaN where missing (padding or not), and p_star absent from some
+    rows or from the batch."""
+    k, n = draw(st.sampled_from([2, 3, 10])), draw(st.integers(1, 5))
+    count = st.integers(0, 3) | st.integers(0, 2**62)
+    counts = [within_int64(draw(st.lists(count, min_size=k, max_size=k))) for _ in range(n)]
+    width = draw(st.none() | st.integers(0, 4))
+    features = None
+    if width is not None:
+        rows = [draw(st.lists(st.floats(allow_infinity=False), max_size=width)) for _ in range(n)]
+        features = [row + [math.nan] * (width - len(row)) for row in rows]
+    p_stars = [draw(st.none() | simplex_arrays(k)) for _ in range(n)]
+    p_star = [np.full(k, math.nan) if p is None else p for p in p_stars]
+    if draw(st.booleans()) and all(p is None for p in p_stars):
+        p_star = None
+    probs = [draw(simplex_arrays(k)) for _ in range(n)]
+    return SnapshotBatch(ids=[f"r{j}" for j in range(n)], probs=probs, counts=counts, features=features, p_star=p_star)
+
+
+class TestRowViews:
+    @given(batches())
+    def test_a_row_view_equals_the_checked_record(self, batch):
+        for i, view in enumerate(batch):
+            assert row_fields(view) == row_fields(ref_row(batch, i))
+            counts = batch.counts[i]  # the mean as a record derived it before records were batches of one
+            assert view.snapshot_mean.probs.tobytes() == LabelDistribution(counts / counts.sum()).probs.tobytes()
+            assert row_fields(batch[i - len(batch)]) == row_fields(view)
+
+    def test_view_arrays_are_read_only(self):
+        batch = SnapshotBatch(
+            ids=["a"], probs=[[0.6, 0.4]], counts=[[2, 1]], features=[[0.5, math.nan]], p_star=[[0.7, 0.3]]
+        )
+        record = make_example("b", [0.6, 0.4], [0, 0, 1], features=[0.5], p_star=[0.7, 0.3])
+        for row in (batch[0], record):
+            distributions = (row.weak_pred, row.p_star, row.snapshot_mean)
+            for array in (row.label_counts, row.features, *(d.probs for d in distributions)):
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0] = array[0]
+
+    def test_row_views_check_no_row(self, monkeypatch, small_run):
+        calls = []
+
+        def counted(rows):
+            calls.append(rows.shape)
+            return simplex_ok(rows)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("hocroute") and getattr(module, "simplex_ok", None) is simplex_ok:
+                monkeypatch.setattr(module, "simplex_ok", counted)
+        for batch in (small_run.calibration, small_run.test):
+            assert len(list(batch)) == len(batch) and batch[-1].id == batch.ids[-1]
+        assert calls == []
+        SnapshotBatch(ids=["a"], probs=[[0.6, 0.4]], counts=[[1, 0]])
+        assert calls  # the patched check is the one construction runs
+
+
+# SnapshotExample labellings that break a rule (the last two break the signature).
+LABELLINGS = [
+    {"label_counts": [-1, 2]},
+    {"label_counts": [1.0, 2.0]},
+    {"label_counts": [True, False]},
+    {"label_counts": [1, 2, 3]},
+    {"label_counts": [0, 0]},
+    {"label_counts": np.array([2**63, 1], dtype=np.uint64)},
+    {"labels": [0], "label_counts": [1, 0]},
+    {},
+]
+
+# (weak prediction, record fields in count form, accepted): every record rule,
+# which a record and a batch row must apply alike.
+RECORDS = [
+    *[([0.6, 0.4], labelling, False) for labelling in LABELLINGS if "labels" not in labelling and labelling],
+    ([0.2, 0.3, 0.5], {"label_counts": [2**62] * 3}, False),  # the total wraps past int64
+    ([0.2] * 5, {"label_counts": [2**62] * 5}, False),  # and back above 0
+    ([0.6, 0.4], {"label_counts": [2**63 - 1, 1]}, False),
+    ([0.6, 0.4], {"label_counts": np.array([2**63, 0], dtype=np.uint64)}, False),
+    ([0.6, 0.4], {"label_counts": [1, 1], "features": [math.inf]}, False),
+    ([0.6, 0.4], {"label_counts": [1, 1], "features": [0.5, -math.inf]}, False),
+    ([0.6, 0.4], {"label_counts": [1, 1], "p_star": [0.2, 0.3, 0.5]}, False),
+    ([0.6, 0.4], {"label_counts": [2**62, 1]}, True),
+    ([0.6, 0.4], {"label_counts": [2**63 - 1, 0]}, True),
+    ([0.6, 0.4], {"label_counts": np.array([2**63 - 1, 0], dtype=np.uint64)}, True),
+    ([0.6, 0.4], {"label_counts": np.array([3, 1], dtype=np.uint8), "features": [math.nan, 0.5]}, True),
+    ([0.6, 0.4], {"label_counts": [0, 1], "features": [], "p_star": [0.1, 0.9]}, True),
+]
+
+
+class TestRecordRule:
+    @staticmethod
+    def _as_example(weak, record):
+        p_star = record.get("p_star")
+        return SnapshotExample(
+            "x",
+            LabelDistribution(weak),
+            label_counts=record["label_counts"],
+            features=record.get("features"),
+            p_star=None if p_star is None else LabelDistribution(p_star),
+        )
+
+    @staticmethod
+    def _as_batch(weak, record):
+        one_row = {name: None if record.get(name) is None else [record[name]] for name in ("features", "p_star")}
+        return SnapshotBatch(ids=["x"], probs=[weak], counts=[record["label_counts"]], **one_row)
+
+    @pytest.mark.parametrize("weak, record, accepted", RECORDS)
+    def test_a_record_and_a_batch_row_follow_one_rule(self, weak, record, accepted):
+        outcomes = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for build in (self._as_example, self._as_batch):
+                try:
+                    build(weak, record)
+                    outcomes.append(True)
+                except InvalidInputError:
+                    outcomes.append(False)
+        assert outcomes == [accepted, accepted]
+
+    def test_a_refused_record_is_named(self):
+        with pytest.raises(InvalidInputError, match=r"^example x: need, for each id, .*finite or NaN features$"):
+            self._as_example([0.6, 0.4], {"label_counts": [1, 1], "features": [math.inf]})
+        with pytest.raises(InvalidInputError, match="^example x: snapshot needs at least one label$"):
+            SnapshotExample("x", LabelDistribution([0.6, 0.4]), labels=[])
+        with pytest.raises(InvalidInputError, match="^example x: give either labels or label_counts$"):
+            SnapshotExample("x", LabelDistribution([0.6, 0.4]))
+
+    def test_a_record_is_row_0_of_its_batch_of_one(self):
+        weak, record = [0.6, 0.4], {"label_counts": [3, 1], "features": [math.nan, 0.5], "p_star": [0.7, 0.3]}
+        assert row_fields(self._as_example(weak, record)) == row_fields(ref_row(self._as_batch(weak, record), 0))
 
 
 class TestSnapshotExample:
@@ -136,20 +315,10 @@ class TestSnapshotExample:
     def test_huge_counts_are_not_spelled_out(self):
         e = SnapshotExample("x", LabelDistribution([0.5, 0.5]), label_counts=np.array([2**62, 1]))
         assert e.k == 2**62 + 1 and e.snapshot_mean.probs[0] == 1.0
+        e = SnapshotExample("x", LabelDistribution([0.5, 0.5]), label_counts=np.array([2**63 - 1, 0], dtype=np.uint64))
+        assert e.k == 2**63 - 1 and e.label_counts.dtype == np.int64
 
-    @pytest.mark.parametrize(
-        "labelling",
-        [
-            {"label_counts": [-1, 2]},
-            {"label_counts": [1.0, 2.0]},
-            {"label_counts": [True, False]},
-            {"label_counts": [1, 2, 3]},
-            {"label_counts": [0, 0]},
-            {"label_counts": np.array([2**63, 1], dtype=np.uint64)},
-            {"labels": [0], "label_counts": [1, 0]},
-            {},
-        ],
-    )
+    @pytest.mark.parametrize("labelling", LABELLINGS)
     def test_label_counts_validation(self, labelling):
         with pytest.raises(InvalidInputError):
             SnapshotExample("x", LabelDistribution([0.6, 0.4]), **labelling)
