@@ -9,7 +9,7 @@ every loss and penalty configuration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from types import MappingProxyType
 from typing import NamedTuple, Sequence
 
@@ -43,7 +43,9 @@ class CalibratedRouterModel:
     order. The last segment is the global mixture over the whole calibration
     set, in its own order; it serves bins never seen at query time (or fitted
     bins that received no calibration data), keeping the router total. Rows
-    are checked here, once; ``mixtures`` and ``global_mixture`` view them.
+    are checked here, once; ``mixtures`` and ``global_mixture`` view them. A
+    recalibrated segment stores one prediction, its centroid, in every row:
+    the prediction it serves, which ``centroids`` views for each bin.
     """
 
     partition: PartitionSpec
@@ -52,8 +54,6 @@ class CalibratedRouterModel:
     preds: np.ndarray  # (rows, classes)
     means: np.ndarray  # (rows, classes)
     recalibrated: bool
-    num_classes: int
-    centroids: dict[str, LabelDistribution] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         offsets = self.offsets = np.asarray(self.offsets, dtype=np.intp)
@@ -61,17 +61,30 @@ class CalibratedRouterModel:
         aligned = self.preds.shape == self.means.shape and len(offsets) == len(self.bins) + 2
         if not aligned or offsets[0] != 0 or offsets[-1] != len(self.means) or (offsets[1:] <= offsets[:-1]).any():
             raise InvalidInputError("preds and means must align in one nonempty segment per bin, then the global one")
+        owner = lambda j: f"bin {self.bins[j]!r}" if j < len(self.bins) else "global mixture"
         for name, rows in (("preds", self.preds), ("means", self.means)):
             rows.flags.writeable = False
             ok = simplex_ok(rows)
             if not ok.all():
                 row = int(np.argmin(ok))
                 j = int(np.searchsorted(offsets, row, side="right")) - 1
-                owner = f"bin {self.bins[j]!r}" if j < len(self.bins) else "global mixture"
-                raise InvalidInputError(f"{owner}: {name} row {row - offsets[j]}: {simplex_error(rows[row])}")
+                raise InvalidInputError(f"{owner(j)}: {name} row {row - offsets[j]}: {simplex_error(rows[row])}")
+        if self.recalibrated:
+            # a row that differs from the one before it, other than a segment's first
+            changed = (self.preds[1:] != self.preds[:-1]).any(axis=1)
+            changed[offsets[1:-1] - 1] = False
+            if changed.any():
+                j = int(np.searchsorted(offsets, np.argmax(changed) + 1, side="right")) - 1
+                raise InvalidInputError(f"{owner(j)}: a recalibrated segment must store one prediction in every row")
         views = [TaggedMixture(self.preds[a:b], self.means[a:b]) for a, b in zip(offsets[:-1], offsets[1:])]
         self.mixtures, self.global_mixture = MappingProxyType(dict(zip(self.bins, views))), views[-1]
+        firsts = zip(self.bins, offsets) if self.recalibrated else ()  # each bin's first row
+        self.centroids = MappingProxyType({b: LabelDistribution._view(self.preds[a]) for b, a in firsts})
         self._segments = {b: j for j, b in enumerate(self.bins)}
+
+    @property
+    def num_classes(self) -> int:
+        return int(self.preds.shape[1])
 
     def segment(self, bin_id: str) -> int:
         """The segment that prices ``bin_id``: its own, else the global one (the last)."""
@@ -80,16 +93,12 @@ class CalibratedRouterModel:
     def mixture(self, bin_id: str) -> TaggedMixture:
         return self.mixtures.get(bin_id, self.global_mixture)
 
-    def deployed_row(self, bin_id: str, raw_pred: np.ndarray) -> np.ndarray:
-        """The prediction served for a point: its bin centroid when
-        recalibrated, the raw weak prediction otherwise."""
-        if not self.recalibrated:
-            return raw_pred
-        centroid = self.centroids.get(bin_id)
-        return self.global_mixture.means.mean(axis=0) if centroid is None else centroid.probs
-
     def deployed_prediction(self, example) -> LabelDistribution:
-        return LabelDistribution(self.deployed_row(assign(self.partition, example), example.weak_pred.probs))
+        """The prediction served for a point: its segment's stored prediction
+        when recalibrated, the raw weak prediction otherwise."""
+        if not self.recalibrated:
+            return example.weak_pred
+        return LabelDistribution._view(self.preds[self.offsets[self.segment(assign(self.partition, example))]])
 
     def deployed_matrix(self, data: SnapshotBatch, bins: tuple[list[str], np.ndarray] | None = None) -> np.ndarray:
         """The prediction served for each row, one row each. ``bins`` is
@@ -99,8 +108,7 @@ class CalibratedRouterModel:
         if not self.recalibrated:
             return data.probs
         bin_ids, index = assign_rows(self.partition, data.probs, data.features) if bins is None else bins
-        # raw_pred only matters for a model that is not recalibrated
-        return np.stack([self.deployed_row(b, None) for b in bin_ids])[index]
+        return self.preds[self.offsets[[self.segment(b) for b in bin_ids]]][index]
 
 
 def calibrate(partition: PartitionSpec, calibration: SnapshotBatch, recalibrate: bool = False) -> CalibratedRouterModel:
@@ -109,9 +117,8 @@ def calibrate(partition: PartitionSpec, calibration: SnapshotBatch, recalibrate:
     segment.
 
     With ``recalibrate`` the stored prediction of every entry is replaced by
-    the centroid of the snapshot means in its bin, and the centroid map is
-    kept so the same value is served as the deployed prediction at query
-    time.
+    the centroid of the snapshot means in its segment, which is then also the
+    prediction served at query time.
     """
     if not calibration:
         raise InvalidInputError("calibration set is empty")
@@ -119,7 +126,7 @@ def calibrate(partition: PartitionSpec, calibration: SnapshotBatch, recalibrate:
     rows = np.concatenate([*positions.values(), np.arange(len(calibration))])
     offsets = np.cumsum([0, *map(len, positions.values()), len(calibration)])
     means = calibration.means[rows]
-    # every segment's centroid, the global one last (it is served, not kept in ``centroids``)
+    # every segment's centroid, the global one last
     centroids = [means[a:b].mean(axis=0) for a, b in zip(offsets[:-1], offsets[1:])] if recalibrate else []
     return CalibratedRouterModel(
         partition=partition,
@@ -128,8 +135,6 @@ def calibrate(partition: PartitionSpec, calibration: SnapshotBatch, recalibrate:
         preds=np.repeat(centroids, np.diff(offsets), axis=0) if recalibrate else calibration.probs[rows],
         means=means,
         recalibrated=recalibrate,
-        num_classes=calibration.num_classes,
-        centroids={b: LabelDistribution(c) for b, c in zip(positions, centroids)},
     )
 
 

@@ -76,7 +76,7 @@ def parse_partition(text: str):
 
 
 def parse_beta(text: str) -> float:
-    return math.inf if text.lower() in ("inf", "infinity") else _parameter(float, text, "--beta", text)
+    return _parameter(float, text, "--beta", text)
 
 
 def parse_oracle(text: str) -> OracleSpec:

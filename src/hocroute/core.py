@@ -234,9 +234,9 @@ class SnapshotBatch:
     otherwise) are derived at construction with ``LabelDistribution``'s
     arithmetic, so a row's values do not depend on the batch it is in.
     Construction holds the record rules: a row's label counts are integers >= 0
-    whose total is >= 1 and fits in int64, and its features are finite or NaN
-    (missing). ``batch[i]`` is row ``i`` as a ``SnapshotExample`` of read-only
-    arrays, checked nowhere again; a slice is a batch.
+    whose total is >= 1 and fits in int64, and its features are finite, then
+    NaN (missing) to the end. ``batch[i]`` is row ``i`` as a ``SnapshotExample``
+    of read-only arrays, checked nowhere again; a slice is a batch.
     """
 
     ids: list[str]
@@ -267,12 +267,13 @@ class SnapshotBatch:
             and (totals >= 0).all()
             and totals[:, -1].all()
             and not np.isinf(features).any()
+            and not (np.isnan(features[:, :-1]) & ~np.isnan(features[:, 1:])).any()  # NaN only pads a row's end
             and simplex_ok(probs).all()
             and simplex_ok(p_star[present]).all()
         ):
             raise InvalidInputError(
                 "need, for each id, probabilities and label counts (integers >= 0, total >= 1 within int64) over the"
-                " same >= 2 classes, a p_star row of probabilities or of NaN, and a row of finite or NaN features"
+                " same >= 2 classes, a p_star row of probabilities or of NaN, and a row of finite features, then NaN"
             )
         means = normalize_simplex(counts / totals[:, -1:])
         p_star[present] = normalize_simplex(p_star[present])

@@ -164,9 +164,8 @@ def check_simulated_cost_gap(seed: int = 0) -> CheckResult:
     for b, idxs in _bin_positions(*assign_rows(model.partition, data.test.probs, data.test.features)).items():
         mixture = model.mixture(b)
         sim = simulated_costs(model, b, config, oracles=[oracle])
-        centroid = model.deployed_row(b, mixture.preds[0])
-        bin_truth = truth[idxs]
-        true_predict = float(np.mean(expected_loss_batch(spec, bin_truth, np.tile(centroid, (len(idxs), 1)))))
+        bin_truth = truth[idxs]  # preds[0]: the centroid the recalibrated bin stores and serves
+        true_predict = float(np.mean(expected_loss_batch(spec, bin_truth, np.tile(mixture.preds[0], (len(idxs), 1)))))
         true_route = float(np.mean(entropy_batch(spec, bin_truth))) + config.route_penalties[0]
         w1 = 2.0 * wasserstein_1d(mixture.means[:, 1], bin_truth[:, 1])
         bound = (spec.bound / 2.0) * w1

@@ -32,19 +32,17 @@ def _log_binomial_coefficients(k: int) -> np.ndarray:
     return np.array([math.lgamma(k + 1) - math.lgamma(c + 1) - math.lgamma(k - c + 1) for c in range(k + 1)])
 
 
-@lru_cache(maxsize=8)
-def _annotator_uniforms(seed: int, draws: int, annotators: int) -> np.ndarray:
-    """The one uniform draw every row's Monte Carlo estimate reuses."""
-    u = np.random.default_rng(seed).random((draws, annotators))
-    u.flags.writeable = False
-    return u
+# The Monte Carlo aggregated oracle: simulated pools per row and their seed.
+MC_DRAWS = 1000
+MC_SEED = 7
 
 
 @lru_cache(maxsize=8)
-def _sorted_annotator_uniforms(seed: int, draws: int, annotators: int) -> tuple[np.ndarray, np.ndarray]:
-    """``_annotator_uniforms`` flattened and stably sorted, with the draw
-    (row) each sorted uniform came from."""
-    flat = _annotator_uniforms(seed, draws, annotators).ravel()
+def _sorted_annotator_uniforms(annotators: int) -> tuple[np.ndarray, np.ndarray]:
+    """The one ``(MC_DRAWS, annotators)`` uniform draw every row's Monte Carlo
+    estimate reuses, flattened and stably sorted, with the draw (row) each
+    sorted uniform came from."""
+    flat = np.random.default_rng(MC_SEED).random((MC_DRAWS, annotators)).ravel()
     order = np.argsort(flat, kind="stable")
     values, draw = flat[order], order // annotators
     values.flags.writeable = False
@@ -61,24 +59,21 @@ class OracleSpec:
     entropy. ``aggregated`` pools ``num_annotators`` independent label draws
     with a fixed rule; its cost is computed exactly for two classes (by
     summing over the binomial label counts) and by seeded Monte Carlo
-    otherwise.
+    otherwise, over ``MC_DRAWS`` pools drawn from ``MC_SEED``.
     """
 
     kind: str = BAYES
     num_annotators: int = 1
     aggregation: str = MEAN
-    mc_draws: int = 1000
-    mc_seed: int = 7
 
     def __post_init__(self) -> None:
         if self.kind not in (BAYES, AGGREGATED):
             raise InvalidInputError(f"unknown oracle kind {self.kind!r}")
         if self.aggregation not in (MEAN, MAJORITY):
             raise InvalidInputError(f"unknown aggregation {self.aggregation!r}")
-        for name, low in (("num_annotators", 1), ("mc_draws", 1), ("mc_seed", 0)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
-                raise InvalidInputError(f"{name} must be an integer >= {low}, got {value!r}")
+        value = self.num_annotators
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+            raise InvalidInputError(f"num_annotators must be an integer >= 1, got {value!r}")
 
     def point_costs(self, loss: LossSpec, truths: np.ndarray) -> np.ndarray:
         """Expected oracle loss at each row of ``truths``."""
@@ -124,8 +119,8 @@ class OracleSpec:
         one-hot, so its loss is read from a (rows, K) table of the loss of
         each one-hot prediction, built for ``m // K`` rows at a time so it
         never outgrows one row's (m, K) predictions."""
-        k, m = self.num_annotators, self.mc_draws
-        uniforms, draw = _sorted_annotator_uniforms(self.mc_seed, m, k)
+        k, m = self.num_annotators, MC_DRAWS
+        uniforms, draw = _sorted_annotator_uniforms(k)
         classes = truths.shape[1]
         offsets = classes * draw
         class_ids = np.arange(classes)

@@ -503,16 +503,10 @@ def _bin_table(table, partition: PartitionSpec, read) -> dict:
     return {bin_id: read(value, f"bin {bin_id!r}: ") for bin_id, value in table.items()}
 
 
-def _centroid(value, num_classes: int, name: str) -> LabelDistribution:
+def _centroid(value, name: str) -> list:
     if type(value) is not list or not json_numbers(value):
         raise InvalidInputError(f"{name}must be a flat list of numbers")
-    try:
-        centroid = LabelDistribution(np.asarray(value, dtype=float))
-    except InvalidInputError as err:
-        raise InvalidInputError(f"{name}{err}") from None
-    if centroid.num_classes != num_classes:
-        raise InvalidInputError(f"{name}expected {num_classes} entries")
-    return centroid
+    return value
 
 
 def load_model(path: str | Path) -> CalibratedRouterModel:
@@ -520,7 +514,9 @@ def load_model(path: str | Path) -> CalibratedRouterModel:
     that is not valid JSON, or lacks a field, or whose rows are not
     probability vectors over ``num_classes`` classes, or whose mixtures index
     rows that do not exist, or that names a bin its partition cannot
-    produce, fails with ``InvalidInputError`` naming the file and field."""
+    produce, or whose recalibrated segments store more than one prediction,
+    or whose ``centroids`` are not each bin's stored prediction (``{}`` for a
+    raw model), fails with ``InvalidInputError`` naming the file and field."""
     path = Path(path)
     if not path.exists():
         raise InvalidInputError(f"model file {path} does not exist")
@@ -552,18 +548,20 @@ def load_model(path: str | Path) -> CalibratedRouterModel:
     preds, means = (np.concatenate(column) for column in zip(*segments))
     if rows is not None:  # one take of each column, every bin's index validated above
         preds, means = rows.take(preds, axis=0), rows.take(means, axis=0)
-    return CalibratedRouterModel(
-        partition=partition,
-        bins=tuple(bins),
-        offsets=np.cumsum([0, *(len(p) for p, _ in segments)]),
-        preds=preds,
-        means=means,
-        recalibrated=field("recalibrated", _flag),
-        num_classes=num_classes,
-        centroids=field(
-            "centroids", lambda table: _bin_table(table, partition, lambda v, name: _centroid(v, num_classes, name))
-        ),
-    )
+    recalibrated = field("recalibrated", _flag)
+    centroids = field("centroids", lambda table: _bin_table(table, partition, _centroid))
+    offsets = np.cumsum([0, *(len(p) for p, _ in segments)])
+    try:
+        model = CalibratedRouterModel(partition, tuple(bins), offsets, preds, means, recalibrated)
+    except InvalidInputError as err:  # only a recalibrated segment that stores two predictions
+        name = "bins" if str(err).startswith("bin ") else "global"
+        raise InvalidInputError(f"{path}: field {name!r}: {err}") from None
+    stored = {b: c.probs.tolist() for b, c in model.centroids.items()}
+    if centroids != stored:  # the served predictions are the stored ones; this field repeats them
+        wrong = min(b for b in centroids.keys() | stored.keys() if centroids.get(b) != stored.get(b))
+        rule = "the bin's stored prediction; only a bin with rows has one" if recalibrated else "absent in a raw model"
+        raise InvalidInputError(f"{path}: field 'centroids': bin {wrong!r}: must be {rule}")
+    return model
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,7 @@ def make_example(eid, weak, labels, features=None, p_star=None):
     )
 
 
-def model_of(mixtures: dict, global_mixture, partition=None, recalibrated=False, centroids=None):
+def model_of(mixtures: dict, global_mixture, partition=None, recalibrated=False):
     """A model built directly from ``(preds, means)`` pairs: ``mixtures`` maps
     each bin to its pair, ``global_mixture`` is the global one. The partition
     defaults to a single top-class bucket. Every test that builds a model by
@@ -47,8 +47,6 @@ def model_of(mixtures: dict, global_mixture, partition=None, recalibrated=False,
         preds=preds,
         means=means,
         recalibrated=recalibrated,
-        num_classes=preds.shape[1],
-        centroids=centroids or {},
     )
 
 

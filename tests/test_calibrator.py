@@ -9,11 +9,11 @@ from hocroute.calibrator import (
     wasserstein_1d,
     wasserstein_error,
 )
-from hocroute.core import SnapshotBatch, UnsupportedDiagnosticError
+from hocroute.core import InvalidInputError, SnapshotBatch, UnsupportedDiagnosticError
 from hocroute.losses import LossSpec, expected_loss_batch
 from hocroute.partition import assign_many, fit
 
-from conftest import make_example
+from conftest import make_example, model_of
 
 brier = LossSpec("brier")
 
@@ -192,6 +192,29 @@ class TestDeployedPredictions:
             np.testing.assert_array_equal(row, model.centroids[b].probs)
         single = model.deployed_prediction(data[0])
         np.testing.assert_array_equal(single.probs, deployed[0])
+
+    def test_centroids_and_class_count_come_from_the_rows(self, small_run):
+        data = small_run.calibration[:100]
+        model = calibrate(fit("topclass", data, buckets=5), data, recalibrate=True)
+        assert model.num_classes == data.num_classes
+        assert list(model.centroids) == list(model.mixtures)
+        for b, mixture in model.mixtures.items():
+            assert model.centroids[b].probs.tobytes() == mixture.preds[0].tobytes()
+        with pytest.raises(TypeError):
+            model.centroids["c0:b0"] = model.centroids["c0:b0"]
+        # an unseen bin is served the global centroid, stored as the global mixture's prediction
+        unseen = model.deployed_matrix(data[:2], (["unseen-bin"], np.array([0, 0])))
+        assert unseen.tobytes() == np.tile(model.global_mixture.preds[0], (2, 1)).tobytes()
+
+    @pytest.mark.parametrize("segment, owner", [(0, "bin 'a'"), (1, "global mixture")])
+    def test_a_recalibrated_segment_stores_one_prediction(self, segment, owner):
+        one = ([[0.5, 0.5], [0.5, 0.5]], [[1.0, 0.0], [0.0, 1.0]])
+        two = ([[0.5, 0.5], [0.25, 0.75]], [[1.0, 0.0], [0.0, 1.0]])
+        segments = [two if j == segment else one for j in range(2)]
+        model_of({"a": segments[0]}, segments[1])  # a raw model may store any predictions
+        with pytest.raises(InvalidInputError, match=f"^{owner}: a recalibrated segment must store one prediction"):
+            model_of({"a": segments[0]}, segments[1], recalibrated=True)
+        assert model_of({"a": one}, one, recalibrated=True).centroids["a"].probs.tolist() == [0.5, 0.5]
 
 
 class TestWassersteinError:

@@ -329,6 +329,7 @@ class TestPipeline:
         references with raw deployment and differ from the default outputs."""
         root, data_dir, model_path = workspace
         model, test, brier = load_model(model_path), ingest(data_dir / "test.jsonl"), parse_loss("brier")
+        calibration = ingest(data_dir / "calibration.jsonl")
         assert model.recalibrated
         inputs = ["--model", str(model_path), "--test", str(data_dir / "test.jsonl")]
         outputs = {}
@@ -343,14 +344,14 @@ class TestPipeline:
         policies = [
             RankedPolicy(HOC_ROUTER, ref_router_scores(model, test, brier)),
             total_uncertainty_scores(test, brier),
-            RankedPolicy(BUCKET_OPTIMAL, ref_bucket_optimal_scores(test, brier, model, use_recalibrated=False)),
+            RankedPolicy(BUCKET_OPTIMAL, ref_bucket_optimal_scores(test, brier, model)),
             pointwise_optimal_scores(test, brier),
         ]
         write_curves_csv(tmp_path / "reference.csv", [routing_curve(p, test, brier) for p in policies])
         assert outputs[True][0] == (tmp_path / "reference.csv").read_bytes()
         betas = parse_grid("0.1:0.8:0.05")
         for raw in (False, True):
-            rows, gap = ref_cost_sweep(model, test, brier, 0.05, betas, [OracleSpec()], use_recalibrated=not raw)
+            rows, gap = ref_cost_sweep(model, test, brier, 0.05, betas, [OracleSpec()], None if raw else calibration)
             costs = {}  # the reference's (alpha, beta, policy, cost) rows, betas outermost, as columns
             for _, _, policy, cost in rows:
                 costs.setdefault(policy, []).append(cost)
@@ -876,6 +877,26 @@ def test_bad_numeric_parameter_fails_as_invalid_input(command, flags, named, wor
     error = json.loads(err_lines[0])
     assert error["error"] == "InvalidInputError" and named in error["message"]
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("text", ["inf", "INF", "+Infinity", " inf "])
+def test_beta_spellings_of_infinity_are_accepted(text):
+    assert cli.parse_beta(text) == math.inf
+
+
+@pytest.mark.parametrize(
+    "text, message", [("nan", "abstention penalty must be >= 0"), ("-inf", "abstention penalty must be >= 0"),
+                      ("abc", "--beta 'abc': 'abc' is not a number")]
+)
+def test_beta_that_is_not_a_penalty_is_refused(text, message, workspace, tmp_path, capsys):
+    _, _, model_path = workspace
+    queries = tmp_path / "q.jsonl"
+    queries.write_text(json.dumps({"id": "q0", "weak_probs": [0.5, 0.5]}) + "\n")
+    out = tmp_path / "decisions.jsonl"
+    assert cli_dispatch(["route", "--model", str(model_path), f"--beta={text}", "--in", str(queries), "--out", str(out)]) == 1
+    error = json.loads(capsys.readouterr().err)
+    assert error["error"] == "InvalidInputError" and message in error["message"]
+    assert not out.exists()
 
 
 def _run_cli(*argv, env=None, python_flags=()) -> subprocess.CompletedProcess:

@@ -162,15 +162,15 @@ def within_int64(counts: list[int]) -> list[int]:
 @st.composite
 def batches(draw):
     """Batches over 2, 3 or 10 classes with counts up to 2**62, features
-    absent or NaN where missing (padding or not), and p_star absent from some
-    rows or from the batch."""
+    absent or rows of finite features NaN-padded to one width, and p_star
+    absent from some rows or from the batch."""
     k, n = draw(st.sampled_from([2, 3, 10])), draw(st.integers(1, 5))
     count = st.integers(0, 3) | st.integers(0, 2**62)
     counts = [within_int64(draw(st.lists(count, min_size=k, max_size=k))) for _ in range(n)]
     width = draw(st.none() | st.integers(0, 4))
     features = None
     if width is not None:
-        rows = [draw(st.lists(st.floats(allow_infinity=False), max_size=width)) for _ in range(n)]
+        rows = [draw(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=width)) for _ in range(n)]
         features = [row + [math.nan] * (width - len(row)) for row in rows]
     p_stars = [draw(st.none() | simplex_arrays(k)) for _ in range(n)]
     p_star = [np.full(k, math.nan) if p is None else p for p in p_stars]
@@ -243,7 +243,8 @@ RECORDS = [
     ([0.6, 0.4], {"label_counts": [2**62, 1]}, True),
     ([0.6, 0.4], {"label_counts": [2**63 - 1, 0]}, True),
     ([0.6, 0.4], {"label_counts": np.array([2**63 - 1, 0], dtype=np.uint64)}, True),
-    ([0.6, 0.4], {"label_counts": np.array([3, 1], dtype=np.uint8), "features": [math.nan, 0.5]}, True),
+    ([0.6, 0.4], {"label_counts": np.array([3, 1], dtype=np.uint8), "features": [math.nan, 0.5]}, False),
+    ([0.6, 0.4], {"label_counts": np.array([3, 1], dtype=np.uint8), "features": [0.5, math.nan]}, True),
     ([0.6, 0.4], {"label_counts": [0, 1], "features": [], "p_star": [0.1, 0.9]}, True),
 ]
 
@@ -279,15 +280,25 @@ class TestRecordRule:
         assert outcomes == [accepted, accepted]
 
     def test_a_refused_record_is_named(self):
-        with pytest.raises(InvalidInputError, match=r"^example x: need, for each id, .*finite or NaN features$"):
+        with pytest.raises(InvalidInputError, match=r"^example x: need, for each id, .*finite features, then NaN$"):
             self._as_example([0.6, 0.4], {"label_counts": [1, 1], "features": [math.inf]})
         with pytest.raises(InvalidInputError, match="^example x: snapshot needs at least one label$"):
             SnapshotExample("x", LabelDistribution([0.6, 0.4]), labels=[])
         with pytest.raises(InvalidInputError, match="^example x: give either labels or label_counts$"):
             SnapshotExample("x", LabelDistribution([0.6, 0.4]))
 
+    def test_nan_before_a_present_feature_is_refused(self):
+        # features are a prefix: a row view keeps its non-NaN features, which would shift a later one's index
+        with pytest.raises(InvalidInputError, match="finite features, then NaN$"):
+            SnapshotBatch(
+                ids=["a", "b", "c"],
+                probs=[[0.6, 0.4]] * 3,
+                counts=[[1, 0]] * 3,
+                features=[[math.nan, 0.5], [0.1, 0.2], [0.3, 0.9]],
+            )
+
     def test_a_record_is_row_0_of_its_batch_of_one(self):
-        weak, record = [0.6, 0.4], {"label_counts": [3, 1], "features": [math.nan, 0.5], "p_star": [0.7, 0.3]}
+        weak, record = [0.6, 0.4], {"label_counts": [3, 1], "features": [0.5, math.nan], "p_star": [0.7, 0.3]}
         assert row_fields(self._as_example(weak, record)) == row_fields(ref_row(self._as_batch(weak, record), 0))
 
 

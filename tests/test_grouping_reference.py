@@ -69,21 +69,24 @@ def _group(bins):
     return grouped
 
 
-def ref_deployed_matrix(model, examples):
+def ref_deployed_matrix(model, examples, calibration):
+    """What a model calibrated from ``calibration`` serves: the raw weak
+    predictions, or when recalibrated each bin's centroid, the centroid of the
+    whole calibration set for a bin it has no rows of."""
     raw = np.stack([e.weak_pred.probs for e in records(examples)])
     if not model.recalibrated:
         return raw
-    rows = []
-    for b in assign_many(model.partition, examples):
-        centroid = model.centroids.get(b)
-        rows.append(model.global_mixture.means.mean(axis=0) if centroid is None else centroid.probs)
-    return np.stack(rows)
+    centroids = {b: centroid for b, (_, _, centroid) in ref_calibrate_bins(model.partition, calibration, True).items()}
+    global_centroid = np.stack([e.snapshot_mean.probs for e in records(calibration)]).mean(axis=0)
+    return np.stack([centroids.get(b, global_centroid) for b in assign_many(model.partition, examples)])
 
 
-def ref_deployed(test, model, use_recalibrated):
-    if model is None or not use_recalibrated:
+def ref_deployed(test, model, calibration):
+    """The predictions ``model`` serves on ``test``; with ``calibration`` None
+    (or no model) the raw weak predictions, as ``--raw-predictions`` does."""
+    if model is None or calibration is None:
         return np.stack([e.weak_pred.probs for e in records(test)])
-    return ref_deployed_matrix(model, test)
+    return ref_deployed_matrix(model, test, calibration)
 
 
 def raw_deployment(model, use_recalibrated):
@@ -92,9 +95,9 @@ def raw_deployment(model, use_recalibrated):
     return model if use_recalibrated else replace(model, recalibrated=False)
 
 
-def ref_bucket_optimal_scores(test, loss, model, use_recalibrated=True):
+def ref_bucket_optimal_scores(test, loss, model, calibration=None):
     gt = np.stack([ground_truth(e).probs for e in records(test)])
-    reducible = expected_loss_batch(loss, gt, ref_deployed(test, model, use_recalibrated)) - entropy_batch(loss, gt)
+    reducible = expected_loss_batch(loss, gt, ref_deployed(test, model, calibration)) - entropy_batch(loss, gt)
     bins = assign_many(model.partition, test)
     sums, counts = {}, {}
     for value, b in zip(reducible, bins):
@@ -167,10 +170,10 @@ def ref_aggregate_wasserstein(model, reference):
     return float(sum(per_bin[b] * counts[b] for b in per_bin) / sum(counts.values()))
 
 
-def ref_eval_arrays(model, test, loss, oracles, use_recalibrated):
+def ref_eval_arrays(model, test, loss, oracles, calibration=None):
     bins = assign_many(model.partition, test)
     truth = np.stack([ground_truth(e).probs for e in records(test)])
-    deployed = ref_deployed(test, model, use_recalibrated)
+    deployed = ref_deployed(test, model, calibration)
     predict_cost = expected_loss_batch(loss, truth, deployed)
     oracle_cost = np.stack([o.point_costs(loss, truth) for o in oracles])
     positions = {b: np.asarray(idxs) for b, idxs in _group(bins).items()}
@@ -204,15 +207,15 @@ def ref_realized(arrays, action_by_bin, config):
     return out
 
 
-def ref_policy_point_costs(model, test, config, oracles, decide_config=None, use_recalibrated=True):
-    arrays = ref_eval_arrays(model, test, config.loss, oracles, use_recalibrated)
+def ref_policy_point_costs(model, test, config, oracles, decide_config=None, calibration=None):
+    arrays = ref_eval_arrays(model, test, config.loss, oracles, calibration)
     cfg = decide_config or config
     actions = {b: ref_from_costs(ref_simulated_costs(model, b, cfg, oracles)) for b in sorted(arrays[0])}
     return ref_realized(arrays, actions, config)
 
 
-def ref_bucket_optimal_point_costs(model, test, config, oracles, use_recalibrated=True):
-    arrays = ref_eval_arrays(model, test, config.loss, oracles, use_recalibrated)
+def ref_bucket_optimal_point_costs(model, test, config, oracles, calibration=None):
+    arrays = ref_eval_arrays(model, test, config.loss, oracles, calibration)
     positions, predict_cost, oracle_cost = arrays
     actions = {}
     for b, idxs in positions.items():
@@ -303,8 +306,8 @@ def test_calibrate_bins_equal_reference(case):
 
 
 def test_deployed_matrix_equals_reference(case):
-    _, model, _, test, _ = case
-    expected = ref_deployed_matrix(model, test)
+    _, model, calibration, test, _ = case
+    expected = ref_deployed_matrix(model, test, calibration)
     assert np.array_equal(model.deployed_matrix(test), expected)
     bins = assign_many(model.partition, test)
     distinct = sorted(set(bins))
@@ -314,9 +317,9 @@ def test_deployed_matrix_equals_reference(case):
 
 @pytest.mark.parametrize("use_recalibrated", [True, False])
 def test_bucket_optimal_scores_equal_reference(case, use_recalibrated):
-    _, model, _, test, _ = case
+    _, model, calibration, test, _ = case
     got = bucket_optimal_scores(test, BRIER, raw_deployment(model, use_recalibrated)).scores
-    assert np.array_equal(got, ref_bucket_optimal_scores(test, BRIER, model, use_recalibrated=use_recalibrated))
+    assert np.array_equal(got, ref_bucket_optimal_scores(test, BRIER, model, calibration if use_recalibrated else None))
 
 
 @pytest.mark.parametrize("loss", [BRIER, LossSpec("crossentropy")], ids=["brier", "crossentropy"])
@@ -370,16 +373,17 @@ def test_wasserstein_equals_reference(case):
 
 @pytest.mark.parametrize("use_recalibrated", [True, False])
 def test_point_costs_equal_reference(case, use_recalibrated):
-    _, model, _, test, _ = case
-    oracles = [OracleSpec("bayes"), OracleSpec("aggregated", num_annotators=3, aggregation="majority", mc_draws=50)]
+    _, model, calibration, test, _ = case
+    oracles = [OracleSpec("bayes"), OracleSpec("aggregated", num_annotators=3, aggregation="majority")]
+    deployed_from = calibration if use_recalibrated else None
     config = RoutingConfig(BRIER, route_penalties=(0.05, 0.02), abstain_penalty=0.2)
     two_way = RoutingConfig(BRIER, route_penalties=(0.05, math.inf), abstain_penalty=math.inf)
     evaluated = raw_deployment(model, use_recalibrated)
     for decide_config in (None, two_way):
         got = policy_point_costs(evaluated, test, config, oracles, decide_config)
-        assert np.array_equal(got, ref_policy_point_costs(model, test, config, oracles, decide_config, use_recalibrated))
+        assert np.array_equal(got, ref_policy_point_costs(model, test, config, oracles, decide_config, deployed_from))
     got = bucket_optimal_point_costs(evaluated, test, config, oracles)
-    assert np.array_equal(got, ref_bucket_optimal_point_costs(model, test, config, oracles, use_recalibrated))
+    assert np.array_equal(got, ref_bucket_optimal_point_costs(model, test, config, oracles, deployed_from))
 
 
 # ---------------------------------------------------------------------------

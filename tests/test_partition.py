@@ -163,6 +163,38 @@ class TestAssign:
         assert [bins[i] for i in index] == [assign(spec, e) for e in examples]
         assert assign_many(spec, examples) == [assign(spec, e) for e in examples]
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        features=st.lists(st.lists(st.floats(-3.0, 3.0), max_size=3), min_size=1, max_size=8),
+        edges=st.lists(st.floats(-3.0, 3.0), max_size=3, unique=True).map(sorted),
+        feature_index=st.integers(0, 2),
+    )
+    def test_a_row_view_gets_its_rows_feature_bin(self, features, edges, feature_index):
+        """Rows with fewer features than others, padded with NaN: ``assign`` of
+        a row view and ``assign_rows`` of its row agree, on a bin or on refusing."""
+        width = max(map(len, features))
+        batch = SnapshotBatch(
+            ids=[f"e{i}" for i in range(len(features))],
+            probs=[[0.6, 0.4]] * len(features),
+            counts=[[1, 0]] * len(features),
+            features=[row + [np.nan] * (width - len(row)) for row in features],
+        )
+        spec = PartitionSpec(kind="feature", buckets=len(edges) + 1, edges=np.array(edges), feature_index=feature_index)
+
+        def bin_or_none(assigner):
+            try:
+                return assigner()
+            except InvalidInputError:
+                return None
+
+        for i, row in enumerate(batch):
+            expected = bin_or_none(lambda: assign_rows(spec, batch.probs[i : i + 1], batch.features[i : i + 1])[0][0])
+            assert bin_or_none(lambda: assign(spec, row)) == expected
+            assert (expected is None) == (len(features[i]) <= feature_index)
+        if all(len(row) > feature_index for row in features):
+            bins, index = assign_rows(spec, batch.probs, batch.features)
+            assert [bins[j] for j in index] == [assign(spec, row) for row in batch]
+
     def test_missing_feature_rejected_by_every_path(self):
         examples = SnapshotBatch.from_examples(
             [make_example("a", [0.6, 0.4], [0], features=[0.1]), make_example("b", [0.6, 0.4], [0])]

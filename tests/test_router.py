@@ -22,9 +22,10 @@ from hocroute.evaluation import router_scores
 from hocroute.losses import LossSpec, expected_loss, expected_loss_batch
 from hocroute.partition import PartitionSpec, fit
 from hocroute.router import (
+    MC_DRAWS,
+    MC_SEED,
     OracleSpec,
     Router,
-    _annotator_uniforms,
     _sorted_annotator_uniforms,
     bin_costs,
     choose,
@@ -299,7 +300,7 @@ class TestAggregatedOracles:
         assert [spec.point_costs(brier, t.probs[None])[0] for t in truths] == costs.tolist()
 
     def test_multiclass_monte_carlo_is_seeded(self):
-        spec = OracleSpec(kind="aggregated", num_annotators=5, aggregation="majority", mc_seed=9)
+        spec = OracleSpec(kind="aggregated", num_annotators=5, aggregation="majority")
         truth = d([0.2, 0.3, 0.5])
         assert spec.point_costs(brier, truth.probs[None])[0] == spec.point_costs(brier, truth.probs[None])[0]
         # MC estimate should sit near the exhaustive expectation
@@ -321,25 +322,13 @@ class TestAggregatedOracles:
         with pytest.raises(InvalidInputError):
             OracleSpec(kind="aggregated", num_annotators=0)
 
-    @pytest.mark.parametrize(
-        "field,value",
-        [
-            ("num_annotators", 2.5),
-            ("num_annotators", True),
-            ("num_annotators", "3"),
-            ("mc_draws", 0),
-            ("mc_draws", -3),
-            ("mc_draws", 10.0),
-            ("mc_seed", -1),
-            ("mc_seed", None),
-        ],
-    )
-    def test_counts_and_seed_must_be_integers_in_range(self, field, value):
-        with pytest.raises(InvalidInputError, match=f"^{field} must be an integer >= "):
-            OracleSpec(kind="aggregated", aggregation="majority", **{field: value})
+    @pytest.mark.parametrize("value", [2.5, True, "3", -1])
+    def test_annotator_count_must_be_an_integer_in_range(self, value):
+        with pytest.raises(InvalidInputError, match="^num_annotators must be an integer >= 1, got "):
+            OracleSpec(kind="aggregated", aggregation="majority", num_annotators=value)
 
-    def test_smallest_counts_and_seed_are_accepted(self):
-        spec = OracleSpec(kind="aggregated", num_annotators=1, mc_draws=1, mc_seed=np.int64(0))
+    def test_smallest_annotator_count_is_accepted(self):
+        spec = OracleSpec(kind="aggregated", num_annotators=np.int64(1))
         assert np.isfinite(spec.point_costs(brier, np.array([[0.2, 0.3, 0.5]]))).all()
 
 
@@ -347,8 +336,8 @@ def reference_mc_costs(spec: OracleSpec, loss: LossSpec, truths: np.ndarray) -> 
     """The Monte Carlo aggregated oracle as first written, kept frozen: one
     ``searchsorted`` of all uniforms into each row's CDF, ``bincount``, and
     the loss of the (m, K) aggregated predictions."""
-    k, m = spec.num_annotators, spec.mc_draws
-    uniforms = _annotator_uniforms(spec.mc_seed, m, k)
+    k, m = spec.num_annotators, MC_DRAWS
+    uniforms = np.random.default_rng(MC_SEED).random((m, k))
     classes = truths.shape[1]
     offsets = classes * np.arange(m)[:, None]
     out = np.zeros(truths.shape[0])
@@ -383,27 +372,35 @@ class TestMonteCarloKernel:
         annotators=st.sampled_from([1, 2, 3, 4, 5, 6, 7, 50]),
         aggregation=st.sampled_from(["majority", "mean"]),
         kind=st.sampled_from(["brier", "crossentropy", "classification", "asymmetric_class"]),
-        draws=st.sampled_from([7, 37, 1000]),  # few draws split the rows into several one-hot loss tables
-        seed=st.integers(0, 3),
     )
-    def test_point_costs_equal_frozen_reference_bit_for_bit(self, truths, annotators, aggregation, kind, draws, seed):
-        spec = OracleSpec(
-            kind="aggregated", num_annotators=annotators, aggregation=aggregation, mc_draws=draws, mc_seed=seed
-        )
+    def test_point_costs_equal_frozen_reference_bit_for_bit(self, truths, annotators, aggregation, kind):
+        spec = OracleSpec(kind="aggregated", num_annotators=annotators, aggregation=aggregation)
         loss = LossSpec(kind)
+        assert spec.point_costs(loss, truths).tolist() == reference_mc_costs(spec, loss, truths).tolist()
+
+    @pytest.mark.parametrize("kind", ["brier", "crossentropy"])
+    def test_rows_past_one_loss_table_equal_frozen_reference(self, kind):
+        # more than MC_DRAWS // K rows: a majority vote's one-hot losses come from several tables
+        rng = np.random.default_rng(3)
+        truths = rng.dirichlet(np.full(12, 0.5), size=250)
+        truths[::7] = np.eye(12)[rng.integers(0, 12, size=len(truths[::7]))]
+        assert len(truths) > MC_DRAWS // 12
+        spec, loss = OracleSpec(kind="aggregated", num_annotators=5, aggregation="majority"), LossSpec(kind)
         assert spec.point_costs(loss, truths).tolist() == reference_mc_costs(spec, loss, truths).tolist()
 
     def test_entry_a_rounding_error_below_zero(self):
         # simplex_ok admits entries down to -1e-9; this row's running sum dips below a uniform
         spec = OracleSpec(kind="aggregated", num_annotators=5, aggregation="majority")
-        x = _sorted_annotator_uniforms(spec.mc_seed, spec.mc_draws, 5)[0][2500]
+        x = _sorted_annotator_uniforms(5)[0][2500]
         truth = np.array([[x + 1e-12, -1e-9, 1.0 - x - 1e-12 + 1e-9]])
         assert simplex_ok(truth).all()
         assert np.isfinite(spec.point_costs(brier, truth)).all()
 
     def test_sorted_uniforms_are_the_draw_sorted_and_read_only(self):
-        uniforms, draw = _sorted_annotator_uniforms(7, 1000, 5)
-        flat = _annotator_uniforms(7, 1000, 5).ravel()
+        # the CLI's decisions are those of 1000 pools drawn from seed 7
+        assert (MC_DRAWS, MC_SEED) == (1000, 7)
+        uniforms, draw = _sorted_annotator_uniforms(5)
+        flat = np.random.default_rng(7).random((1000, 5)).ravel()
         order = np.argsort(flat, kind="stable")
         assert uniforms.tolist() == flat[order].tolist() and draw.tolist() == (order // 5).tolist()
         for array in (uniforms, draw):

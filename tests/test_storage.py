@@ -543,6 +543,41 @@ class TestModelFile:
         with pytest.raises(InvalidInputError, match=f"^{re.escape(str(path))}: field '{field}': {detail}"):
             load_model(path)
 
+    @pytest.mark.parametrize("payload", [V1, V2, V3])
+    @pytest.mark.parametrize(
+        "damage, field, detail",
+        [
+            pytest.param(
+                lambda p: p["centroids"].__setitem__("c0:b0", [0.25, 0.75]), "centroids",
+                "bin 'c0:b0': must be the bin's stored prediction; only a bin with rows has one$", id="centroid-edited",
+            ),
+            pytest.param(
+                lambda p: p["bins"].pop("c0:b0"), "centroids",
+                "bin 'c0:b0': must be the bin's stored prediction; only a bin with rows has one$", id="centroid-of-no-rows",
+            ),
+            pytest.param(
+                lambda p: p.__setitem__("recalibrated", False), "centroids",
+                "bin 'c0:b0': must be absent in a raw model$", id="centroids-of-a-raw-model",
+            ),
+            pytest.param(
+                lambda p: p["bins"]["c0:b0"]["preds"].__setitem__(1, p["bins"]["c0:b0"]["means"][1]), "bins",
+                "bin 'c0:b0': a recalibrated segment must store one prediction in every row$", id="two-bin-predictions",
+            ),
+            pytest.param(
+                lambda p: p["global"]["preds"].__setitem__(1, p["global"]["means"][1]), "global",
+                "global mixture: a recalibrated segment must store one prediction in every row$",
+                id="two-global-predictions",
+            ),
+        ],
+    )
+    def test_served_predictions_that_are_not_the_stored_ones_are_refused(
+        self, tmp_path, request, damage, field, detail, payload
+    ):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(self.corrupt(request.getfixturevalue(payload), damage)))
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(str(path))}: field '{field}': {detail}"):
+            load_model(path)
+
     @pytest.mark.parametrize(
         "key, value, detail",
         [

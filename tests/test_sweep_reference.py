@@ -24,10 +24,12 @@ from test_grouping_reference import ref_decomposition, ref_eval_arrays, ref_real
 # ---------------------------------------------------------------------------
 
 
-def ref_cost_sweep(model, test, loss, alpha, betas, oracles, use_recalibrated=True):
+def ref_cost_sweep(model, test, loss, alpha, betas, oracles, calibration=None):
+    """The sweep of ``model`` serving what it was recalibrated to from
+    ``calibration``, or with ``calibration`` None the raw weak predictions."""
     betas = np.asarray(list(betas), dtype=float)
     RoutingConfig(loss=loss, route_penalties=(alpha,), abstain_penalty=float(betas[0]))
-    arrays = ref_eval_arrays(model, test, loss, oracles, use_recalibrated)
+    arrays = ref_eval_arrays(model, test, loss, oracles, calibration)
     unique_bins = sorted(arrays[0])
 
     def decide_bins(config):
@@ -74,7 +76,7 @@ def _rows(sweep):
 LOSSES = ["brier", "crossentropy", "classification", "three_part"]
 ORACLES = {
     "bayes": OracleSpec(),
-    "aggregated": OracleSpec(kind="aggregated", num_annotators=3, aggregation="majority", mc_draws=40),
+    "aggregated": OracleSpec(kind="aggregated", num_annotators=3, aggregation="majority"),
 }
 ALPHAS = [0.0, 0.05, math.inf]
 
@@ -98,13 +100,13 @@ def data(request):
 @pytest.fixture(scope="module", params=[False, True], ids=["raw", "recalibrated"])
 def model_case(request, data):
     spec, calibration, test = data
-    return calibrate(spec, calibration, recalibrate=request.param), test
+    return calibrate(spec, calibration, recalibrate=request.param), test, calibration
 
 
 def _betas(model, test, loss, alpha, oracle):
     """0, inf, a coarse grid, and betas equal to some bin's estimated predict
     cost and route cost, so the three-way argmin meets exact ties."""
-    bins = sorted(ref_eval_arrays(model, test, loss, [oracle], True)[0])
+    bins = sorted(ref_eval_arrays(model, test, loss, [oracle])[0])
     irreducible, reducible = ref_decomposition(*model.mixture(bins[0]), loss)
     ties = [irreducible + reducible]
     if math.isfinite(alpha):
@@ -116,25 +118,25 @@ def _betas(model, test, loss, alpha, oracle):
 @pytest.mark.parametrize("oracle", list(ORACLES), ids=list(ORACLES))
 @pytest.mark.parametrize("loss_kind", LOSSES)
 def test_cost_sweep_equals_per_beta_reference(model_case, loss_kind, oracle, alpha):
-    model, test = model_case
+    model, test, calibration = model_case
     loss, spec = LossSpec(loss_kind), ORACLES[oracle]
     if loss_kind == "three_part" and test[0].weak_pred.probs.size != 2:
         with pytest.raises(UnsupportedLossError) as got:
             cost_sweep(model, test, loss, alpha, [0.1], oracles=[spec])
         with pytest.raises(UnsupportedLossError) as expected:
-            ref_cost_sweep(model, test, loss, alpha, [0.1], [spec])
+            ref_cost_sweep(model, test, loss, alpha, [0.1], [spec], calibration)
         assert str(got.value) == str(expected.value)
         return
     betas = _betas(model, test, loss, alpha, spec)
     sweep = cost_sweep(model, test, loss, alpha, betas, oracles=[spec])
-    rows, max_gap = ref_cost_sweep(model, test, loss, alpha, betas, [spec])
+    rows, max_gap = ref_cost_sweep(model, test, loss, alpha, betas, [spec], calibration)
     assert _rows(sweep) == rows
     assert sweep.max_estimated_gap == max_gap
 
 
 @pytest.mark.parametrize("betas", [[-0.5], [0.1, -0.5], [0.1, math.nan]])
 def test_bad_beta_fails_as_reference(model_case, betas):
-    model, test = model_case
+    model, test, _ = model_case
     with pytest.raises(InvalidInputError) as got:
         cost_sweep(model, test, LossSpec("brier"), 0.05, betas)
     with pytest.raises(InvalidInputError) as expected:
@@ -151,7 +153,7 @@ def test_bad_beta_fails_as_reference(model_case, betas):
 def test_cost_sweep_prices_each_bin_once(model_case, monkeypatch, num_betas):
     """One pricing pass per sweep, whatever the number of betas, and one oracle
     pricing per segment the test bins use (unseen bins share the global one)."""
-    model, test = model_case
+    model, test, _ = model_case
     loss, oracle = LossSpec("brier"), ORACLES["aggregated"]
     calls = {"decompositions": 0, "oracle": 0}
     decompositions, mean_cost = router_module.estimate_decompositions, OracleSpec.mean_cost
@@ -166,7 +168,7 @@ def test_cost_sweep_prices_each_bin_once(model_case, monkeypatch, num_betas):
 
     monkeypatch.setattr(router_module, "estimate_decompositions", counted_decompositions)
     monkeypatch.setattr(OracleSpec, "mean_cost", counted_mean_cost)
-    bins = ref_eval_arrays(model, test, loss, [oracle], True)[0]
+    bins = ref_eval_arrays(model, test, loss, [oracle])[0]
     cost_sweep(model, test, loss, 0.05, np.linspace(0.0, 1.0, num_betas), oracles=[oracle])
     segments = {b if b in model.mixtures else None for b in bins}  # None: the global segment
     assert calls == {"decompositions": 1, "oracle": len(segments)}
@@ -180,7 +182,7 @@ def test_cost_sweep_prices_each_bin_once(model_case, monkeypatch, num_betas):
     [((0.0,), 0.3), ((0.05, 0.2), math.inf), ((math.inf, 0.1), 0.0), ((math.inf,), math.inf)],
 )
 def test_simulated_costs_is_bin_costs_plus_penalties(model_case, alphas, beta):
-    model, _ = model_case
+    model, _, _ = model_case
     oracles = [ORACLES["bayes"], ORACLES["aggregated"]][: len(alphas)]
     for loss_kind in ("brier", "crossentropy"):
         config = RoutingConfig(loss=LossSpec(loss_kind), route_penalties=alphas, abstain_penalty=beta)
