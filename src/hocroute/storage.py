@@ -3,8 +3,8 @@
 Datasets are JSONL (one record per example, its labels as per-class counts)
 with a small JSON header sidecar carrying the format version and the class
 count. Model files are versioned JSON: one packed table of the distinct
-probability rows, which each mixture lists by index; floats survive the
-round trip bit-exactly. Every CLI run records a manifest
+probability rows, which each mixture lists by packed index; floats survive
+the round trip bit-exactly. Every CLI run records a manifest
 with its arguments, seeds, and input hashes so it can be reproduced.
 """
 
@@ -408,7 +408,7 @@ def _row_table(model: CalibratedRouterModel) -> tuple[np.ndarray, list[dict]]:
 
 
 def _row_matrix(values, name: str, num_classes: int) -> np.ndarray:
-    """``values`` (JSON lists of numbers, or a version-3 table) as a nonempty
+    """``values`` (JSON lists of numbers, or a version-3 or 4 table) as a nonempty
     ``(n, num_classes)`` matrix of probability vectors."""
     try:
         rows = np.asarray(values, dtype=float)
@@ -428,16 +428,38 @@ def _row_matrix(values, name: str, num_classes: int) -> np.ndarray:
     return rows
 
 
-def _packed_rows(text, num_classes: int) -> np.ndarray:
-    """A version-3 row table: base64 text of its bytes, row-major, with
-    ``num_classes`` little-endian float64 numbers per row."""
+def _base64(text) -> bytes:
+    """The bytes ``text`` encodes in padded base64; none when it is not such a string."""
     try:
-        packed = base64.b64decode(text, validate=True) if isinstance(text, str) else b""
+        return base64.b64decode(text, validate=True) if isinstance(text, str) else b""
     except ValueError:  # not base64, or not ASCII
-        packed = b""
+        return b""
+
+
+def _packed_rows(text, num_classes: int) -> np.ndarray:
+    """A version-3 or 4 row table: base64 text of its bytes, row-major, with
+    ``num_classes`` little-endian float64 numbers per row."""
+    packed = _base64(text)
     if not packed or len(packed) % (8 * num_classes):
         raise InvalidInputError(f"must be base64 of one or more rows of {num_classes} little-endian float64 numbers")
     return np.frombuffer(packed, "<f8").reshape(-1, num_classes)
+
+
+def _index_type(size: int) -> np.dtype:
+    """The type of a version-4 index into a table of ``size`` rows: a
+    little-endian unsigned integer of 1, 2 or 4 bytes, the narrowest that
+    holds ``size - 1``."""
+    return np.dtype("<u1" if size <= 1 << 8 else "<u2" if size <= 1 << 16 else "<u4")
+
+
+def _packed_indices(text, width: int, name: str) -> bytes:
+    """A version-4 index list: base64 text of one or more little-endian
+    unsigned ``width``-byte row indices, as its bytes; their range is checked
+    by the caller, one column at a time."""
+    packed = _base64(text)
+    if not packed or len(packed) % width:
+        raise InvalidInputError(f"{name} must be base64 of one or more little-endian {width}-byte row indices")
+    return packed
 
 
 def _row_indices(values, size: int, name: str) -> np.ndarray:
@@ -454,27 +476,54 @@ def _row_indices(values, size: int, name: str) -> np.ndarray:
     return index
 
 
-def _mixture(record, rows: np.ndarray | None, num_classes: int, name: str = "") -> tuple[np.ndarray, np.ndarray]:
-    """The mixture's 'preds' and 'means' as indices into the table ``rows``, or
-    in version 1 (``rows`` None) as the matrices of the rows they list."""
+def _mixture(record, rows: np.ndarray | None, num_classes: int, version: int, name: str = "") -> tuple:
+    """The mixture's 'preds' and 'means': in version 1 (``rows`` None) the
+    matrices of the rows they list; in versions 2 and 3 their indices into the
+    table ``rows``; in version 4 the packed bytes of those indices."""
     if not isinstance(record, dict) or "preds" not in record or "means" not in record:
         raise InvalidInputError(f"{name}a mixture must be an object with 'preds' and 'means'")
+    width = 1
     if rows is None:
         preds, means = (_row_matrix(record[key], f"{name}{key!r} ", num_classes) for key in ("preds", "means"))
+    elif version == 4:
+        width = _index_type(len(rows)).itemsize
+        preds, means = (_packed_indices(record[key], width, f"{name}{key!r}") for key in ("preds", "means"))
     else:
         preds, means = (_row_indices(record[key], len(rows), f"{name}{key!r}") for key in ("preds", "means"))
     if len(preds) != len(means):
-        raise InvalidInputError(f"{name}{len(preds)} 'preds' rows for {len(means)} 'means' rows")
+        raise InvalidInputError(f"{name}{len(preds) // width} 'preds' rows for {len(means) // width} 'means' rows")
     return preds, means
 
 
+def _unpacked_indices(segments: list[tuple[bytes, bytes]], size: int, bins: tuple[str, ...], path: Path):
+    """The version-4 ``segments`` (the ``bins``, then the global mixture) as
+    one index column each for 'preds' and 'means', and the segment offsets.
+    Each column is read and range-checked once; an index past a table of
+    ``size`` rows is reported in the first segment that holds one, in the
+    words of ``_row_indices``."""
+    index_type = _index_type(size)
+    offsets = np.cumsum([0, *(len(p) // index_type.itemsize for p, _ in segments)])
+    columns = [np.frombuffer(b"".join(column), index_type) for column in zip(*segments)]
+    bad = [(int(np.argmax(index >= size)), j) for j, index in enumerate(columns) if index.max() >= size]
+    if bad:  # a column's first bad index lies in the first segment with one; preds before means, as read
+        segment, j, i = min((int(np.searchsorted(offsets, i, "right")) - 1, j, i) for i, j in bad)
+        where = f"field 'bins': bin {bins[segment]!r}: " if segment < len(bins) else "field 'global': "
+        key = ("preds", "means")[j]
+        raise InvalidInputError(f"{path}: {where}{key!r} index {columns[j][i]} is out of range")
+    return columns, offsets
+
+
 def save_model(path: str | Path, model: CalibratedRouterModel) -> None:
-    """Write ``model`` as a version-3 file: ``rows`` packs the distinct rows
-    of all mixtures, and each mixture's ``preds`` and ``means`` index them."""
+    """Write ``model`` as a version-4 file: ``rows`` packs the distinct rows
+    of all mixtures, and each mixture's ``preds`` and ``means`` pack their
+    indices into them at the width ``_index_type`` gives for the table."""
     rows, records = _row_table(model)
+    index_type = _index_type(len(rows))
+    pack = lambda index: base64.b64encode(np.asarray(index, dtype=index_type).tobytes()).decode("ascii")
+    records = [{key: pack(index) for key, index in record.items()} for record in records]
     payload = {
         "format": MODEL_FORMAT,
-        "version": 3,
+        "version": 4,
         "num_classes": model.num_classes,
         "recalibrated": model.recalibrated,
         "partition": model.partition.to_record(),
@@ -510,8 +559,8 @@ def _centroid(value, name: str) -> list:
 
 
 def load_model(path: str | Path) -> CalibratedRouterModel:
-    """A model written by ``save_model``, in format version 1, 2 or 3. A file
-    that is not valid JSON, or lacks a field, or whose rows are not
+    """A model written by ``save_model``, in format version 1, 2, 3 or 4. A
+    file that is not valid JSON, or lacks a field, or whose rows are not
     probability vectors over ``num_classes`` classes, or whose mixtures index
     rows that do not exist, or that names a bin its partition cannot
     produce, or whose recalibrated segments store more than one prediction,
@@ -526,7 +575,7 @@ def load_model(path: str | Path) -> CalibratedRouterModel:
         raise InvalidInputError(f"{path}: field '-': invalid JSON ({err})") from None
     if not isinstance(payload, dict) or payload.get("format") != MODEL_FORMAT:
         raise InvalidInputError(f"{path}: not a {MODEL_FORMAT} file")
-    version = _version(payload, (1, 2, 3), path)
+    version = _version(payload, (1, 2, 3, 4), path)
 
     def field(name: str, read):
         if name not in payload:
@@ -540,17 +589,20 @@ def load_model(path: str | Path) -> CalibratedRouterModel:
 
     num_classes = field("num_classes", _num_classes)
     partition = field("partition", PartitionSpec.from_record)
-    unpack = (lambda text: _packed_rows(text, num_classes)) if version == 3 else (lambda values: values)
+    unpack = (lambda text: _packed_rows(text, num_classes)) if version >= 3 else (lambda values: values)
     rows = field("rows", lambda value: _row_matrix(unpack(value), "", num_classes)) if version != 1 else None
-    read_mixture = lambda record, name="": _mixture(record, rows, num_classes, name)
+    read_mixture = lambda record, name="": _mixture(record, rows, num_classes, version, name)
     bins = field("bins", lambda table: _bin_table(table, partition, read_mixture))
     segments = [*bins.values(), field("global", read_mixture)]
-    preds, means = (np.concatenate(column) for column in zip(*segments))
-    if rows is not None:  # one take of each column, every bin's index validated above
+    if version == 4:
+        (preds, means), offsets = _unpacked_indices(segments, len(rows), tuple(bins), path)
+    else:
+        preds, means = (np.concatenate(column) for column in zip(*segments))
+        offsets = np.cumsum([0, *(len(p) for p, _ in segments)])
+    if rows is not None:  # one take of each column, every index validated above
         preds, means = rows.take(preds, axis=0), rows.take(means, axis=0)
     recalibrated = field("recalibrated", _flag)
     centroids = field("centroids", lambda table: _bin_table(table, partition, _centroid))
-    offsets = np.cumsum([0, *(len(p) for p, _ in segments)])
     try:
         model = CalibratedRouterModel(partition, tuple(bins), offsets, preds, means, recalibrated)
     except InvalidInputError as err:  # only a recalibrated segment that stores two predictions

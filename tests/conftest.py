@@ -1,5 +1,6 @@
 import base64
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -63,8 +64,46 @@ def packed_rows(rows) -> str:
 
 
 def unpacked_rows(payload: dict) -> list[list[float]]:
-    """A version-3 model payload's ``rows``, as the lists of numbers of version 2."""
+    """A version-3 or 4 model payload's ``rows``, as the lists of numbers of version 2."""
     return np.frombuffer(base64.b64decode(payload["rows"]), "<f8").reshape(-1, payload["num_classes"]).tolist()
+
+
+def index_type(table_rows: int) -> str:
+    """The type of a version-4 row index into a table of ``table_rows`` rows,
+    written out: 1, 2 or 4 little-endian unsigned bytes."""
+    return "<u1" if table_rows <= 256 else "<u2" if table_rows <= 65536 else "<u4"
+
+
+def packed_indices(indices, table_rows: int) -> str:
+    """Row indices as a version-4 model file's ``preds`` or ``means`` text."""
+    return base64.b64encode(np.asarray(indices, dtype=index_type(table_rows)).tobytes()).decode("ascii")
+
+
+def unpacked_indices(text: str, table_rows: int) -> list[int]:
+    """A version-4 ``preds`` or ``means`` text as the list of integers of version 3."""
+    return np.frombuffer(base64.b64decode(text), index_type(table_rows)).tolist()
+
+
+def version_3_payload(payload: dict) -> dict:
+    """A version-4 model payload as version 3: each mixture's ``preds`` and
+    ``means`` as lists of integer row indices."""
+    table_rows = len(unpacked_rows(payload))
+    unpack = lambda mixture: {key: unpacked_indices(mixture[key], table_rows) for key in ("preds", "means")}
+    bins = {b: unpack(mixture) for b, mixture in payload["bins"].items()}
+    return {**payload, "version": 3, "bins": bins, "global": unpack(payload["global"])}
+
+
+def version_2_payload(payload: dict) -> dict:
+    """A version-3 model payload as version 2: ``rows`` as lists of numbers."""
+    return {**payload, "version": 2, "rows": unpacked_rows(payload)}
+
+
+def write_older_models(source, v3, v2):
+    """Version-3 and version-2 copies, at ``v3`` and ``v2``, of the version-4
+    model file ``source``, their indices unpacked."""
+    payload = version_3_payload(json.loads(Path(source).read_text(encoding="utf-8")))
+    Path(v3).write_text(json.dumps(payload), encoding="utf-8")
+    Path(v2).write_text(json.dumps(version_2_payload(payload)), encoding="utf-8")
 
 
 def batch_columns(batch) -> dict:

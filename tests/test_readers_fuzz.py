@@ -25,7 +25,7 @@ from hocroute.storage import (
     write_dataset,
 )
 
-from conftest import unpacked_rows, write_version_1
+from conftest import version_2_payload, version_3_payload, write_version_1
 
 FUZZ = settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
@@ -41,7 +41,7 @@ json_values = st.recursive(
 )
 # A format ``version`` field: the ones a reader takes, and JSON values that
 # equal them in Python or read alike as text.
-VERSIONS = st.sampled_from([1, 2, 3, 4, 0, -1, True, False, 1.0, 2.0, 3.0, "1", "2", "3", None])
+VERSIONS = st.sampled_from([1, 2, 3, 4, 5, 0, -1, True, False, 1.0, 2.0, 3.0, 4.0, "1", "2", "3", "4", None])
 JSON_CHARS = st.sampled_from(list('{}[]",:.-+eE0123456789 tfnulNaIy\\')) | st.characters()
 
 
@@ -114,14 +114,26 @@ def datasets(workspace, small_run):
 
 
 @pytest.fixture(scope="module")
-def model_texts(workspace, small_run):
+def saved_models(workspace, small_run):
+    """The version-4 texts ``save_model`` writes for a recalibrated
+    top-class, a raw feature and a raw level-set model."""
     cal = small_run.calibration[:30]
     texts = []
     for kind, buckets in (("topclass", 2), ("feature", 3), ("levelset", 1)):
         path = workspace / f"{kind}.json"
         save_model(path, calibrate(fit(kind, cal, buckets=buckets), cal, recalibrate=kind == "topclass"))
         texts.append(path.read_text())
-    texts += [_as_version_2(texts[0]), _as_version_1(_as_version_2(texts[0]))]
+    return texts
+
+
+@pytest.fixture(scope="module")
+def model_texts(workspace, saved_models):
+    """The saved version-4 texts, and version-3, 2 and 1 copies of each."""
+    texts = []
+    for text in saved_models:
+        v3 = version_3_payload(json.loads(text))
+        v2 = version_2_payload(v3)
+        texts += [text, json.dumps(v3), json.dumps(v2), _as_version_1(v2)]
     for i, text in enumerate(texts):  # every seed is a valid model before it is mutated
         path = workspace / f"seed-{i}.json"
         path.write_text(text)
@@ -129,20 +141,24 @@ def model_texts(workspace, small_run):
     return texts
 
 
-def _as_version_2(text: str) -> str:
-    """A version-3 model file written out as version 2: ``rows`` as lists of numbers."""
-    payload = json.loads(text)
-    return json.dumps({**payload, "version": 2, "rows": unpacked_rows(payload)})
-
-
-def _as_version_1(text: str) -> str:
-    """A version-2 model file written out as version 1: each mixture lists its rows."""
-    payload = json.loads(text)
+def _as_version_1(payload: dict) -> str:
+    """A version-2 model payload written out as version 1: each mixture lists its rows."""
+    payload = json.loads(json.dumps(payload))
     rows = payload.pop("rows")
     for mixture in [*payload["bins"].values(), payload["global"]]:
         for key in ("preds", "means"):
             mixture[key] = [rows[i] for i in mixture[key]]
     return json.dumps({**payload, "version": 1})
+
+
+def test_saved_mixtures_are_objects_with_nonempty_index_lists(saved_models):
+    """The benchmark tells bins with data by the truth of ``bins[b]["preds"]``."""
+    for text in saved_models:
+        payload = json.loads(text)
+        assert payload["version"] == 4 and payload["bins"]
+        for mixture in [*payload["bins"].values(), payload["global"]]:
+            assert type(mixture) is dict and mixture.keys() == {"preds", "means"}
+            assert type(mixture["preds"]) is type(mixture["means"]) is str and mixture["preds"] and mixture["means"]
 
 
 @FUZZ

@@ -1,3 +1,4 @@
+import base64
 import json
 import re
 from unittest import mock
@@ -29,11 +30,62 @@ from hocroute.storage import (
     write_sweep_csv,
 )
 
-from conftest import batch_columns, model_of, packed_rows, unpacked_rows, version_1_line, write_version_1
+from conftest import (
+    batch_columns,
+    index_type,
+    model_of,
+    packed_indices,
+    packed_rows,
+    unpacked_indices,
+    unpacked_rows,
+    version_1_line,
+    version_2_payload,
+    version_3_payload,
+    write_version_1,
+)
 
 brier = LossSpec("brier")
-V1, V2, V3 = "valid_payload", "valid_payload_v2", "valid_payload_v3"  # model payload fixtures by format version
+V1, V2, V3, V4 = "valid_payload", "valid_payload_v2", "valid_payload_v3", "valid_payload_v4"  # by format version
+WIDE = "wide_payload_v4"  # a version-4 payload whose table of 257 rows takes 2-byte indices
 PACKED = "must be base64 of one or more rows of 2 little-endian float64 numbers$"  # a bad version-3 'rows' text
+INDICES = "must be base64 of one or more little-endian 1-byte row indices$"  # a bad version-4 index list of V4
+
+
+def mixture_of(payload: dict, mixture: str) -> dict:
+    return payload["global"] if mixture == "global" else payload["bins"][mixture]
+
+
+def reindexed(mixture: str, key: str, damage):
+    """``damage`` applied to the index list ``key`` of a version-4 payload's
+    ``mixture`` (a bin id, or "global") as a list, packed again."""
+
+    def apply(payload):
+        table_rows = len(unpacked_rows(payload))
+        record = mixture_of(payload, mixture)
+        indices = unpacked_indices(record[key], table_rows)
+        damage(indices)
+        record[key] = packed_indices(indices, table_rows)
+
+    return apply
+
+
+def rebytes(mixture: str, key: str, damage):
+    """``damage`` applied to the bytes of the index list ``key`` of a
+    version-4 payload's ``mixture``, encoded again."""
+
+    def apply(payload):
+        record = mixture_of(payload, mixture)
+        record[key] = base64.b64encode(damage(base64.b64decode(record[key]))).decode("ascii")
+
+    return apply
+
+
+def distinct_rows_model(table_rows: int):
+    """A raw model whose global mixture's preds and means are the same
+    ``table_rows`` distinct rows, so its row table holds exactly those."""
+    x = np.arange(table_rows) / table_rows
+    rows = np.stack([x, 1 - x], axis=1)
+    return model_of({}, (rows, rows))
 
 
 def repacked(damage):
@@ -145,6 +197,7 @@ class TestIngestValidation:
 
 MISSING = object()  # a ``version`` field left out
 BAD_VERSIONS = [True, 3.0, "3", 4, 2.0, "2", None, MISSING]
+MODEL_BAD_VERSIONS = [v for v in BAD_VERSIONS if v != 4] + [4.0, "4", 5]
 
 
 def with_version(record: dict, version) -> dict:
@@ -404,11 +457,11 @@ class TestModelFile:
         assert assign_many(model.partition, sample) == assign_many(loaded.partition, sample)
         assert estimate_decomposition(model, "c0:b0", brier) == estimate_decomposition(loaded, "c0:b0", brier)
 
-    @pytest.mark.parametrize("version", BAD_VERSIONS)
-    def test_version_checked(self, tmp_path, valid_payload_v3, version):
+    @pytest.mark.parametrize("version", MODEL_BAD_VERSIONS)
+    def test_version_checked(self, tmp_path, valid_payload_v4, version):
         path = tmp_path / "model.json"
-        path.write_text(json.dumps(with_version(valid_payload_v3, version)))
-        with pytest.raises(InvalidInputError, match=version_error(path, version, "1, 2, 3")):
+        path.write_text(json.dumps(with_version(valid_payload_v4, version)))
+        with pytest.raises(InvalidInputError, match=version_error(path, version, "1, 2, 3, 4")):
             load_model(path)
 
     def test_version_guard(self, tmp_path):
@@ -440,14 +493,24 @@ class TestModelFile:
         }
 
     @pytest.fixture(scope="class")
-    def valid_payload_v3(self, payload_model, tmp_path_factory):
-        path = tmp_path_factory.mktemp("v3") / "model.json"
+    def valid_payload_v4(self, payload_model, tmp_path_factory):
+        path = tmp_path_factory.mktemp("v4") / "model.json"
         save_model(path, payload_model)
         return json.loads(path.read_text())
 
     @pytest.fixture(scope="class")
+    def valid_payload_v3(self, valid_payload_v4):
+        return version_3_payload(valid_payload_v4)
+
+    @pytest.fixture(scope="class")
     def valid_payload_v2(self, valid_payload_v3):
-        return {**valid_payload_v3, "version": 2, "rows": unpacked_rows(valid_payload_v3)}
+        return version_2_payload(valid_payload_v3)
+
+    @pytest.fixture(scope="class")
+    def wide_payload_v4(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("wide") / "model.json"
+        save_model(path, distinct_rows_model(257))
+        return json.loads(path.read_text())
 
     def corrupt(self, payload, damage):
         payload = json.loads(json.dumps(payload))
@@ -535,6 +598,59 @@ class TestModelFile:
                 repacked(lambda rows: rows.__setitem__(0, [np.nan, 1.0])), "rows", V3,
                 "row 0 is not a probability vector", id="v3-nan-row",
             ),
+            pytest.param(
+                lambda p: p["bins"]["c0:b0"].__setitem__("preds", unpacked_indices(p["bins"]["c0:b0"]["preds"], 1)),
+                "bins", V4, f"bin 'c0:b0': 'preds' {INDICES}", id="v4-preds-not-text",
+            ),
+            pytest.param(
+                lambda p: p["global"].__setitem__("preds", 7), "global", V4, f"'preds' {INDICES}", id="v4-preds-a-number"
+            ),
+            pytest.param(
+                lambda p: p["bins"]["c1:b2"].__setitem__("means", "*" + p["bins"]["c1:b2"]["means"][1:]), "bins", V4,
+                f"bin 'c1:b2': 'means' {INDICES}", id="v4-not-base64",
+            ),
+            pytest.param(
+                lambda p: p["bins"]["c0:b0"].__setitem__("preds", "\u00e9" + p["bins"]["c0:b0"]["preds"][1:]), "bins",
+                V4, f"bin 'c0:b0': 'preds' {INDICES}", id="v4-not-ascii",
+            ),
+            pytest.param(
+                lambda p: p["bins"]["c0:b0"].update(preds="", means=""), "bins", V4,
+                f"bin 'c0:b0': 'preds' {INDICES}", id="v4-empty",
+            ),
+            pytest.param(
+                lambda p: p["global"].__setitem__("means", ""), "global", V4, f"'means' {INDICES}", id="v4-empty-means"
+            ),
+            pytest.param(
+                rebytes("global", "preds", lambda raw: raw[:-1]), "global", WIDE,
+                "'preds' must be base64 of one or more little-endian 2-byte row indices$", id="v4-not-whole-indices",
+            ),
+            pytest.param(
+                reindexed("c0:b1", "preds", list.pop), "bins", V4, r"bin 'c0:b1': 27 'preds' rows for 28 'means' rows$",
+                id="v4-preds-means-misaligned",
+            ),
+            pytest.param(
+                reindexed("global", "means", lambda index: index.append(0)), "global", WIDE,
+                r"257 'preds' rows for 258 'means' rows$", id="v4-wide-preds-means-misaligned",
+            ),
+            pytest.param(
+                reindexed("c0:b2", "means", lambda index: index.__setitem__(3, 57)), "bins", V4,
+                "bin 'c0:b2': 'means' index 57 is out of range$", id="v4-index-out-of-range",
+            ),
+            pytest.param(
+                reindexed("global", "preds", lambda index: index.__setitem__(-1, 255)), "global", V4,
+                "'preds' index 255 is out of range$", id="v4-global-index-out-of-range",
+            ),
+            pytest.param(
+                reindexed("global", "means", lambda index: index.__setitem__(0, 65535)), "global", WIDE,
+                "'means' index 65535 is out of range$", id="v4-wide-index-out-of-range",
+            ),
+            pytest.param(  # a bad index is named in the first mixture that holds one, preds before means
+                lambda p: [
+                    reindexed(b, key, lambda index: index.__setitem__(0, 99))(p)
+                    for b, key in (("c1:b0", "preds"), ("c0:b1", "means"), ("c0:b1", "preds"))
+                ],
+                "bins", V4, "bin 'c0:b1': 'preds' index 99 is out of range$", id="v4-first-bad-index-named",
+            ),
         ],
     )
     def test_corrupt_model_fields_named(self, tmp_path, request, damage, field, payload, detail):
@@ -617,14 +733,35 @@ class TestModelFile:
         save_model(second, loaded)
         assert first.read_bytes() == second.read_bytes()
 
-    def test_version_1_file_loads_as_version_2(self, tmp_path, valid_payload, valid_payload_v2, payload_model):
-        v1, v2, v3 = tmp_path / "v1.json", tmp_path / "v2.json", tmp_path / "v3.json"
-        v1.write_text(json.dumps(valid_payload))
-        v2.write_text(json.dumps(valid_payload_v2))
-        save_model(v3, payload_model)
-        assert json.loads(v3.read_text())["version"] == 3
-        arrays = [model_arrays(load_model(path)) for path in (v1, v2, v3)]
-        assert arrays[0] == arrays[1] == arrays[2] == model_arrays(payload_model)
+    def test_version_1_file_loads_as_version_2(
+        self, tmp_path, valid_payload, valid_payload_v2, valid_payload_v3, payload_model
+    ):
+        paths = [tmp_path / f"v{version}.json" for version in (1, 2, 3, 4)]
+        for path, payload in zip(paths, (valid_payload, valid_payload_v2, valid_payload_v3)):
+            path.write_text(json.dumps(payload))
+        save_model(paths[3], payload_model)
+        assert json.loads(paths[3].read_text())["version"] == 4
+        arrays = [model_arrays(load_model(path)) for path in paths]
+        assert arrays[0] == arrays[1] == arrays[2] == arrays[3] == model_arrays(payload_model)
+        for path in paths:  # each older copy is saved again as the version-4 file
+            save_model(tmp_path / "resaved.json", load_model(path))
+            assert (tmp_path / "resaved.json").read_bytes() == paths[3].read_bytes()
+
+    @pytest.mark.parametrize("table_rows, width", [(256, 1), (257, 2), (65536, 2), (65537, 4)])
+    def test_index_width_follows_the_table(self, tmp_path, table_rows, width):
+        model = distinct_rows_model(table_rows)
+        first, second = tmp_path / "model.json", tmp_path / "model2.json"
+        save_model(first, model)
+        payload = json.loads(first.read_text())
+        assert len(unpacked_rows(payload)) == table_rows and np.dtype(index_type(table_rows)).itemsize == width
+        for key in ("preds", "means"):
+            packed = payload["global"][key]
+            assert len(base64.b64decode(packed)) == width * table_rows
+            assert unpacked_indices(packed, table_rows) == list(range(table_rows))
+        loaded = load_model(first)
+        assert model_arrays(loaded) == model_arrays(model)
+        save_model(second, loaded)
+        assert first.read_bytes() == second.read_bytes()
 
     def test_valid_payload_loads_and_bad_json_is_refused(self, tmp_path, valid_payload):
         path = tmp_path / "model.json"
