@@ -83,10 +83,14 @@ def curve_values_at(
     oracle_losses: np.ndarray,
     fractions: Sequence[float],
 ) -> np.ndarray:
-    """Mean loss when the top scoring fraction of points is routed, for fractions in [0, 1]."""
+    """Mean loss when the top scoring fraction of points is routed, for fractions
+    in [0, 1]; ``scores``, ``ids`` and both losses are nonempty columns, row for row."""
     if not all(0.0 <= q <= 1.0 for q in fractions):
         raise InvalidInputError(f"routed fractions must lie in [0, 1], got {list(fractions)}")
     n = len(ids)
+    if not 0 < n == len(scores) == len(weak_losses) == len(oracle_losses):
+        lengths = [len(column) for column in (scores, ids, weak_losses, oracle_losses)]
+        raise InvalidInputError(f"scores, ids and losses must be nonempty and of one length, got lengths {lengths}")
     return _mean_losses(scores, ids, weak_losses, oracle_losses, [int(round(q * n)) for q in fractions])
 
 

@@ -452,65 +452,38 @@ def _index_type(size: int) -> np.dtype:
     return np.dtype("<u1" if size <= 1 << 8 else "<u2" if size <= 1 << 16 else "<u4")
 
 
-def _packed_indices(text, width: int, name: str) -> bytes:
-    """A version-4 index list: base64 text of one or more little-endian
-    unsigned ``width``-byte row indices, as its bytes; their range is checked
-    by the caller, one column at a time."""
-    packed = _base64(text)
+def _packed_indices(text, index_type: np.dtype, name: str) -> memoryview:
+    """A version-4 index list: base64 text of one or more ``index_type`` row
+    indices, as its bytes viewed as that many items; ``load_model`` joins
+    the lists of a column before numpy reads them."""
+    packed, width = _base64(text), index_type.itemsize
     if not packed or len(packed) % width:
         raise InvalidInputError(f"{name} must be base64 of one or more little-endian {width}-byte row indices")
-    return packed
+    return memoryview(packed).cast(index_type.char)
 
 
-def _row_indices(values, size: int, name: str) -> np.ndarray:
-    """``values`` as a nonempty flat list of indices into a table of ``size`` rows."""
+def _row_indices(values, name: str) -> np.ndarray:
+    """A version-2 or 3 index list: a nonempty flat list of JSON integers, as
+    an index column. An integer beyond int64 keeps its value (the column is
+    then of Python objects), so that the range check names it."""
     if not isinstance(values, list) or not values or set(map(type, values)) != {int}:
         raise InvalidInputError(f"{name} must be a nonempty flat list of integer row indices")
     try:
-        index = np.fromiter(values, dtype=np.intp, count=len(values))
-        in_range = index.min() >= 0 and index.max() < size
-    except OverflowError:  # an integer beyond the index type
-        in_range = False
-    if not in_range:
-        raise InvalidInputError(f"{name} index {next(v for v in values if not 0 <= v < size)} is out of range")
-    return index
+        return np.fromiter(values, dtype=np.intp, count=len(values))
+    except OverflowError:
+        return np.array(values, dtype=object)
 
 
-def _mixture(record, rows: np.ndarray | None, num_classes: int, version: int, name: str = "") -> tuple:
-    """The mixture's 'preds' and 'means': in version 1 (``rows`` None) the
-    matrices of the rows they list; in versions 2 and 3 their indices into the
-    table ``rows``; in version 4 the packed bytes of those indices."""
+def _mixture(record, decode, name: str = "") -> tuple:
+    """The mixture's 'preds' and 'means', each read by ``decode(value,
+    name)`` as the rows themselves (version 1) or as its indices into the
+    table of rows (versions 2 to 4); the two must be of one length."""
     if not isinstance(record, dict) or "preds" not in record or "means" not in record:
         raise InvalidInputError(f"{name}a mixture must be an object with 'preds' and 'means'")
-    width = 1
-    if rows is None:
-        preds, means = (_row_matrix(record[key], f"{name}{key!r} ", num_classes) for key in ("preds", "means"))
-    elif version == 4:
-        width = _index_type(len(rows)).itemsize
-        preds, means = (_packed_indices(record[key], width, f"{name}{key!r}") for key in ("preds", "means"))
-    else:
-        preds, means = (_row_indices(record[key], len(rows), f"{name}{key!r}") for key in ("preds", "means"))
+    preds, means = (decode(record[key], f"{name}{key!r}") for key in ("preds", "means"))
     if len(preds) != len(means):
-        raise InvalidInputError(f"{name}{len(preds) // width} 'preds' rows for {len(means) // width} 'means' rows")
+        raise InvalidInputError(f"{name}{len(preds)} 'preds' rows for {len(means)} 'means' rows")
     return preds, means
-
-
-def _unpacked_indices(segments: list[tuple[bytes, bytes]], size: int, bins: tuple[str, ...], path: Path):
-    """The version-4 ``segments`` (the ``bins``, then the global mixture) as
-    one index column each for 'preds' and 'means', and the segment offsets.
-    Each column is read and range-checked once; an index past a table of
-    ``size`` rows is reported in the first segment that holds one, in the
-    words of ``_row_indices``."""
-    index_type = _index_type(size)
-    offsets = np.cumsum([0, *(len(p) // index_type.itemsize for p, _ in segments)])
-    columns = [np.frombuffer(b"".join(column), index_type) for column in zip(*segments)]
-    bad = [(int(np.argmax(index >= size)), j) for j, index in enumerate(columns) if index.max() >= size]
-    if bad:  # a column's first bad index lies in the first segment with one; preds before means, as read
-        segment, j, i = min((int(np.searchsorted(offsets, i, "right")) - 1, j, i) for i, j in bad)
-        where = f"field 'bins': bin {bins[segment]!r}: " if segment < len(bins) else "field 'global': "
-        key = ("preds", "means")[j]
-        raise InvalidInputError(f"{path}: {where}{key!r} index {columns[j][i]} is out of range")
-    return columns, offsets
 
 
 def save_model(path: str | Path, model: CalibratedRouterModel) -> None:
@@ -559,13 +532,17 @@ def _centroid(value, name: str) -> list:
 
 
 def load_model(path: str | Path) -> CalibratedRouterModel:
-    """A model written by ``save_model``, in format version 1, 2, 3 or 4. A
-    file that is not valid JSON, or lacks a field, or whose rows are not
-    probability vectors over ``num_classes`` classes, or whose mixtures index
-    rows that do not exist, or that names a bin its partition cannot
-    produce, or whose recalibrated segments store more than one prediction,
-    or whose ``centroids`` are not each bin's stored prediction (``{}`` for a
-    raw model), fails with ``InvalidInputError`` naming the file and field."""
+    """A model written by ``save_model``, in format version 1, 2, 3 or 4;
+    they differ only in how ``rows`` and the index lists are encoded. Every
+    mixture's shape and type is checked before any index's range, and a bad
+    index is named in the first segment with one (bins in file order, then
+    ``global``; preds before means). A file that is not valid JSON, or lacks
+    a field, or whose rows are not probability vectors over ``num_classes``
+    classes, or whose mixtures index rows that do not exist, or that names a
+    bin its partition cannot produce, or whose recalibrated segments store
+    more than one prediction, or whose ``centroids`` are not each bin's
+    stored prediction (``{}`` for a raw model), fails with
+    ``InvalidInputError`` naming the file and field."""
     path = Path(path)
     if not path.exists():
         raise InvalidInputError(f"model file {path} does not exist")
@@ -591,16 +568,33 @@ def load_model(path: str | Path) -> CalibratedRouterModel:
     partition = field("partition", PartitionSpec.from_record)
     unpack = (lambda text: _packed_rows(text, num_classes)) if version >= 3 else (lambda values: values)
     rows = field("rows", lambda value: _row_matrix(unpack(value), "", num_classes)) if version != 1 else None
-    read_mixture = lambda record, name="": _mixture(record, rows, num_classes, version, name)
+    join = np.concatenate  # the version picks how each mixture's 'preds' and 'means' are decoded and joined
+    if version == 1:
+        decode = lambda values, name: _row_matrix(values, f"{name} ", num_classes)
+    elif version == 4:
+        index_type = _index_type(len(rows))
+        decode = lambda text, name: _packed_indices(text, index_type, name)
+        join = lambda lists: np.frombuffer(b"".join(lists), index_type)
+    else:
+        decode = _row_indices
+    read_mixture = lambda record, name="": _mixture(record, decode, name)
     bins = field("bins", lambda table: _bin_table(table, partition, read_mixture))
     segments = [*bins.values(), field("global", read_mixture)]
-    if version == 4:
-        (preds, means), offsets = _unpacked_indices(segments, len(rows), tuple(bins), path)
-    else:
-        preds, means = (np.concatenate(column) for column in zip(*segments))
-        offsets = np.cumsum([0, *(len(p) for p, _ in segments)])
-    if rows is not None:  # one take of each column, every index validated above
-        preds, means = rows.take(preds, axis=0), rows.take(means, axis=0)
+    columns = [join(column) for column in zip(*segments)]
+    offsets = np.cumsum([0, *(len(p) for p, _ in segments)])
+    if rows is not None:  # one range check and one take of each index column
+        bad = [
+            (int(np.searchsorted(offsets, i, "right")) - 1, j, i)
+            for j, index in enumerate(columns)
+            if index.min() < 0 or index.max() >= len(rows)  # two reductions clear a valid column
+            for i in np.flatnonzero((index < 0) | (index >= len(rows)))[:1]
+        ]
+        if bad:  # a column's first bad index lies in the first segment with one; preds before means, as read
+            segment, j, i = min(bad)
+            where = f"field 'bins': bin {tuple(bins)[segment]!r}: " if segment < len(bins) else "field 'global': "
+            raise InvalidInputError(f"{path}: {where}{('preds', 'means')[j]!r} index {columns[j][i]} is out of range")
+        columns = [rows.take(index, axis=0) for index in columns]
+    preds, means = columns
     recalibrated = field("recalibrated", _flag)
     centroids = field("centroids", lambda table: _bin_table(table, partition, _centroid))
     try:

@@ -98,12 +98,25 @@ def version_2_payload(payload: dict) -> dict:
     return {**payload, "version": 2, "rows": unpacked_rows(payload)}
 
 
-def write_older_models(source, v3, v2):
-    """Version-3 and version-2 copies, at ``v3`` and ``v2``, of the version-4
-    model file ``source``, their indices unpacked."""
+def version_1_payload(payload: dict) -> dict:
+    """A version-2 model payload as version 1: no ``rows``, and each mixture's
+    ``preds`` and ``means`` as the rows they index."""
+    rows = payload["rows"]
+    inline = lambda mixture: {key: [rows[i] for i in mixture[key]] for key in ("preds", "means")}
+    bins = {b: inline(mixture) for b, mixture in payload["bins"].items()}
+    older = {key: value for key, value in payload.items() if key != "rows"}
+    return {**older, "version": 1, "bins": bins, "global": inline(payload["global"])}
+
+
+def write_older_models(source, v3, v2, v1):
+    """Version-3, version-2 and version-1 copies, at ``v3``, ``v2`` and
+    ``v1``, of the version-4 model file ``source``: its indices unpacked, then
+    its rows too, then its rows inlined in each mixture."""
     payload = version_3_payload(json.loads(Path(source).read_text(encoding="utf-8")))
     Path(v3).write_text(json.dumps(payload), encoding="utf-8")
-    Path(v2).write_text(json.dumps(version_2_payload(payload)), encoding="utf-8")
+    payload = version_2_payload(payload)
+    Path(v2).write_text(json.dumps(payload), encoding="utf-8")
+    Path(v1).write_text(json.dumps(version_1_payload(payload)), encoding="utf-8")
 
 
 def batch_columns(batch) -> dict:

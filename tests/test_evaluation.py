@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -140,6 +141,21 @@ class TestRoutingCurve:
         assert curve_values_at(scores, ids, weak, oracle, [0.0, 0.3, 1.0]).tolist() == [1.0, 0.7, 0.0]
         with pytest.raises(InvalidInputError, match=r"^routed fractions must lie in \[0, 1\]"):
             curve_values_at(scores, ids, weak, oracle, [0.5, fraction])
+
+    @pytest.mark.parametrize(
+        "scores, ids, weak, oracle",
+        [
+            pytest.param([], [], [], [], id="empty"),
+            pytest.param([1.0, 2.0, 3.0], ["a", "b"], [1.0, 1.0], [0.0, 0.0], id="scores-longer-than-ids"),
+            pytest.param([1.0, 2.0], ["a", "b"], [1.0, 1.0, 1.0], [0.0, 0.0, 0.0], id="losses-longer-than-ids"),
+            pytest.param([1.0, 2.0], ["a", "b"], [1.0, 1.0], [0.0], id="oracle-losses-short"),
+        ],
+    )
+    def test_curve_values_at_refuses_columns_it_cannot_price(self, scores, ids, weak, oracle):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError, match=r"^scores, ids and losses must be nonempty and of one length"):
+                curve_values_at(*map(np.array, (scores, ids, weak, oracle)), [0.0, 0.5, 1.0])
 
 
 class TestCostSweep:

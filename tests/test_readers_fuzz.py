@@ -25,7 +25,7 @@ from hocroute.storage import (
     write_dataset,
 )
 
-from conftest import version_2_payload, version_3_payload, write_version_1
+from conftest import version_1_payload, version_2_payload, version_3_payload, write_version_1
 
 FUZZ = settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
@@ -133,22 +133,12 @@ def model_texts(workspace, saved_models):
     for text in saved_models:
         v3 = version_3_payload(json.loads(text))
         v2 = version_2_payload(v3)
-        texts += [text, json.dumps(v3), json.dumps(v2), _as_version_1(v2)]
+        texts += [text, json.dumps(v3), json.dumps(v2), json.dumps(version_1_payload(v2))]
     for i, text in enumerate(texts):  # every seed is a valid model before it is mutated
         path = workspace / f"seed-{i}.json"
         path.write_text(text)
         load_model(path)
     return texts
-
-
-def _as_version_1(payload: dict) -> str:
-    """A version-2 model payload written out as version 1: each mixture lists its rows."""
-    payload = json.loads(json.dumps(payload))
-    rows = payload.pop("rows")
-    for mixture in [*payload["bins"].values(), payload["global"]]:
-        for key in ("preds", "means"):
-            mixture[key] = [rows[i] for i in mixture[key]]
-    return json.dumps({**payload, "version": 1})
 
 
 def test_saved_mixtures_are_objects_with_nonempty_index_lists(saved_models):

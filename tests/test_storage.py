@@ -39,6 +39,7 @@ from conftest import (
     unpacked_indices,
     unpacked_rows,
     version_1_line,
+    version_1_payload,
     version_2_payload,
     version_3_payload,
     write_version_1,
@@ -49,6 +50,8 @@ V1, V2, V3, V4 = "valid_payload", "valid_payload_v2", "valid_payload_v3", "valid
 WIDE = "wide_payload_v4"  # a version-4 payload whose table of 257 rows takes 2-byte indices
 PACKED = "must be base64 of one or more rows of 2 little-endian float64 numbers$"  # a bad version-3 'rows' text
 INDICES = "must be base64 of one or more little-endian 1-byte row indices$"  # a bad version-4 index list of V4
+# where an index past the table is put to show which is named: the first segment with one, preds before means
+FIRST_BAD_INDEX_SPOTS = (("c1:b0", "preds"), ("c0:b1", "means"), ("c0:b1", "preds"))
 
 
 def mixture_of(payload: dict, mixture: str) -> dict:
@@ -479,18 +482,8 @@ class TestModelFile:
         return calibrate(fit("topclass", data, buckets=3), data, recalibrate=True)
 
     @pytest.fixture(scope="class")
-    def valid_payload(self, payload_model):
-        model = payload_model
-        return {
-            "format": "hoc-router-model",
-            "version": 1,
-            "num_classes": model.num_classes,
-            "recalibrated": model.recalibrated,
-            "partition": model.partition.to_record(),
-            "bins": {b: {"preds": m.preds.tolist(), "means": m.means.tolist()} for b, m in model.mixtures.items()},
-            "global": {"preds": model.global_mixture.preds.tolist(), "means": model.global_mixture.means.tolist()},
-            "centroids": {b: c.probs.tolist() for b, c in model.centroids.items()},
-        }
+    def valid_payload(self, valid_payload_v2):
+        return version_1_payload(valid_payload_v2)
 
     @pytest.fixture(scope="class")
     def valid_payload_v4(self, payload_model, tmp_path_factory):
@@ -646,10 +639,27 @@ class TestModelFile:
             ),
             pytest.param(  # a bad index is named in the first mixture that holds one, preds before means
                 lambda p: [
-                    reindexed(b, key, lambda index: index.__setitem__(0, 99))(p)
-                    for b, key in (("c1:b0", "preds"), ("c0:b1", "means"), ("c0:b1", "preds"))
+                    reindexed(b, key, lambda index: index.__setitem__(0, 99))(p) for b, key in FIRST_BAD_INDEX_SPOTS
                 ],
                 "bins", V4, "bin 'c0:b1': 'preds' index 99 is out of range$", id="v4-first-bad-index-named",
+            ),
+            *(
+                pytest.param(
+                    lambda p: [mixture_of(p, b)[key].__setitem__(0, 99) for b, key in FIRST_BAD_INDEX_SPOTS], "bins",
+                    payload, "bin 'c0:b1': 'preds' index 99 is out of range$", id=f"{version}-first-bad-index-named",
+                )
+                for payload, version in ((V2, "v2"), (V3, "v3"))
+            ),
+            pytest.param(  # a negative index and one past the table are one range rule, named by segment first
+                lambda p: [
+                    p["bins"]["c0:b1"]["means"].__setitem__(2, -1), p["bins"]["c1:b0"]["preds"].__setitem__(0, 99)
+                ],
+                "bins", V2, "bin 'c0:b1': 'means' index -1 is out of range$", id="v2-negative-before-too-large",
+            ),
+            pytest.param(  # every mixture's shape and type are checked before any index's range
+                lambda p: [p["bins"]["c0:b0"]["preds"].__setitem__(0, 99), p["global"]["means"].__setitem__(1, 0.5)],
+                "global", V2, "'means' must be a nonempty flat list of integer row indices$",
+                id="v2-malformed-global-before-bin-range",
             ),
         ],
     )
