@@ -36,11 +36,18 @@ class RankedPolicy:
             raise InvalidInputError("policy scores must be finite")
 
 
-def _deployed(test: SnapshotBatch, model: CalibratedRouterModel | None, bins=None) -> np.ndarray:
-    """The model's deployed predictions (``bins`` as ``deployed_matrix`` takes
-    it), or the raw weak ones without a model. Every evaluation meets here."""
+def check_split(test: SnapshotBatch, model: CalibratedRouterModel | None) -> None:
+    """Refuse an empty test split, or one of another class count than ``model``."""
     if not test:
         raise InvalidInputError("test set is empty")
+    if model is not None and test.num_classes != model.num_classes:
+        raise InvalidInputError(f"test set has {test.num_classes} classes; the model has {model.num_classes}")
+
+
+def _deployed(test: SnapshotBatch, model: CalibratedRouterModel | None, bins=None) -> np.ndarray:
+    """The model's deployed predictions (``bins`` as ``deployed_matrix`` takes
+    it), or the raw weak ones without a model."""
+    check_split(test, model)
     return test.probs if model is None else model.deployed_matrix(test, bins)
 
 

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import evaluation, storage
+from . import baselines, evaluation, storage
 from .calibrator import aggregate_wasserstein, calibrate, wasserstein_error
 from .core import InvalidInputError, RoutingConfig, UnsupportedDiagnosticError, UnsupportedLossError
 from .diagnostics import check_entropy_lipschitz, check_loss_lipschitz, run_lemma_checks
@@ -303,6 +303,7 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
     if args.model:
         model = storage.load_model(args.model)
         test = storage.ingest(args.test)
+        baselines.check_split(test, model)
         loss = parse_loss(args.loss)
         quality = partition_quality(model.partition, test, loss)
         report["partition_quality"] = {

@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from . import baselines
-from .baselines import RankedPolicy, _deployed
+from .baselines import RankedPolicy, _deployed, check_split
 from .calibrator import CalibratedRouterModel, estimate_decompositions
 from .core import InvalidInputError, RoutingConfig, SnapshotBatch, UnsupportedLossError
 from .losses import LossSpec, entropy_batch, expected_loss_batch
@@ -153,6 +153,7 @@ def routing_curves(
 def router_scores(model: CalibratedRouterModel, test: SnapshotBatch, loss: LossSpec) -> RankedPolicy:
     """The calibrated router's ranking: each point scored by the estimated
     reducible loss of its bin."""
+    check_split(test, model)
     bins, index = assign_rows(model.partition, test.probs, test.features)
     return RankedPolicy(HOC_ROUTER, estimate_decompositions(model, bins, loss)[1][index])
 

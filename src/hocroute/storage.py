@@ -34,6 +34,7 @@ from .core import (
     json_numbers,
     nan_padded,
     normalize_simplex,
+    simplex_error,
     simplex_ok,
 )
 from .evaluation import CostSweep, RoutingCurve
@@ -94,8 +95,9 @@ def write_dataset(path: str | Path, examples: SnapshotBatch | Sequence[SnapshotE
             fh.write("".join(lines))
 
 
-def _record_error(lineno: int, field: str, message: str) -> InvalidInputError:
-    return InvalidInputError(f"line {lineno}: field {field!r}: {message}")
+def _record_error(lineno: int, field: str, message: str, last: int | None = None) -> InvalidInputError:
+    where = f"line {lineno}" if last in (None, lineno) else f"lines {lineno}-{last}"
+    return InvalidInputError(f"{where}: field {field!r}: {message}")
 
 
 def _decode(line: str, lineno: int):
@@ -126,10 +128,10 @@ def _distribution(record: dict, field: str, num_classes: int, lineno: int) -> La
 def _check_fields(
     record, num_classes: int, lineno: int, required: tuple[str, ...]
 ) -> tuple[LabelDistribution, np.ndarray | None]:
-    """The field check every reader applies to a decoded record: an object
-    holding ``required``, ``id`` a string or a (non-bool) integer, ``weak_probs``
-    a valid distribution over ``num_classes``, and ``features``, when present,
-    a list of finite numbers. Returns the prediction and the features."""
+    """``parse_query``'s check of a decoded record, held equal to ``_read_columns``:
+    an object holding ``required``, ``id`` a string or a (non-bool) integer,
+    ``weak_probs`` a distribution over ``num_classes``, and ``features``, when
+    present, a list of finite numbers. Returns the prediction and the features."""
     if not isinstance(record, dict):
         raise _record_error(lineno, "-", "record is not a JSON object")
     for field in required:
@@ -146,61 +148,30 @@ def _check_fields(
     return weak, features
 
 
-def _check_line(line: str, num_classes: int, lineno: int, min_features: int = 0, version: int | None = None) -> None:
-    """Raise for the first field of a line that breaks a rule of
-    ``_read_columns``: ``_check_fields``, at least ``min_features`` features
-    and, in a record of a dataset of format ``version``, its labels (version
-    1: ``labels`` a nonempty flat list of class indices; version 2:
-    ``label_counts`` a list of ``num_classes`` integers >= 0 whose total is
-    positive and fits in int64, and no ``labels``) and ``p_star``, when
-    present, a valid distribution."""
-    record = _decode(line, lineno)
-    labels_field = {None: (), 1: ("labels",), 2: ("label_counts",)}[version]
-    _, features = _check_fields(record, num_classes, lineno, ("id", "weak_probs", *labels_field))
-    if features is None and min_features:
-        raise _record_error(lineno, "features", "missing")
-    if features is not None and features.size < min_features:
-        raise _record_error(lineno, "features", f"expected at least {min_features} entries")
-    if version is None:
-        return
-    if version == 1:
-        labels = record["labels"]
-        if not isinstance(labels, list) or not labels:
-            raise _record_error(lineno, "labels", "must be a nonempty list")
-        if set(map(type, labels)) != {int}:
-            raise _record_error(lineno, "labels", "must be a flat list of integers")
-        if min(labels) < 0 or max(labels) >= num_classes:
-            raise _record_error(lineno, "labels", f"class index out of range for {num_classes} classes")
-    else:
-        counts = record["label_counts"]
-        if "labels" in record:
-            raise _record_error(lineno, "label_counts", "given together with 'labels'")
-        if not isinstance(counts, list) or [type(c) for c in counts] != [int] * num_classes:
-            raise _record_error(lineno, "label_counts", f"must be a list of {num_classes} integers")
-        if min(counts) < 0 or not 0 < sum(counts) <= np.iinfo(np.int64).max:
-            raise _record_error(lineno, "label_counts", "counts must be >= 0 with a total >= 1 that fits in int64")
-    if record.get("p_star") is not None:
-        _distribution(record, "p_star", num_classes, lineno)
-
-
-def _distributions(values: list, num_classes: int) -> np.ndarray:
-    """``_distribution`` over a column: one normalized row per value."""
-    probs = np.array(values, dtype=float)
-    if probs.shape != (len(values), num_classes) or not json_numbers(chain.from_iterable(values)):
-        raise TypeError("not lists of numbers")
-    if not simplex_ok(probs).all():
-        raise ValueError("not probability vectors")
+def _distributions(values: list, field: str, num_classes: int, refuse) -> np.ndarray:
+    """``_distribution`` over a column: one normalized row per value, or the
+    error ``refuse`` makes for ``field`` and the first rule a value breaks."""
+    probs = None
+    with suppress(TypeError, ValueError, OverflowError):  # a value not a list, rows of unequal size, a huge integer
+        probs = np.array(values, dtype=float) if json_numbers(chain.from_iterable(values)) else None
+    if probs is None:
+        raise refuse(field, "must be a flat list of numbers")
+    if probs.shape != (len(values), num_classes):
+        raise refuse(field, f"expected {num_classes} entries")
+    ok = simplex_ok(probs)
+    if not ok.all():
+        raise refuse(field, str(simplex_error(probs[ok.argmin()])))
     return normalize_simplex(probs)
 
 
 def _flat_rows(rows: list) -> tuple[list, np.ndarray]:
-    """The items of ``rows``, which must be lists (or None, for no items), in
-    one flat list, and the number of items in each row."""
+    """The items of ``rows``, lists or None (no items), in one flat list, and
+    the number of items in each row; every count is -1 when a row is neither."""
     if rows.count(None) == len(rows):
         return [], np.zeros(len(rows), dtype=np.intp)
     rows = [[] if row is None else row for row in rows]
     if not all(type(row) is list for row in rows):
-        raise TypeError("rows must be lists")
+        return [], np.full(len(rows), -1)
     return list(chain.from_iterable(rows)), np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
 
 
@@ -220,60 +191,82 @@ def _decode_lines(lines: list[str]) -> list:
 def _read_columns(
     lines: Sequence, first_lineno: int, num_classes: int, min_features: int = 0, version: int | None = None
 ):
-    """The columns of the nonblank ``lines`` (the first is line ``first_lineno``),
-    checked once with the rules of ``_check_line`` and the arithmetic of
-    ``_check_fields``: the ids, the normalized ``weak_probs``, every feature
-    in one flat array with each record's count and, for a dataset of format
-    ``version``, per-class label counts (int64) and ``p_star`` rows (NaN where
-    a record has none); None when all are blank. When some line breaks a
-    rule, the lines are read again one at a time by ``_check_line``, so the
-    error names the first bad line and field."""
+    """The columns of the nonblank ``lines`` (the first is line ``first_lineno``):
+    the ids, the normalized ``weak_probs``, every feature in one flat array with
+    each record's count and, for a dataset of format ``version``, per-class
+    label counts (int64) and ``p_star`` rows (NaN where a record has none); None
+    when all are blank. These are the dataset and query record rules, each
+    raising ``InvalidInputError`` that names its field; refused lines are read
+    again as batches of one, so the error names the first bad line too."""
+    refuse = lambda field, message: _record_error(first_lineno, field, message, first_lineno + len(lines) - 1)
     try:
-        records = _decode_lines([line for line in lines if line.strip()])
-        if not records:
-            return None
-        ids = [record["id"] for record in records]
+        try:  # decode, then gather every required field before any rule on a value
+            records = _decode_lines([line for line in lines if line.strip()])
+            if not records:
+                return None
+            ids = [record["id"] for record in records]
+            weak = [record["weak_probs"] for record in records]
+            labels = [] if version is None else [record[("labels", "label_counts")[version - 1]] for record in records]
+        except (ValueError, RecursionError) as err:  # bad JSON, an integer too long, or nested too deeply
+            raise refuse("-", f"invalid JSON ({err})") from None
+        except TypeError:  # a JSON value that is not an object, indexed by a name
+            raise refuse("-", "record is not a JSON object") from None
+        except KeyError as err:
+            raise refuse(err.args[0], "missing") from None
         if not {str, int}.issuperset(map(type, ids)):
-            raise TypeError("ids must be strings or integers")
+            raise refuse("id", "must be a string or an integer")
+        probs = _distributions(weak, "weak_probs", num_classes, refuse)
+        given = [record.get("features") for record in records]
+        values, lengths = _flat_rows(given)
+        features = None
+        with suppress(OverflowError):  # an integer beyond float range
+            features = np.array(values, dtype=float) if json_numbers(values) and lengths.min() >= 0 else None
+        if features is None:
+            raise refuse("features", "must be a flat list of numbers")
+        if not np.isfinite(features).all():
+            raise refuse("features", "must be finite")
+        if lengths.min() < min_features:
+            short = given[(lengths < min_features).argmax()]
+            raise refuse("features", "missing" if short is None else f"expected at least {min_features} entries")
         ids = list(map(str, ids))
-        probs = _distributions([record["weak_probs"] for record in records], num_classes)
-        values, lengths = _flat_rows([record.get("features") for record in records])
-        if not json_numbers(values):
-            raise TypeError("features must be lists of numbers")
-        features = np.array(values, dtype=float)
-        if not np.isfinite(features).all() or lengths.min() < min_features:
-            raise ValueError("features must be lists of finite numbers")
         if version is None:
             return ids, probs, features, lengths
         if version == 1:
-            labels, sizes = _flat_rows([record["labels"] for record in records])
-            if not sizes.all() or list(map(type, labels)).count(int) != len(labels):
-                raise TypeError("labels must be nonempty lists of integers")
-            classes = np.fromiter(labels, dtype=np.intp, count=len(labels))
+            labels, sizes = _flat_rows(labels)
+            if sizes.min() < 1:
+                raise refuse("labels", "must be a nonempty list")
+            if list(map(type, labels)).count(int) != len(labels):
+                raise refuse("labels", "must be a flat list of integers")
+            classes = np.full(1, -1)  # an index beyond intp is out of range too
+            with suppress(OverflowError):
+                classes = np.fromiter(labels, dtype=np.intp, count=len(labels))
             if classes.min() < 0 or classes.max() >= num_classes:
-                raise ValueError("class index out of range")
+                raise refuse("labels", f"class index out of range for {num_classes} classes")
             cells = np.repeat(np.arange(len(records)) * num_classes, sizes) + classes
             counts = np.bincount(cells, minlength=len(records) * num_classes).reshape(-1, num_classes)
         else:
-            values, sizes = _flat_rows([record["label_counts"] for record in records])
-            if (sizes != num_classes).any() or list(map(type, values)).count(int) != len(values):
-                raise TypeError("label_counts must be lists of num_classes integers")
             if any("labels" in record for record in records):
-                raise ValueError("label_counts given together with labels")
-            counts = np.fromiter(values, dtype=np.int64, count=len(values)).reshape(-1, num_classes)
+                raise refuse("label_counts", "given together with 'labels'")
+            values, sizes = _flat_rows(labels)
+            if (sizes != num_classes).any() or list(map(type, values)).count(int) != len(values):
+                raise refuse("label_counts", f"must be a list of {num_classes} integers")
+            counts = np.full((1, num_classes), -1)  # a count beyond int64 is refused too
+            with suppress(OverflowError):
+                counts = np.fromiter(values, dtype=np.int64, count=len(values)).reshape(-1, num_classes)
             totals = counts.cumsum(axis=1)  # with no count negative, a partial sum past int64 wraps below 0
             if counts.min() < 0 or totals.min() < 0 or not totals[:, -1].all():
-                raise ValueError("label counts must be >= 0 with a positive total that fits in int64")
+                raise refuse("label_counts", "counts must be >= 0 with a total >= 1 that fits in int64")
         p_star = np.full((len(records), num_classes), np.nan)
         present = [i for i, record in enumerate(records) if record.get("p_star") is not None]
         if present:
-            p_star[present] = _distributions([records[i]["p_star"] for i in present], num_classes)
+            p_star[present] = _distributions([records[i]["p_star"] for i in present], "p_star", num_classes, refuse)
         return ids, probs, features, lengths, counts, p_star
-    except (ValueError, TypeError, KeyError, OverflowError, RecursionError):
-        for lineno, line in enumerate(lines, first_lineno):
-            if line.strip():
-                _check_line(line, num_classes, lineno, min_features, version)
-        raise AssertionError("the column check refused lines that the per-line check accepts") from None
+    except InvalidInputError:
+        if len(lines) > 1:
+            for lineno, line in enumerate(lines, first_lineno):
+                if line.strip():
+                    _read_columns([line], lineno, num_classes, min_features, version)
+        raise
 
 
 def _num_classes(value) -> int:
@@ -375,11 +368,8 @@ class QueryBatch:
 
 def parse_queries(lines: Sequence[str], num_classes: int, first_lineno: int = 1, min_features: int = 0) -> QueryBatch:
     """Routing queries from consecutive JSONL lines, the first numbered
-    ``first_lineno``; blank lines are skipped. Validation runs once over the
-    batch and applies ``parse_query``'s rules with its arithmetic. When a line
-    breaks them, or carries fewer than ``min_features`` features, the lines are
-    read again one at a time, so the error names the first bad line and field
-    exactly as ``parse_query`` would."""
+    ``first_lineno``, blank lines skipped: ``parse_query``'s rules, and at least
+    ``min_features`` features, checked once over the batch by ``_read_columns``."""
     columns = _read_columns(lines, first_lineno, num_classes, min_features)
     if columns is None:
         return QueryBatch(ids=[], probs=np.empty((0, num_classes)), features=None)

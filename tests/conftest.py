@@ -7,7 +7,7 @@ import pytest
 from hypothesis import strategies as st
 
 from hocroute.calibrator import CalibratedRouterModel
-from hocroute.core import LabelDistribution, SnapshotExample, action_priority
+from hocroute.core import LabelDistribution, SnapshotBatch, SnapshotExample, action_priority
 from hocroute.partition import PartitionSpec
 from hocroute.storage import header_path
 from hocroute.synthetic import SINUSOIDAL, generate
@@ -124,6 +124,14 @@ def batch_columns(batch) -> dict:
     names = ("probs", "counts", "features", "p_star", "means", "truth")
     columns = {name: getattr(batch, name) for name in names}
     return {"ids": batch.ids} | {k: None if c is None else (c.dtype, c.tobytes()) for k, c in columns.items()}
+
+
+def three_classes(batch: SnapshotBatch) -> SnapshotBatch:
+    """``batch`` with its first class split in two halves: the same rows over 3 classes."""
+    split = lambda m: np.column_stack([m[:, 0] / 2, m[:, 0] / 2, m[:, 1:]])
+    half = batch.counts[:, 0] // 2
+    counts = np.column_stack([half, batch.counts[:, 0] - half, batch.counts[:, 1:]])
+    return SnapshotBatch(ids=batch.ids, probs=split(batch.probs), counts=counts, features=batch.features)
 
 
 def version_1_line(line: str) -> str:

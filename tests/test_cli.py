@@ -37,7 +37,7 @@ from hocroute.storage import (
     write_sweep_csv,
 )
 
-from conftest import make_example, simplex_arrays, write_version_1
+from conftest import make_example, simplex_arrays, three_classes, write_version_1
 from test_grouping_reference import ref_bucket_optimal_scores, ref_router_scores
 from test_sweep_reference import ref_cost_sweep
 
@@ -609,6 +609,27 @@ class TestMalformedLines:
         assert payload["error"] == "InvalidInputError"
         assert payload["message"].startswith(f"line 4: field '{field}': ")
         assert [json.loads(l)["id"] for l in out.read_text().splitlines()] == ["ok0", "ok1"]
+
+
+@pytest.mark.parametrize("recalibrate", [[], ["--recalibrate"]], ids=["raw", "recalibrated"])
+@pytest.mark.parametrize("command", ["curve", "sweep", "diagnose"])
+def test_a_test_split_of_another_class_count_is_refused(command, recalibrate, workspace, tmp_path, capsys):
+    """A 2-class model and a 3-class test split: exit code 1, one JSON error
+    naming both counts, and no output written."""
+    root, data_dir, _ = workspace
+    model = tmp_path / "model.json"
+    calibrate_flags = ["--in", str(data_dir / "calibration.jsonl"), "--partition", "topclass:4", "--out", str(model)]
+    assert cli_dispatch(["calibrate", *calibrate_flags, *recalibrate]) == 0
+    test = tmp_path / "test3.jsonl"
+    write_dataset(test, three_classes(ingest(data_dir / "test.jsonl")[:300]))
+    out = tmp_path / "out.csv"
+    flags = {"curve": ["--out", str(out)], "sweep": ["--beta", "0.1:0.3:0.1", "--out", str(out)], "diagnose": []}
+    capsys.readouterr()
+    assert cli_dispatch([command, "--model", str(model), "--test", str(test), *flags[command]]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists() and not (tmp_path / "out.csv.manifest.json").exists()
+    error = {"error": "InvalidInputError", "message": "test set has 3 classes; the model has 2"}
+    assert json.loads(captured.err) == error
 
 
 @pytest.mark.parametrize("p_star", [["0.5", "0.5"], [True, False]])

@@ -30,7 +30,7 @@ from hocroute.losses import LossSpec, entropy, expected_loss
 from hocroute.partition import fit
 from hocroute.router import OracleSpec
 
-from conftest import make_example
+from conftest import make_example, three_classes
 
 brier = LossSpec("brier")
 
@@ -52,6 +52,7 @@ EVALUATIONS = {
     "total_uncertainty_scores": lambda model, test: total_uncertainty_scores(test, brier, model),
     "pointwise_optimal_scores": lambda model, test: pointwise_optimal_scores(test, brier, model),
     "bucket_optimal_scores": lambda model, test: bucket_optimal_scores(test, brier, model),
+    "router_scores": lambda model, test: router_scores(model, test, brier),
 }
 
 
@@ -62,6 +63,15 @@ def test_an_empty_test_set_is_refused(small_run, evaluation, recalibrate):
     model = calibrate(fit("topclass", data, buckets=5), data, recalibrate=recalibrate)
     with pytest.raises(InvalidInputError, match="^test set is empty$"):
         EVALUATIONS[evaluation](model, small_run.test[0:0])
+
+
+@pytest.mark.parametrize("recalibrate", [False, True], ids=["raw", "recalibrated"])
+@pytest.mark.parametrize("evaluation", list(EVALUATIONS))
+def test_a_test_set_of_another_class_count_is_refused(small_run, evaluation, recalibrate):
+    data = small_run.calibration[:500]
+    model = calibrate(fit("topclass", data, buckets=4), data, recalibrate=recalibrate)
+    with pytest.raises(InvalidInputError, match="^test set has 3 classes; the model has 2$"):
+        EVALUATIONS[evaluation](model, three_classes(small_run.test[:300]))
 
 
 class TestRoutingCurve:
